@@ -1,9 +1,9 @@
 """Second-order gradient boosting on logistic loss.
 
-Per round a regression tree is fitted to gradients g_i = p_i - y_i and
-hessians h_i = p_i (1 - p_i); leaf values are -sum(g) / (sum(h) + lambda) and
-split gain is 0.5 * [G_L^2/(H_L+l) + G_R^2/(H_R+l) - G^2/(H+l)]. The raw
-margin base_score + eta * sum(trees) is the log-odds of class 1 (Recovered).
+Per round a regression tree is fitted to gradients g = p - y and hessians
+h = p (1 - p) by the CART split search (`trees.best_split`) with gain 0.5 *
+[G_L^2/(H_L+l) + G_R^2/(H_R+l) - G^2/(H+l)]; leaves are -sum(g)/(sum(h)+l).
+The raw margin base_score + eta * sum(trees) is the log-odds of Recovered.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import FitError, FlatTree, TreeNode, apply_tree, flatten_tree
+from .trees import FitError, FlatTree, TreeNode, apply_tree, flatten_tree, grow_tree, rank_bins
 
 PREVALENCE_CLIP = 1e-6
 
@@ -26,8 +26,8 @@ class GbdtParams:
     min_child_weight: float = 1.0
     reg_lambda: float = 1.0
     seed: int = 0
-    # None = exact greedy splits over all midpoints; an integer caps the
-    # candidate thresholds per feature at that many quantile bin edges
+    # None = exact greedy splits; an integer merges each feature's values into
+    # that many quantile bins, whose edges are the only candidate thresholds
     histogram_bins: int | None = None
 
 
@@ -52,82 +52,30 @@ def quantile_bin_edges(column: np.ndarray, bins: int) -> np.ndarray:
     return midpoints[np.unique(positions.round().astype(int))]
 
 
-def _best_gain_split(X, g, h, rows, min_child_weight, lam, edges=None):
-    """Best split by second-order gain; same tie-break as the CART search.
+def gain_score(min_child_weight: float, lam: float):
+    """Second-order gain over (count, gradient, hessian) sums."""
 
-    With `edges` (per-feature candidate thresholds from quantile binning) the
-    search only scans those cut points; otherwise every midpoint of distinct
-    sorted values is a candidate (exact mode).
-    """
-    G = float(g[rows].sum())
-    H = float(h[rows].sum())
-    parent_score = G * G / (H + lam)
-    best = None
-    for f in range(X.shape[1]):
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        cum_g = np.cumsum(g[rows][order])
-        cum_h = np.cumsum(h[rows][order])
-        if edges is None:
-            boundaries = np.flatnonzero(xs_sorted[:-1] < xs_sorted[1:])
-            if len(boundaries) == 0:
-                continue
-            thresholds = (xs_sorted[boundaries] + xs_sorted[boundaries + 1]) / 2
-        else:
-            thresholds = edges[f]
-            if len(thresholds) == 0:
-                continue
-            # rows strictly below each candidate threshold
-            boundaries = np.searchsorted(xs_sorted, thresholds, side="left") - 1
-            keep = (boundaries >= 0) & (boundaries < len(rows) - 1)
-            boundaries = boundaries[keep]
-            thresholds = thresholds[keep]
-            if len(boundaries) == 0:
-                continue
-        gl = cum_g[boundaries]
-        hl = cum_h[boundaries]
-        gr = G - gl
-        hr = H - hl
-        valid = (hl >= min_child_weight) & (hr >= min_child_weight)
-        if not valid.any():
-            continue
-        gains = np.full(len(boundaries), -np.inf)
-        gains[valid] = 0.5 * (
-            gl[valid] ** 2 / (hl[valid] + lam)
-            + gr[valid] ** 2 / (hr[valid] + lam)
-            - parent_score
-        )
-        b = int(np.argmax(gains))
-        if gains[b] > 0.0 and (best is None or gains[b] > best[0]):
-            best = (float(gains[b]), f, float(thresholds[b]))
-    return best
+    def score(left, right, total):
+        (_, gl, hl), (_, gr, hr) = left, right
+        gains = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - total[1] ** 2 / (total[2] + lam))
+        return np.where((hl >= min_child_weight) & (hr >= min_child_weight), gains, -np.inf)
+
+    return score
 
 
-def _fit_round_tree(X, g, h, w, params: GbdtParams, edges=None) -> TreeNode:
-    lam = params.reg_lambda
+def _fit_round_tree(bins, g, h, w, params: GbdtParams, leaf_value) -> TreeNode:
+    """Grow one round's tree; leaf_value receives each training row's leaf value."""
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        cover = float(w[rows].sum())
-        node = TreeNode(cover=cover)
-        sum_g = float(g[rows].sum())
-        sum_h = float(h[rows].sum())
-        node.value = -sum_g / (sum_h + lam)
-        if depth >= params.max_depth or len(rows) < 2:
-            return node
-        best = _best_gain_split(X, g, h, rows, params.min_child_weight, lam, edges)
-        if best is None:
-            return node
-        _, feature, threshold = best
-        go_left = X[rows, feature] < threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = grow(rows[go_left], depth + 1)
-        node.right = grow(rows[~go_left], depth + 1)
-        node.value = None
-        return node
+    def make_node(rows):
+        value = -float(g[rows].sum()) / (float(h[rows].sum()) + params.reg_lambda)
+        leaf_value[rows] = value  # a split node's children overwrite it
+        return TreeNode(value=value, cover=float(w[rows].sum()))
 
-    return grow(np.arange(len(X)), 0)
+    def splittable(node, rows, depth):
+        return depth < params.max_depth and len(rows) >= 2
+
+    score = gain_score(params.min_child_weight, params.reg_lambda)
+    return grow_tree(bins, np.array([g, h]), score, make_node, splittable)
 
 
 class GradientBoostedModel:
@@ -220,21 +168,21 @@ def fit_gbdt(
     prevalence = float(np.clip((w * y).sum() / w.sum(), PREVALENCE_CLIP, 1 - PREVALENCE_CLIP))
     base_score = float(np.log(prevalence / (1.0 - prevalence)))
 
-    edges = None
+    bins = rank_bins(X)
     if params.histogram_bins is not None:
         if params.histogram_bins < 2:
             raise FitError(f"histogram_bins must be >= 2, got {params.histogram_bins}")
-        edges = [quantile_bin_edges(X[:, f], params.histogram_bins) for f in range(X.shape[1])]
+        bins = bins.coarsen([quantile_bin_edges(v, params.histogram_bins) for v in bins.values])
 
     margin = np.full(n, base_score)
+    leaf_value = np.empty(n)
     trees: list[TreeNode] = []
     for _ in range(params.n_rounds):
         p = sigmoid(margin)
         g = (p - y) * w
         h = np.maximum(p * (1.0 - p), 1e-16) * w
-        tree = _fit_round_tree(X, g, h, w, params, edges)
-        trees.append(tree)
-        margin += params.learning_rate * apply_tree(flatten_tree(tree), X)
+        trees.append(_fit_round_tree(bins, g, h, w, params, leaf_value))
+        margin += params.learning_rate * leaf_value
     return GradientBoostedModel(
         base_score=base_score,
         learning_rate=params.learning_rate,

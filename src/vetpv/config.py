@@ -161,7 +161,7 @@ def load_config(path: Path) -> PipelineConfig:
                 continue
             model_params[key] = _coerce(value)
     model_params.setdefault("seed", seed)
-    if model_kind in ("logistic", "knn"):
+    if model_kind in ("tree", "logistic", "knn"):  # these take no seed
         model_params.pop("seed", None)
     model = ModelSpec(model_kind, model_params)
 

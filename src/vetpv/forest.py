@@ -4,6 +4,7 @@ on scheduling."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .trees import (
     apply_tree,
     fit_cart,
     flatten_tree,
-    sqrt_features,
+    rank_bins,
 )
 
 
@@ -89,8 +90,11 @@ def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> 
     X = matrix.values
     y = matrix.labels
     n, d = X.shape
-    m = params.features_per_split if params.features_per_split is not None else sqrt_features(d)
+    m = params.features_per_split
+    if m is None:
+        m = max(1, int(round(math.sqrt(d))))
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
+    bins = rank_bins(X)  # one coding for every tree; each bootstrap takes its rows
 
     streams = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     trees = []
@@ -103,6 +107,7 @@ def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> 
             tree_params,
             features_per_split=None if m >= d else m,
             rng=rng,
+            bins=bins.take(rows),
         )
         trees.append(root)
     return RandomForestModel(trees, matrix.column_names(), params)

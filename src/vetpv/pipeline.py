@@ -356,7 +356,8 @@ def load_model(store: ArtifactStore, name: str = "model"):
     return parse_model(store.get_text(name))
 
 
-def stage_ssl(config: PipelineConfig, store: ArtifactStore, matrices=None, train=None):
+def stage_ssl(config: PipelineConfig, store: ArtifactStore, matrices=None, train=None,
+              model=None):
     if matrices is None:
         matrices = load_split(store)
     if train is None:
@@ -366,7 +367,11 @@ def stage_ssl(config: PipelineConfig, store: ArtifactStore, matrices=None, train
             "ssl requires a trained baseline; expected artifact 'model' "
             f"under {store.out_dir} (run the train stage first)"
         )
-    model, provenance, summary = ssl.ssl_train(train, matrices["unlabeled"], config.ssl)
+    if model is None:
+        model = load_model(store)
+    model, provenance, summary = ssl.ssl_train(
+        train, matrices["unlabeled"], config.ssl, model=model
+    )
     store.put_text("model_ssl", serialize_model(model), "txt")
     store.put_text("ssl_provenance", ssl.provenance_csv(provenance), "csv")
     details = {**summary, "keep_fraction": config.ssl.keep_fraction}
@@ -512,7 +517,7 @@ def run(config: PipelineConfig, echo=print) -> RunReport:
     models = {"supervised": model}
     if config.ssl_enabled:
         (ssl_model, ssl_details), secs = timed("ssl", matrices["unlabeled"].n_rows,
-                                               stage_ssl, matrices, resampled)
+                                               stage_ssl, matrices, resampled, model)
         report.add(
             StageRecord(
                 "ssl", secs, matrices["unlabeled"].n_rows,

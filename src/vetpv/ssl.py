@@ -163,9 +163,13 @@ def ssl_train(
     labeled: FeatureMatrix,
     unlabeled: FeatureMatrix,
     plan: SslPlan,
+    model=None,
 ) -> tuple[object, list[dict], dict]:
     """Train, score the unlabeled pool, absorb the most stable predictions,
     retrain; repeat for plan.rounds rounds.
+
+    model, when given, is plan.base_model already fitted on `labeled`; it
+    stands in for the first fit, which would reproduce it.
 
     Returns (final model, provenance rows, summary). Provenance lists every
     pseudo-labeled key with its score and the round it entered; selected rows
@@ -185,7 +189,8 @@ def ssl_train(
     remaining = unlabeled
     provenance: list[dict] = []
     rounds_run = 0
-    model = refit(pool, pool_weights)
+    if model is None:
+        model = refit(pool, pool_weights)
     if unlabeled.n_rows == 0:
         log.warning("unlabeled pool is empty; returning the supervised model")
     for round_id in range(1, plan.rounds + 1):

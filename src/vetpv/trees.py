@@ -1,19 +1,24 @@
-"""CART decision trees with exact greedy splits, plus the flattened-array tree
-representation shared by prediction, boosting and Shapley attribution.
+"""CART decision trees, the split search they share with boosting, and the
+flattened-array tree representation used by prediction and attribution.
 
-Split search is exact: thresholds are midpoints of consecutive distinct sorted
-values, ties broken by lowest feature index then lowest threshold, so a
-brute-force search over all candidates reproduces the chosen split.
+Each fit codes its matrix once (`rank_bins`: one bin per distinct value of a
+column). `best_split` takes a node's left-child sums from one `np.bincount`
+over its rows and candidate columns, so its candidates are exactly the
+exact-greedy midpoints between neighbouring distinct values; where a midpoint
+rounds onto the lower value (adjacent floats) the upper value is used, so no
+child is empty. Gains within TIE_RTOL of the best are ties, whatever order the
+sums were taken in, and go to the lowest feature, then the lowest threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix import FeatureMatrix
+
+TIE_RTOL = 1e-10  # summation order moves a gain by up to about 4e-13 of itself
 
 
 class FitError(ValueError):
@@ -44,11 +49,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
     def n_nodes(self) -> int:
         if self.is_leaf:
             return 1
@@ -59,64 +59,106 @@ class TreeNode:
 class TreeParams:
     max_depth: int = 6
     min_leaf: int = 1
-    criterion: str = "gini"
 
 
-def _gini(w0: float, w1: float) -> float:
-    total = w0 + w1
-    if total <= 0:
-        return 0.0
-    p0 = w0 / total
-    p1 = w1 / total
-    return 1.0 - p0 * p0 - p1 * p1
+class Bins:
+    """Bin codes of a training matrix: codes[i, f] is the bin of X[i, f].
 
-
-def _best_gini_split(X, y, w, rows, features, min_leaf):
-    """Exact best split by weighted Gini impurity reduction.
-
-    Returns (gain, feature, threshold) or None when no valid split improves
-    impurity. Iterating features in ascending order with a strictly-greater
-    comparison realizes the documented tie-break.
+    Feature f owns bins start[f] to start[f + 1] - 1, in ascending value
+    order. Without cuts, bin start[f] + b holds the value values[f][b]; with
+    cuts (histogram mode), cuts[f][b] is the one threshold after that bin.
     """
-    w_node = w[rows]
-    y_node = y[rows]
-    total_w = float(w_node.sum())
-    total_w1 = float(w_node[y_node == 1].sum())
-    parent = _gini(total_w - total_w1, total_w1)
-    n = len(rows)
 
-    best = None
-    for f in features:
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        boundaries = np.flatnonzero(xs_sorted[:-1] < xs_sorted[1:])
-        if len(boundaries) == 0:
-            continue
-        left_counts = boundaries + 1
-        valid = (left_counts >= min_leaf) & (n - left_counts >= min_leaf)
-        boundaries = boundaries[valid]
-        if len(boundaries) == 0:
-            continue
-        ws = w_node[order]
-        w1s = ws * (y_node[order] == 1)
-        cum_w = np.cumsum(ws)
-        cum_w1 = np.cumsum(w1s)
-        wl = cum_w[boundaries]
-        w1l = cum_w1[boundaries]
-        w0l = wl - w1l
-        wr = total_w - wl
-        w1r = total_w1 - w1l
-        w0r = wr - w1r
+    def __init__(self, codes: np.ndarray, start: np.ndarray, values: list, cuts=None):
+        self.codes, self.start, self.values, self.cuts = codes, start, values, cuts
+        self.feature = np.repeat(np.arange(len(start) - 1), np.diff(start))
+
+    def take(self, rows: np.ndarray) -> "Bins":
+        return Bins(self.codes[rows], self.start, self.values, self.cuts)
+
+    def coarsen(self, cuts: list) -> "Bins":
+        """The coarser code map whose only thresholds are cuts[f]."""
+        start = np.cumsum([0] + [len(c) + 1 for c in cuts])
+        codes = np.empty_like(self.codes)
+        for f, (values, c) in enumerate(zip(self.values, cuts)):
+            coarse = np.searchsorted(c, values, side="right") + start[f]
+            codes[:, f] = coarse[self.codes[:, f] - self.start[f]]
+        return Bins(codes, start, self.values, cuts)
+
+    def threshold(self, f: int, lo: int, hi: int) -> float:
+        """Threshold of the split that sends bins <= lo left and bins >= hi right."""
+        if self.cuts is not None:
+            return float(self.cuts[f][lo - self.start[f]])
+        a, b = self.values[f][lo - self.start[f]], self.values[f][hi - self.start[f]]
+        mid = (a + b) / 2
+        return float(mid if mid > a else b)
+
+
+def rank_bins(X: np.ndarray) -> Bins:
+    """One bin per distinct value of each column (the np.unique inverse)."""
+    columns = [np.unique(X[:, f], return_inverse=True) for f in range(X.shape[1])]
+    start = np.cumsum([0] + [len(values) for values, _ in columns])
+    codes = np.empty(X.shape, dtype=np.int32)
+    for f, (_, inverse) in enumerate(columns):
+        codes[:, f] = inverse + start[f]
+    return Bins(codes, start, [values for values, _ in columns])
+
+
+def best_split(bins: Bins, rows: np.ndarray, features, stats: np.ndarray, score):
+    """Best split of a node as (feature, lo, hi), or None.
+
+    features (ascending; None for all) are the candidate columns and stats
+    an (s, n) array of per-row values to sum. score(left, right, total) maps
+    the (s + 1, m) left and right sums of the m candidate splits, row counts
+    first, and the node totals to m gains, -inf or NaN where a split is not
+    allowed. The split sends bins <= lo left; hi is the next bin holding
+    rows of the node. Only positive gains count.
+    """
+    codes = bins.codes[rows] if features is None else bins.codes[rows[:, None], features]
+    flat, size = codes.ravel(), len(bins.feature)
+    row_stats = stats[:, rows]
+    hist = [np.bincount(flat, minlength=size)]
+    hist += [np.bincount(flat, np.repeat(stat, codes.shape[1]), size) for stat in row_stats]
+    occupied = np.flatnonzero(hist[0])
+    sums = np.array(hist)[:, occupied]
+    total = np.concatenate(([len(rows)], row_stats.sum(axis=1)))
+    feat = bins.feature[occupied]
+    same = feat[:-1] == feat[1:]
+    cand = np.flatnonzero(same)
+    if len(cand) == 0:
+        return None
+    last = np.append(np.flatnonzero(~same), len(feat) - 1)
+    # Subtracting the total at each feature's last bin restarts the running
+    # sum at (about) zero, so one cumsum over all features keeps per-feature
+    # precision; sums of integer weights stay exact.
+    sums[:, last] -= total[:, None]
+    running = np.cumsum(sums, axis=1)
+    restart = np.concatenate((np.zeros((len(total), 1)), running[:, last[:-1]]), axis=1)
+    left = running[:, cand] - restart[:, np.searchsorted(last, cand)]
+    gains = score(left, total[:, None] - left, total)
+    best = np.max(gains, initial=0.0, where=gains > 0)
+    if best <= 0:
+        return None
+    k = np.flatnonzero(gains >= best * (1 - TIE_RTOL))[0]
+    j = cand[k]
+    return int(feat[j]), int(occupied[j]), int(occupied[j + 1])
+
+
+def _gini(w, w1):
+    return 1.0 - ((w - w1) / w) ** 2 - (w1 / w) ** 2
+
+
+def gini_score(min_leaf: int):
+    """Weighted Gini impurity reduction over (count, weight, class-1 weight) sums."""
+
+    def score(left, right, total):
+        (nl, wl, w1l), (nr, wr, w1r) = left, right
         with np.errstate(invalid="ignore", divide="ignore"):
-            gini_l = 1.0 - (w0l / wl) ** 2 - (w1l / wl) ** 2
-            gini_r = 1.0 - (w0r / wr) ** 2 - (w1r / wr) ** 2
-        gains = parent - (wl * gini_l + wr * gini_r) / total_w
-        b = int(np.argmax(gains))  # first max: lowest threshold
-        if gains[b] > 0.0 and (best is None or gains[b] > best[0]):
-            threshold = float((xs_sorted[boundaries[b]] + xs_sorted[boundaries[b] + 1]) / 2)
-            best = (float(gains[b]), int(f), threshold)
-    return best
+            children = wl * _gini(wl, w1l) + wr * _gini(wr, w1r)
+        gains = _gini(total[1], total[2]) - children / total[1]
+        return np.where((nl >= min_leaf) & (nr >= min_leaf), gains, -np.inf)
+
+    return score
 
 
 def fit_cart(
@@ -126,11 +168,13 @@ def fit_cart(
     sample_weight: np.ndarray | None = None,
     features_per_split: int | None = None,
     rng: np.random.Generator | None = None,
+    bins: Bins | None = None,
 ) -> TreeNode:
     """Grow a classification tree; stops at max_depth, min_leaf or purity.
 
     features_per_split, when given, samples that many candidate features at
-    every node from the supplied generator (random-forest mode).
+    every node from the supplied generator (random-forest mode). bins, when
+    given, are the codes of X's rows (a forest codes its matrix once).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -140,39 +184,49 @@ def fit_cart(
         raise FitError("training matrix contains NaN; impute before fitting")
     if len(X) < params.min_leaf:
         raise FitError(f"need at least min_leaf={params.min_leaf} rows, got {len(X)}")
-    if params.criterion != "gini":
-        raise FitError(f"unsupported criterion {params.criterion!r}")
     w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     d = X.shape[1]
     if features_per_split is not None and rng is None:
         raise FitError("features_per_split requires an rng")
+    bins = rank_bins(X) if bins is None else bins
+
+    def make_node(rows):
+        cover, w1 = float(w[rows].sum()), float(w[rows][y[rows] == 1].sum())
+        return TreeNode(value=w1 / cover if cover > 0 else 0.0, cover=cover)
+
+    def splittable(node, rows, depth):
+        return (depth < params.max_depth and node.value not in (0.0, 1.0)
+                and len(rows) >= 2 * params.min_leaf)
+
+    def features():  # None: every column
+        if features_per_split is not None:
+            return np.sort(rng.choice(d, size=min(features_per_split, d), replace=False))
+
+    stats = np.array([w, w * (y == 1)])
+    return grow_tree(bins, stats, gini_score(params.min_leaf), make_node, splittable, features)
+
+
+def grow_tree(bins: Bins, stats, score, make_node, splittable, features=lambda: None):
+    """Depth-first growth shared by CART and boosting: make_node(rows) builds
+    a node; where splittable(node, rows, depth), best_split searches the
+    columns features() draws (None for all)."""
 
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        w_rows = w[rows]
-        cover = float(w_rows.sum())
-        w1 = float(w_rows[y[rows] == 1].sum())
-        value = w1 / cover if cover > 0 else 0.0
-        node = TreeNode(value=value, cover=cover)
-        if depth >= params.max_depth or value in (0.0, 1.0) or len(rows) < 2 * params.min_leaf:
+        node = make_node(rows)
+        if not splittable(node, rows, depth):
             return node
-        if features_per_split is None:
-            features = range(d)
-        else:
-            m = min(features_per_split, d)
-            features = np.sort(rng.choice(d, size=m, replace=False))
-        best = _best_gini_split(X, y, w, rows, features, params.min_leaf)
+        best = best_split(bins, rows, features(), stats, score)
         if best is None:
             return node
-        _, feature, threshold = best
-        go_left = X[rows, feature] < threshold
-        node.feature = feature
-        node.threshold = threshold
+        node.feature, lo, hi = best
+        node.threshold = bins.threshold(node.feature, lo, hi)
+        go_left = bins.codes[rows, node.feature] <= lo
         node.left = grow(rows[go_left], depth + 1)
         node.right = grow(rows[~go_left], depth + 1)
         node.value = None
         return node
 
-    return grow(np.arange(len(X)), 0)
+    return grow(np.arange(len(bins.codes)), 0)
 
 
 @dataclass
@@ -239,10 +293,6 @@ def apply_tree(flat: FlatTree, X: np.ndarray) -> np.ndarray:
         )
         active = flat.children_left[node] != -1
     return flat.value[node]
-
-
-def sqrt_features(d: int) -> int:
-    return max(1, int(round(math.sqrt(d))))
 
 
 class DecisionTreeModel:

@@ -174,3 +174,41 @@ def random_cover_tree(rng, n_features: int, max_depth: int):
     if root.is_leaf:  # ensure at least one split
         return random_cover_tree(rng, n_features, max_depth)
     return root
+
+
+def brute_force_best_gain_split(
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    reg_lambda: float = 1.0,
+    min_child_weight: float = 0.0,
+    rtol: float = 1e-10,
+):
+    """Exhaustive second-order-gain search over every (feature, threshold).
+
+    The threshold between neighbouring distinct values is their midpoint, or
+    the upper value when the midpoint rounds onto the lower one. Returns
+    (gain, feature, threshold); gains within rtol of the best are ties,
+    resolved by lowest feature then lowest threshold. None if no split with
+    both hessian sums >= min_child_weight has a positive gain.
+    """
+    G, H = g.sum(), h.sum()
+    found = []
+    for f in range(X.shape[1]):
+        values = np.unique(X[:, f])
+        for a, b in zip(values[:-1], values[1:]):
+            threshold = (a + b) / 2 if (a + b) / 2 > a else b
+            left = X[:, f] < threshold
+            gl, hl = g[left].sum(), h[left].sum()
+            gr, hr = g[~left].sum(), h[~left].sum()
+            if hl < min_child_weight or hr < min_child_weight:
+                continue
+            gain = 0.5 * (
+                gl**2 / (hl + reg_lambda) + gr**2 / (hr + reg_lambda) - G**2 / (H + reg_lambda)
+            )
+            if gain > 0:
+                found.append((gain, f, threshold))
+    if not found:
+        return None
+    best = max(gain for gain, _, _ in found)
+    return next(c for c in found if c[0] >= best * (1 - rtol))

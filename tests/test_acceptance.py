@@ -337,8 +337,11 @@ def test_criterion_8_paper_trend_checks(prepared):
         gb_spec = ModelSpec(
             "gbdt", {"n_rounds": 100, "learning_rate": 0.1, "max_depth": 4, "seed": seed}
         )
-        f1_sup = evaluate(test.labels, fit_model(gb_spec, train).predict(test.values)).weighted_f1
-        ssl_model, _, _ = ssl_train(train, unlabeled, SslPlan(keep_fraction=0.3, base_model=gb_spec))
+        supervised = fit_model(gb_spec, train)
+        f1_sup = evaluate(test.labels, supervised.predict(test.values)).weighted_f1
+        ssl_model, _, _ = ssl_train(
+            train, unlabeled, SslPlan(keep_fraction=0.3, base_model=gb_spec), model=supervised
+        )
         f1_ssl = evaluate(test.labels, ssl_model.predict(test.values)).weighted_f1
         if f1_ssl - f1_sup >= -0.02:
             ssl_ok += 1

@@ -188,6 +188,17 @@ class TestSubcommands:
             name = line.split("\t")[1]
             assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
+    def test_single_tree_model_trains(self, small_corpus, tmp_path):
+        out = tmp_path / "tree"
+        config = tmp_path / "tree.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {out}\n"
+            "[run]\nseed = 3\n[model]\nkind = tree\nmax_depth = 4\n"
+        )
+        for cmd in ("ingest", "prepare", "train"):
+            assert run_cli(cmd, "--config", str(config)) == 0, cmd
+        assert "kind=tree" in next(out.glob("model-*.txt")).read_text()
+
     def test_ingest_csv_flag(self, small_corpus, tmp_path):
         out = tmp_path / "csvout"
         config = tmp_path / "csv.ini"

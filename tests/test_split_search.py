@@ -1,0 +1,210 @@
+"""The shared split-search kernel against the brute-force oracles.
+
+CART is checked through fit_cart's root split against brute_force_best_split,
+boosting through best_split with the second-order gain against
+brute_force_best_gain_split. Inputs are built to hold the awkward cases: tied
+gains, duplicate rows, constant, binary and integer-coded columns, non-unit
+weights and min_leaf / min_child_weight exactly at a split's edge. Values sit
+on a grid of eighths, so every sum is exact in any order and the oracles'
+gains equal the kernel's; adjacent floats have their own test.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import brute_force_best_gain_split, brute_force_best_split
+from vetpv.boosting import GbdtParams, fit_gbdt, gain_score
+from vetpv.explain import tree_shap
+from vetpv.matrix import from_arrays
+from vetpv.trees import TreeParams, best_split, fit_cart, fit_tree, rank_bins
+
+COLUMN_KINDS = ("grid", "binary", "integer", "constant", "copy", "mirror")
+
+
+@st.composite
+def matrices(draw, max_rows=20):
+    """A small matrix mixing column kinds, with some rows repeated."""
+    n = draw(st.integers(2, max_rows))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4)):
+        if kind in ("copy", "mirror") and columns:
+            source = columns[draw(st.integers(0, len(columns) - 1))]
+            columns.append(source.copy() if kind == "copy" else -source)
+            continue
+        if kind == "binary":
+            codes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        elif kind == "integer":
+            codes = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        elif kind == "constant":
+            codes = [draw(st.integers(-3, 3))] * n
+        else:
+            codes = [c / 8 for c in draw(st.lists(st.integers(-80, 80), min_size=n, max_size=n))]
+        columns.append(np.asarray(codes, dtype=np.float64))
+    X = np.column_stack(columns)
+    repeats = draw(st.lists(st.integers(0, len(X) - 1), max_size=len(X) // 2))
+    return np.vstack([X, X[repeats]])
+
+
+def labels_for(draw, n):
+    return np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+
+
+def root_split(root):
+    return None if root.is_leaf else (root.feature, root.threshold)
+
+
+def oracle_split(found):
+    return None if found is None else (found[1], found[2])
+
+
+def kernel_gain_split(X, g, h, reg_lambda, min_child_weight):
+    bins = rank_bins(X)
+    score = gain_score(min_child_weight, reg_lambda)
+    found = best_split(bins, np.arange(len(X)), None, np.array([g, h]), score)
+    if found is None:
+        return None
+    feature, lo, hi = found
+    return feature, bins.threshold(feature, lo, hi)
+
+
+class TestGiniAgainstOracle:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_root_split_matches_exhaustive_search(self, data):
+        X = data.draw(matrices())
+        y = labels_for(data.draw, len(X))
+        root = fit_cart(X, y, TreeParams(max_depth=1))
+        assert root_split(root) == oracle_split(brute_force_best_split(X, y))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_integer_weights_match_repeated_rows(self, data):
+        X = data.draw(matrices(max_rows=12))
+        y = labels_for(data.draw, len(X))
+        w = np.asarray(data.draw(st.lists(st.integers(1, 4), min_size=len(X), max_size=len(X))))
+        root = fit_cart(X, y, TreeParams(max_depth=1), sample_weight=w.astype(float))
+        oracle = brute_force_best_split(np.repeat(X, w, axis=0), np.repeat(y, w))
+        assert root_split(root) == oracle_split(oracle)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_min_leaf_at_the_edge_of_the_best_split(self, data):
+        X = data.draw(matrices())
+        y = labels_for(data.draw, len(X))
+        oracle = brute_force_best_split(X, y)
+        if oracle is None:
+            return
+        _, feature, threshold = oracle
+        smaller = int(min((X[:, feature] < threshold).sum(), (X[:, feature] >= threshold).sum()))
+        at_edge = fit_cart(X, y, TreeParams(max_depth=1, min_leaf=smaller))
+        assert root_split(at_edge) == (feature, threshold)
+        past_edge = fit_cart(X, y, TreeParams(max_depth=1, min_leaf=smaller + 1))
+        assert root_split(past_edge) != (feature, threshold)
+        if not past_edge.is_leaf:
+            left = X[:, past_edge.feature] < past_edge.threshold
+            assert min(left.sum(), (~left).sum()) >= smaller + 1
+
+
+class TestGainAgainstOracle:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_best_split_matches_exhaustive_search(self, data):
+        X = data.draw(matrices())
+        n = len(X)
+        g = np.asarray(data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 8
+        h = np.asarray(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 8
+        lam = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        mcw = data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+        oracle = brute_force_best_gain_split(X, g, h, lam, mcw)
+        assert kernel_gain_split(X, g, h, lam, mcw) == oracle_split(oracle)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_min_child_weight_at_the_edge_of_the_best_split(self, data):
+        X = data.draw(matrices())
+        n = len(X)
+        g = np.asarray(data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 8
+        h = np.asarray(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 8
+        oracle = brute_force_best_gain_split(X, g, h, 1.0, 0.0)
+        if oracle is None:
+            return
+        _, feature, threshold = oracle
+        left = X[:, feature] < threshold
+        edge = float(min(h[left].sum(), h[~left].sum()))
+        for mcw in (edge, edge + 0.125):
+            expected = oracle_split(brute_force_best_gain_split(X, g, h, 1.0, mcw))
+            assert kernel_gain_split(X, g, h, 1.0, mcw) == expected
+        assert kernel_gain_split(X, g, h, 1.0, edge) == (feature, threshold)
+
+    def test_random_real_valued_gradients(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n, d = int(rng.integers(5, 60)), int(rng.integers(1, 5))
+            X = rng.normal(size=(n, d)).round(int(rng.integers(0, 3)))
+            p = rng.uniform(0.05, 0.95, size=n)
+            y = rng.integers(0, 2, size=n)
+            w = rng.uniform(0.5, 2.0, size=n)
+            g, h = (p - y) * w, p * (1 - p) * w
+            oracle = brute_force_best_gain_split(X, g, h, 1.0, 0.1)
+            assert kernel_gain_split(X, g, h, 1.0, 0.1) == oracle_split(oracle)
+
+    def test_mirrored_column_tie_goes_to_lowest_feature(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            x = rng.normal(size=60)
+            p = rng.uniform(0.05, 0.95, size=60)
+            g, h = p - (x > 0), p * (1 - p)
+            for X in (np.column_stack([x, -x]), np.column_stack([-x, x])):
+                assert kernel_gain_split(X, g, h, 1.0, 0.0)[0] == 0
+
+
+def adjacent_float_matrix(draw):
+    """Columns whose values come in pairs a, nextafter(a, +inf)."""
+    n = draw(st.integers(4, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = np.asarray(draw(st.lists(st.integers(1, 400), min_size=1, max_size=4))) / 10
+        pool = np.concatenate([base, np.nextafter(base, np.inf)])
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        columns.append(pool[picks])
+    return np.column_stack(columns)
+
+
+def child_covers(node):
+    if node.is_leaf:
+        return []
+    return [node.left.cover, node.right.cover] + child_covers(node.left) + child_covers(node.right)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_adjacent_floats_never_leave_an_empty_child(data):
+    X = adjacent_float_matrix(data.draw)
+    y = labels_for(data.draw, len(X))
+    matrix = from_arrays(X, y)
+    tree = fit_tree(matrix, TreeParams(max_depth=4))
+    gbdt = fit_gbdt(matrix, GbdtParams(n_rounds=3, max_depth=3, learning_rate=0.3))
+    for root in [tree.root, *gbdt.trees]:
+        assert all(cover > 0 for cover in child_covers(root))
+    for model in (tree, gbdt):
+        for row in X:
+            assert np.isfinite(tree_shap(model, row).phi).all()
+
+
+def test_adjacent_pair_splits_between_its_values():
+    low = 3.5999999999999996
+    assert (low + 3.6) / 2 == low  # the midpoint rounds onto the lower value
+    X = np.array([[low], [low], [3.6], [3.6]])
+    root = fit_cart(X, np.array([0, 0, 1, 1]), TreeParams(max_depth=1))
+    assert root.threshold == 3.6
+    assert (root.left.cover, root.right.cover) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("bins", [2, 3, 16])
+def test_histogram_mode_is_a_coarser_code_map(bins):
+    rng = np.random.default_rng(bins)
+    X = rng.normal(size=(120, 3)).round(1)
+    y = (X[:, 0] + rng.normal(size=120) > 0).astype(np.int8)
+    model = fit_gbdt(from_arrays(X, y), GbdtParams(n_rounds=4, max_depth=3, histogram_bins=bins))
+    assert all(cover > 0 for root in model.trees for cover in child_covers(root))

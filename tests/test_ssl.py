@@ -192,6 +192,19 @@ class TestSslTrain:
         assert "unlabeled pool is empty" in caplog.text
         assert serialize_model(model) == serialize_model(fit_model(GBDT, labeled))
 
+    def test_fitted_model_stands_in_for_first_fit(self, labeled, unlabeled, monkeypatch):
+        from vetpv import ssl
+
+        plan = SslPlan(keep_fraction=0.3, base_model=GBDT)
+        refitted, provenance, summary = ssl_train(labeled, unlabeled, plan)
+        fits = []
+        monkeypatch.setattr(ssl, "fit_model", lambda *a, **k: fits.append(a) or fit_model(*a, **k))
+        given_model = fit_model(GBDT, labeled)
+        model, given_provenance, given_summary = ssl_train(labeled, unlabeled, plan, given_model)
+        assert len(fits) == 1  # only the fit on the grown pool
+        assert serialize_model(model) == serialize_model(refitted)
+        assert (given_provenance, given_summary) == (provenance, summary)
+
     def test_mismatched_columns_rejected(self, labeled):
         other = from_arrays(np.zeros((2, 2)), None)
         with pytest.raises(SslError):
