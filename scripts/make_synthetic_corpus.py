@@ -21,7 +21,6 @@ output_dir = out
 
 [run]
 seed = {seed}
-threads = 1
 
 [prepare]
 correlation_threshold = 0.95

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import FitError, FlatTree, TreeNode, apply_tree, flatten_tree, grow_tree, rank_bins
+from .trees import FitError, FlatTree, apply_tree, grow_tree, rank_bins
 
 PREVALENCE_CLIP = 1e-6
 
@@ -63,15 +63,15 @@ def gain_score(min_child_weight: float, lam: float):
     return score
 
 
-def _fit_round_tree(bins, g, h, w, params: GbdtParams, leaf_value) -> TreeNode:
+def _fit_round_tree(bins, g, h, w, params: GbdtParams, leaf_value) -> FlatTree:
     """Grow one round's tree; leaf_value receives each training row's leaf value."""
 
     def make_node(rows):
         value = -float(g[rows].sum()) / (float(h[rows].sum()) + params.reg_lambda)
         leaf_value[rows] = value  # a split node's children overwrite it
-        return TreeNode(value=value, cover=float(w[rows].sum()))
+        return value, float(w[rows].sum())
 
-    def splittable(node, rows, depth):
+    def splittable(value, rows, depth):
         return depth < params.max_depth and len(rows) >= 2
 
     score = gain_score(params.min_child_weight, params.reg_lambda)
@@ -85,7 +85,7 @@ class GradientBoostedModel:
         self,
         base_score: float,
         learning_rate: float,
-        trees: list[TreeNode],
+        trees: list[FlatTree],
         feature_names: list[str],
         params: GbdtParams | None = None,
     ):
@@ -94,13 +94,6 @@ class GradientBoostedModel:
         self.trees = trees
         self.feature_names = list(feature_names)
         self.params = params
-        self._flat: list[FlatTree] | None = None
-
-    @property
-    def flat_trees(self) -> list[FlatTree]:
-        if self._flat is None:
-            self._flat = [flatten_tree(t) for t in self.trees]
-        return self._flat
 
     def _check_width(self, X: np.ndarray):
         if X.shape[1] != len(self.feature_names):
@@ -112,8 +105,8 @@ class GradientBoostedModel:
         X = np.asarray(X, dtype=np.float64)
         self._check_width(X)
         margin = np.full(len(X), self.base_score)
-        for flat in self.flat_trees:
-            margin += self.learning_rate * apply_tree(flat, X)
+        for tree in self.trees:
+            margin += self.learning_rate * apply_tree(tree, X)
         return margin
 
     def staged_margins(self, X: np.ndarray, checkpoints: list[int]) -> np.ndarray:
@@ -128,8 +121,8 @@ class GradientBoostedModel:
         staged = {}
         if 0 in wanted:
             staged[0] = margin.copy()
-        for t, flat in enumerate(self.flat_trees, start=1):
-            margin += self.learning_rate * apply_tree(flat, X)
+        for t, tree in enumerate(self.trees, start=1):
+            margin += self.learning_rate * apply_tree(tree, X)
             if t in wanted:
                 staged[t] = margin.copy()
         return np.vstack([staged[t] for t in checkpoints])
@@ -176,7 +169,7 @@ def fit_gbdt(
 
     margin = np.full(n, base_score)
     leaf_value = np.empty(n)
-    trees: list[TreeNode] = []
+    trees: list[FlatTree] = []
     for _ in range(params.n_rounds):
         p = sigmoid(margin)
         g = (p - y) * w

@@ -36,7 +36,6 @@ class PipelineConfig:
     output_dir: Path
     # run
     seed: int
-    threads: int = 1
     # prepare
     correlation_threshold: float = 0.95
     priority: tuple[str, ...] = ("molecular_weight",)
@@ -220,7 +219,6 @@ def load_config(path: Path) -> PipelineConfig:
         species_groups=species_groups,
         output_dir=Path(output_dir),
         seed=seed,
-        threads=int(_get(parser, "run", "threads", default="1")),
         correlation_threshold=threshold,
         priority=priority,
         top_k=int(_get(parser, "prepare", "top_k", default="256")),
@@ -249,7 +247,6 @@ def effective_config_text(config: PipelineConfig) -> str:
         "paths.species_groups": str(config.species_groups),
         "paths.output_dir": str(config.output_dir),
         "run.seed": config.seed,
-        "run.threads": config.threads,
         "prepare.correlation_threshold": config.correlation_threshold,
         "prepare.priority": ",".join(config.priority),
         "prepare.top_k": config.top_k,

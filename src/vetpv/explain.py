@@ -35,6 +35,9 @@ SPECIES_GROUPS = ("Companion", "Livestock", "Poultry")
 UNKNOWN_SPECIES = "UNKNOWN"
 
 
+LOCAL_ACCURACY_TOL = 1e-9  # |base + sum(phi) - margin| allowed per row
+
+
 class ExplainError(ValueError):
     pass
 
@@ -178,17 +181,14 @@ def _single_tree_shap(flat: FlatTree, expect: np.ndarray, x: np.ndarray, phi: np
 
 
 def _model_parts(model) -> tuple[list[FlatTree], np.ndarray, float]:
-    """(flat trees, per-tree weights, additive offset) for the margin output."""
+    """(trees, per-tree weights, additive offset) for the margin output."""
     if isinstance(model, GradientBoostedModel):
-        flats = model.flat_trees
-        weights = np.full(len(flats), model.learning_rate)
-        return flats, weights, model.base_score
+        return model.trees, np.full(len(model.trees), model.learning_rate), model.base_score
     if isinstance(model, RandomForestModel):
-        flats = model.flat_trees
-        covers = np.array([flat.cover[0] for flat in flats])
-        return flats, covers / covers.sum(), 0.0
+        covers = np.array([tree.cover[0] for tree in model.trees])
+        return model.trees, covers / covers.sum(), 0.0
     if isinstance(model, DecisionTreeModel):
-        return model.flat_trees, np.ones(1), 0.0
+        return [model.tree], np.ones(1), 0.0
     raise ExplainError(f"cannot explain model type {type(model).__name__}")
 
 
@@ -239,6 +239,14 @@ def tree_shap_batch(model, matrix: FeatureMatrix) -> list[ShapVector]:
     return [
         tree_shap(model, matrix.values[i], key=matrix.keys[i]) for i in range(matrix.n_rows)
     ]
+
+
+def local_accuracy_error(vectors: list[ShapVector], margins: np.ndarray) -> float:
+    """Largest |base + sum(phi) - margin| over the rows; nan if any phi or
+    base value is not finite, whatever the order of the rows."""
+    errors = [abs(v.base_value + float(v.phi.sum()) - m) for v, m in zip(vectors, margins)]
+    finite = all(np.isfinite(v.phi).all() and np.isfinite(v.base_value) for v in vectors)
+    return float(np.max(errors, initial=0.0)) if finite else float("nan")
 
 
 # --- species groups ------------------------------------------------------------

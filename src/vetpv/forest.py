@@ -10,16 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import (
-    FitError,
-    FlatTree,
-    TreeNode,
-    TreeParams,
-    apply_tree,
-    fit_cart,
-    flatten_tree,
-    rank_bins,
-)
+from .trees import FitError, FlatTree, TreeParams, apply_tree, fit_cart, rank_bins
 
 
 @dataclass(frozen=True)
@@ -35,17 +26,10 @@ class ForestParams:
 class RandomForestModel:
     kind = "forest"
 
-    def __init__(self, trees: list[TreeNode], feature_names: list[str], params: ForestParams):
+    def __init__(self, trees: list[FlatTree], feature_names: list[str], params: ForestParams):
         self.trees = trees
         self.feature_names = list(feature_names)
         self.params = params
-        self._flat: list[FlatTree] | None = None
-
-    @property
-    def flat_trees(self) -> list[FlatTree]:
-        if self._flat is None:
-            self._flat = [flatten_tree(t) for t in self.trees]
-        return self._flat
 
     def _check_width(self, X: np.ndarray):
         if X.shape[1] != len(self.feature_names):
@@ -57,8 +41,8 @@ class RandomForestModel:
         X = np.asarray(X, dtype=np.float64)
         self._check_width(X)
         p1 = np.zeros(len(X))
-        for flat in self.flat_trees:
-            p1 += apply_tree(flat, X)
+        for tree in self.trees:
+            p1 += apply_tree(tree, X)
         p1 /= len(self.trees)
         return np.column_stack([1.0 - p1, p1])
 
@@ -72,8 +56,8 @@ class RandomForestModel:
         running = np.zeros(len(X))
         wanted = set(checkpoints)
         staged = {}
-        for t, flat in enumerate(self.flat_trees, start=1):
-            running += apply_tree(flat, X)
+        for t, tree in enumerate(self.trees, start=1):
+            running += apply_tree(tree, X)
             if t in wanted:
                 staged[t] = running / t
         return np.vstack([staged[t] for t in checkpoints])
@@ -101,7 +85,7 @@ def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> 
     for stream in streams:
         rng = np.random.default_rng(stream)
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        root = fit_cart(
+        tree = fit_cart(
             X[rows],
             y[rows],
             tree_params,
@@ -109,5 +93,5 @@ def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> 
             rng=rng,
             bins=bins.take(rows),
         )
-        trees.append(root)
+        trees.append(tree)
     return RandomForestModel(trees, matrix.column_names(), params)

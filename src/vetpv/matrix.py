@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,16 +134,6 @@ class FeatureMatrix:
             labels=self.labels,
         )
 
-    def keep_columns_like(self, other: "FeatureMatrix") -> "FeatureMatrix":
-        """Project this matrix onto another matrix's column set (same order)."""
-        idx = [self.column_index(c.name) for c in other.columns]
-        return FeatureMatrix(
-            values=self.values[:, idx],
-            columns=list(other.columns),
-            keys=list(self.keys),
-            labels=self.labels,
-        )
-
     def append_rows(self, values, keys, labels) -> "FeatureMatrix":
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != self.n_cols:
@@ -156,9 +146,6 @@ class FeatureMatrix:
             keys=list(self.keys) + list(keys),
             labels=np.concatenate([self.labels, np.asarray(labels, dtype=np.int8)]),
         )
-
-    def with_values(self, values: np.ndarray) -> "FeatureMatrix":
-        return replace(self, values=values)
 
 
 def from_arrays(X, y=None, names=None, keys=None) -> FeatureMatrix:

@@ -15,7 +15,7 @@ from .baselines import KnnModel, KnnParams, LogisticModel, LogisticParams, fit_k
 from .boosting import GbdtParams, GradientBoostedModel, fit_gbdt
 from .forest import ForestParams, RandomForestModel, fit_forest
 from .matrix import FeatureMatrix, from_arrays
-from .trees import DecisionTreeModel, FitError, TreeNode, TreeParams, fit_tree
+from .trees import DecisionTreeModel, FitError, FlatTree, TreeParams, fit_cart, fit_tree
 
 MODEL_FORMAT_VERSION = 1
 
@@ -50,10 +50,8 @@ def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
     if spec.kind == "tree":
         tree_params = TreeParams(**params)
         if sample_weight is not None:
-            from .trees import fit_cart
-
-            root = fit_cart(matrix.values, matrix.labels, tree_params, sample_weight=sample_weight)
-            return DecisionTreeModel(root, matrix.column_names(), tree_params)
+            tree = fit_cart(matrix.values, matrix.labels, tree_params, sample_weight=sample_weight)
+            return DecisionTreeModel(tree, matrix.column_names(), tree_params)
         return fit_tree(matrix, tree_params)
     if spec.kind == "forest":
         if sample_weight is not None:
@@ -187,50 +185,40 @@ def fit_ensemble(
 # --- versioned text serialization ------------------------------------------------
 
 
-def _write_tree(root: TreeNode, out: list[str]):
-    nodes: list[TreeNode] = []
-
-    def number(node: TreeNode):
-        nodes.append(node)
-        if not node.is_leaf:
-            number(node.left)
-            number(node.right)
-
-    number(root)
-    index = {id(n): i for i, n in enumerate(nodes)}
-    out.append(f"tree nodes={len(nodes)}")
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            out.append(f"{i} leaf {node.value!r} {node.cover!r}")
+def _write_tree(tree: FlatTree, out: list[str]):
+    out.append(f"tree nodes={tree.n_nodes()}")
+    nodes = zip(tree.children_left.tolist(), tree.children_right.tolist(), tree.feature.tolist(),
+                tree.threshold.tolist(), tree.value.tolist(), tree.cover.tolist())
+    for i, (left, right, feature, threshold, value, cover) in enumerate(nodes):
+        if left == -1:
+            out.append(f"{i} leaf {value!r} {cover!r}")
         else:
-            out.append(
-                f"{i} split {node.feature} {node.threshold!r} "
-                f"{index[id(node.left)]} {index[id(node.right)]} {node.cover!r}"
-            )
+            out.append(f"{i} split {feature} {threshold!r} {left} {right} {cover!r}")
 
 
-def _read_tree(lines: list[str], pos: int) -> tuple[TreeNode, int]:
+def _read_tree(lines: list[str], pos: int) -> tuple[FlatTree, int]:
     header = lines[pos]
     if not header.startswith("tree nodes="):
         raise FitError(f"expected tree header, got {header!r}")
     count = int(header.split("=", 1)[1])
-    nodes = [TreeNode() for _ in range(count)]
-    links: dict[int, tuple[int, int]] = {}
-    for i in range(count):
-        cells = lines[pos + 1 + i].split(" ")
-        idx = int(cells[0])
+    tree = FlatTree(
+        children_left=np.full(count, -1, dtype=np.int32),
+        children_right=np.full(count, -1, dtype=np.int32),
+        feature=np.full(count, -1, dtype=np.int32),
+        threshold=np.zeros(count),
+        value=np.zeros(count),
+        cover=np.zeros(count),
+    )
+    for line in lines[pos + 1:pos + 1 + count]:
+        cells = line.split(" ")
+        i = int(cells[0])
+        tree.cover[i] = float(cells[-1])
         if cells[1] == "leaf":
-            nodes[idx].value = float(cells[2])
-            nodes[idx].cover = float(cells[3])
+            tree.value[i] = float(cells[2])
         else:
-            nodes[idx].feature = int(cells[2])
-            nodes[idx].threshold = float(cells[3])
-            links[idx] = (int(cells[4]), int(cells[5]))
-            nodes[idx].cover = float(cells[6])
-    for idx, (left, right) in links.items():
-        nodes[idx].left = nodes[left]
-        nodes[idx].right = nodes[right]
-    return nodes[0], pos + 1 + count
+            tree.feature[i], tree.threshold[i] = int(cells[2]), float(cells[3])
+            tree.children_left[i], tree.children_right[i] = int(cells[4]), int(cells[5])
+    return tree, pos + 1 + count
 
 
 def _vector_line(name: str, values) -> str:
@@ -249,7 +237,7 @@ def serialize_model(model) -> str:
     out: list[str] = [f"vetpv-model {MODEL_FORMAT_VERSION}", f"kind={model.kind}"]
     out.append("features=" + "\t".join(model.feature_names))
     if model.kind == "tree":
-        _write_tree(model.root, out)
+        _write_tree(model.tree, out)
     elif model.kind == "forest":
         out.append(f"n_trees={len(model.trees)}")
         for tree in model.trees:
@@ -320,8 +308,8 @@ def parse_model(text: str):
     feature_names = features.split("\t") if features else []
     pos = 3
     if kind == "tree":
-        root, pos = _read_tree(lines, pos)
-        return DecisionTreeModel(root, feature_names, TreeParams())
+        tree, pos = _read_tree(lines, pos)
+        return DecisionTreeModel(tree, feature_names, TreeParams())
     if kind == "forest":
         n_trees = int(lines[pos].split("=", 1)[1])
         pos += 1

@@ -16,7 +16,6 @@ import io
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,6 +84,11 @@ class ArtifactStore:
         self._manifest[name] = filename
         self._write_manifest()
         return path
+
+    def alias(self, name: str, target: str):
+        """Point name at the file artifact target already names."""
+        self._manifest[name] = self._manifest[target]
+        self._write_manifest()
 
     def get_text(self, name: str) -> str:
         filename = self._manifest.get(name)
@@ -181,11 +185,7 @@ def stage_ingest(config: PipelineConfig, store: ArtifactStore):
     )
     if not paths:
         raise StageError(f"no .json/.json.gz files under {config.input_dir}")
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            parsed = list(pool.map(ingest.read_quarter_file, paths))
-    else:
-        parsed = [ingest.read_quarter_file(p) for p in paths]
+    parsed = [ingest.read_quarter_file(p) for p in paths]
     tables = ingest.merge_corpora([t for t, _ in parsed])
     dangling = ingest.check_referential_integrity(tables)
     if dangling:
@@ -329,7 +329,10 @@ def stage_resample(config: PipelineConfig, store: ArtifactStore, matrices=None):
         matrices = load_split(store)
     train = matrices["train"]
     resampled = apply_plan(train, config.resample)
-    store.put_text("matrix_train_resampled", matrix_mod.to_csv(resampled), "csv")
+    if resampled is train:  # strategy none: the train matrix is already stored
+        store.alias("matrix_train_resampled", "matrix_train")
+    else:
+        store.put_text("matrix_train_resampled", matrix_mod.to_csv(resampled), "csv")
     details = {
         "strategy": config.resample.strategy,
         "before": train.class_counts(),
@@ -426,6 +429,12 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, m
         dataset = dataset.take_rows(np.arange(config.explain_max_rows))
     groups = explain.SpeciesGroupMap.load(config.species_groups)
     vectors = explain.tree_shap_batch(model, dataset)
+    worst = explain.local_accuracy_error(vectors, explain.model_margin(model, dataset.values))
+    if not worst <= explain.LOCAL_ACCURACY_TOL:
+        raise StageError(
+            f"attributions miss the model margin by {worst!r} "
+            f"(tolerance {explain.LOCAL_ACCURACY_TOL}, non-finite values count as nan)"
+        )
     store.put_text("shap_values", explain.shap_values_csv(vectors, dataset), "csv")
 
     all_rankings = {}
@@ -448,13 +457,9 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, m
         if len(rows)
     }
     store.put_text("summary_points", explain.summary_points_csv(summaries), "csv")
-    checks = [
-        abs(v.base_value + float(v.phi.sum()) - m)
-        for v, m in zip(vectors, explain.model_margin(model, dataset.values))
-    ]
     details = {
         "rows_explained": dataset.n_rows,
-        "max_local_accuracy_error": max(checks) if checks else 0.0,
+        "max_local_accuracy_error": worst,
         "groups": {g: int(len(rows)) for g, rows in by_group.items()},
         "notes": "horse is grouped as Livestock by the default map; override via "
                  "the species_groups file if a different placement is wanted",

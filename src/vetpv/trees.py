@@ -1,5 +1,6 @@
 """CART decision trees, the split search they share with boosting, and the
-flattened-array tree representation used by prediction and attribution.
+one tree representation: `FlatTree` arrays, grown in pre-order and used as
+they are by prediction, attribution and serialization.
 
 Each fit codes its matrix once (`rank_bins`: one bin per distinct value of a
 column). `best_split` takes a node's left-child sums from one `np.bincount`
@@ -25,34 +26,27 @@ class FitError(ValueError):
     pass
 
 
-class TreeNode:
-    """Binary tree node; internal nodes route x via `x[feature] < threshold`.
+@dataclass
+class FlatTree:
+    """One tree as arrays indexed by node; children_left == -1 marks a leaf.
 
-    value is the leaf payload: P(Recovered) for classification trees, a raw
-    additive score for boosted regression trees. cover is the weighted count
-    of training rows that reached the node; cover(parent) == cover(left) +
-    cover(right) by construction.
+    Internal nodes route x via `x[feature] < threshold`. value is the leaf
+    payload: P(Recovered) for classification trees, a raw additive score for
+    boosted regression trees; split nodes hold 0. cover is the weighted count
+    of training rows that reached the node, so cover[i] == cover[left] +
+    cover[right]. Grown trees are in pre-order: node 0 is the root and a
+    split node's left child comes right after it.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "cover")
-
-    def __init__(self, feature=None, threshold=None, left=None, right=None,
-                 value=None, cover=0.0):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
-        self.cover = cover
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    children_left: np.ndarray
+    children_right: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    cover: np.ndarray
 
     def n_nodes(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.n_nodes() + self.right.n_nodes()
+        return len(self.children_left)
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def fit_cart(
     features_per_split: int | None = None,
     rng: np.random.Generator | None = None,
     bins: Bins | None = None,
-) -> TreeNode:
+) -> FlatTree:
     """Grow a classification tree; stops at max_depth, min_leaf or purity.
 
     features_per_split, when given, samples that many candidate features at
@@ -192,10 +186,10 @@ def fit_cart(
 
     def make_node(rows):
         cover, w1 = float(w[rows].sum()), float(w[rows][y[rows] == 1].sum())
-        return TreeNode(value=w1 / cover if cover > 0 else 0.0, cover=cover)
+        return (w1 / cover if cover > 0 else 0.0), cover
 
-    def splittable(node, rows, depth):
-        return (depth < params.max_depth and node.value not in (0.0, 1.0)
+    def splittable(value, rows, depth):
+        return (depth < params.max_depth and value not in (0.0, 1.0)
                 and len(rows) >= 2 * params.min_leaf)
 
     def features():  # None: every column
@@ -206,77 +200,37 @@ def fit_cart(
     return grow_tree(bins, stats, gini_score(params.min_leaf), make_node, splittable, features)
 
 
-def grow_tree(bins: Bins, stats, score, make_node, splittable, features=lambda: None):
-    """Depth-first growth shared by CART and boosting: make_node(rows) builds
-    a node; where splittable(node, rows, depth), best_split searches the
-    columns features() draws (None for all)."""
+def grow_tree(bins: Bins, stats, score, make_node, splittable, features=lambda: None) -> FlatTree:
+    """Depth-first growth shared by CART and boosting, in pre-order:
+    make_node(rows) gives a node's (value, cover); where splittable(value,
+    rows, depth), best_split searches the columns features() draws (None
+    for all)."""
+    nodes = []  # [left, right, feature, threshold, value, cover], in pre-order
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        node = make_node(rows)
-        if not splittable(node, rows, depth):
-            return node
+    def grow(rows: np.ndarray, depth: int):
+        value, cover = make_node(rows)
+        node = [-1, -1, -1, 0.0, value, cover]
+        nodes.append(node)
+        if not splittable(value, rows, depth):
+            return
         best = best_split(bins, rows, features(), stats, score)
         if best is None:
-            return node
-        node.feature, lo, hi = best
-        node.threshold = bins.threshold(node.feature, lo, hi)
-        go_left = bins.codes[rows, node.feature] <= lo
-        node.left = grow(rows[go_left], depth + 1)
-        node.right = grow(rows[~go_left], depth + 1)
-        node.value = None
-        return node
+            return
+        f, lo, hi = best
+        node[2:5] = f, bins.threshold(f, lo, hi), 0.0
+        go_left = bins.codes[rows, f] <= lo
+        node[0] = len(nodes)
+        grow(rows[go_left], depth + 1)
+        node[1] = len(nodes)
+        grow(rows[~go_left], depth + 1)
 
-    return grow(np.arange(len(bins.codes)), 0)
-
-
-@dataclass
-class FlatTree:
-    """Array form of one tree: children == -1 marks a leaf."""
-
-    children_left: np.ndarray
-    children_right: np.ndarray
-    feature: np.ndarray
-    threshold: np.ndarray
-    value: np.ndarray
-    cover: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.children_left)
-
-
-def flatten_tree(root: TreeNode) -> FlatTree:
-    nodes: list[TreeNode] = []
-
-    def number(node: TreeNode) -> int:
-        idx = len(nodes)
-        nodes.append(node)
-        if not node.is_leaf:
-            number(node.left)
-            number(node.right)
-        return idx
-
-    number(root)
-    index = {id(node): i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    flat = FlatTree(
-        children_left=np.full(n, -1, dtype=np.int32),
-        children_right=np.full(n, -1, dtype=np.int32),
-        feature=np.full(n, -1, dtype=np.int32),
-        threshold=np.zeros(n, dtype=np.float64),
-        value=np.zeros(n, dtype=np.float64),
-        cover=np.zeros(n, dtype=np.float64),
+    grow(np.arange(len(bins.codes)), 0)
+    left, right, feature, threshold, value, cover = zip(*nodes)
+    return FlatTree(
+        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+        np.array(feature, dtype=np.int32), np.array(threshold, dtype=np.float64),
+        np.array(value, dtype=np.float64), np.array(cover, dtype=np.float64),
     )
-    for i, node in enumerate(nodes):
-        flat.cover[i] = node.cover
-        if node.is_leaf:
-            flat.value[i] = node.value
-        else:
-            flat.children_left[i] = index[id(node.left)]
-            flat.children_right[i] = index[id(node.right)]
-            flat.feature[i] = node.feature
-            flat.threshold[i] = node.threshold
-    return flat
 
 
 def apply_tree(flat: FlatTree, X: np.ndarray) -> np.ndarray:
@@ -300,17 +254,10 @@ class DecisionTreeModel:
 
     kind = "tree"
 
-    def __init__(self, root: TreeNode, feature_names: list[str], params: TreeParams):
-        self.root = root
+    def __init__(self, tree: FlatTree, feature_names: list[str], params: TreeParams):
+        self.tree = tree
         self.feature_names = list(feature_names)
         self.params = params
-        self._flat = None
-
-    @property
-    def flat_trees(self) -> list[FlatTree]:
-        if self._flat is None:
-            self._flat = [flatten_tree(self.root)]
-        return self._flat
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -318,7 +265,7 @@ class DecisionTreeModel:
             raise FitError(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}"
             )
-        p1 = apply_tree(self.flat_trees[0], X)
+        p1 = apply_tree(self.tree, X)
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -328,5 +275,5 @@ class DecisionTreeModel:
 def fit_tree(matrix: FeatureMatrix, params: TreeParams = TreeParams()) -> DecisionTreeModel:
     if matrix.labels is None:
         raise FitError("training matrix has no labels")
-    root = fit_cart(matrix.values, matrix.labels, params)
-    return DecisionTreeModel(root, matrix.column_names(), params)
+    tree = fit_cart(matrix.values, matrix.labels, params)
+    return DecisionTreeModel(tree, matrix.column_names(), params)

@@ -141,39 +141,48 @@ def plain_metrics(tp: int, fp: int, tn: int, fn: int) -> dict:
     }
 
 
-def walk_tree(node, x):
-    """Recursive single-row tree evaluation over TreeNode objects."""
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.value
+def walk_tree(flat, x):
+    """Single-row tree evaluation, node by node over the FlatTree arrays."""
+    node = 0
+    while flat.children_left[node] != -1:
+        if x[flat.feature[node]] < flat.threshold[node]:
+            node = flat.children_left[node]
+        else:
+            node = flat.children_right[node]
+    return flat.value[node]
 
 
 def random_cover_tree(rng, n_features: int, max_depth: int):
-    """Random tree with consistent covers: children split the parent's cover.
+    """Random pre-order FlatTree with consistent covers: children split the
+    parent's cover.
 
     Thresholds lie in (0, 1) so rows drawn uniformly exercise both branches;
     features repeat along paths with positive probability.
     """
-    from vetpv.trees import TreeNode
+    from vetpv.trees import FlatTree
 
-    def build(depth: int, cover: float) -> TreeNode:
+    nodes = []  # [left, right, feature, threshold, value, cover]
+
+    def build(depth: int, cover: float):
+        node = [-1, -1, -1, 0.0, 0.0, cover]
+        nodes.append(node)
         if depth >= max_depth or (depth > 0 and rng.random() < 0.3):
-            return TreeNode(value=float(rng.normal()), cover=cover)
+            node[4] = float(rng.normal())
+            return
         fraction = float(rng.uniform(0.1, 0.9))
         left_cover = fraction * cover
-        node = TreeNode(
-            feature=int(rng.integers(0, n_features)),
-            threshold=float(rng.uniform(0.05, 0.95)),
-            cover=cover,
-        )
-        node.left = build(depth + 1, left_cover)
-        node.right = build(depth + 1, cover - left_cover)
-        return node
+        node[2] = int(rng.integers(0, n_features))
+        node[3] = float(rng.uniform(0.05, 0.95))
+        node[0] = len(nodes)
+        build(depth + 1, left_cover)
+        node[1] = len(nodes)
+        build(depth + 1, cover - left_cover)
 
-    root = build(0, float(rng.uniform(100, 1000)))
-    if root.is_leaf:  # ensure at least one split
+    build(0, float(rng.uniform(100, 1000)))
+    if len(nodes) == 1:  # ensure at least one split
         return random_cover_tree(rng, n_features, max_depth)
-    return root
+    left, right, feature, threshold, value, cover = (np.array(c) for c in zip(*nodes))
+    return FlatTree(left, right, feature, threshold, value, cover)
 
 
 def brute_force_best_gain_split(

@@ -29,7 +29,7 @@ from vetpv.prepare import normalize_units, stratified_assignment
 from vetpv.resample import ResamplePlan, apply_plan, enn, random_resample, smote
 from vetpv.ssl import SslPlan, compute_aum, ssl_train
 from vetpv.synth import write_corpus
-from vetpv.trees import DecisionTreeModel, TreeParams, fit_cart, flatten_tree
+from vetpv.trees import DecisionTreeModel, TreeParams, fit_cart
 
 CORPUS_SEED = 20240801
 
@@ -111,9 +111,8 @@ def test_criterion_1_treeshap_oracle_equivalence(separable_matrix):
     rng = np.random.default_rng(1001)
     n_features = 4
     for _ in range(200):
-        root = random_cover_tree(rng, n_features=n_features, max_depth=3)
-        model = DecisionTreeModel(root, [f"f{j}" for j in range(n_features)], TreeParams())
-        flat = flatten_tree(root)
+        flat = random_cover_tree(rng, n_features=n_features, max_depth=3)
+        model = DecisionTreeModel(flat, [f"f{j}" for j in range(n_features)], TreeParams())
         rows = rng.uniform(size=(50, n_features))
         for x in rows:
             got = tree_shap(model, x).phi
@@ -236,12 +235,12 @@ def test_criterion_5_tree_split_oracle():
         y = (X[:, rng.integers(0, d)] + rng.normal(scale=0.7, size=n) > 0).astype(np.int8)
         if len(np.unique(y)) < 2:
             continue
-        root = fit_cart(X, y, TreeParams(max_depth=1))
+        tree = fit_cart(X, y, TreeParams(max_depth=1))
         oracle = brute_force_best_split(X, y)
         if oracle is None:
-            assert root.is_leaf
+            assert tree.children_left[0] == -1
         else:
-            assert (root.feature, root.threshold) == (oracle[1], oracle[2])
+            assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
             checked += 1
     assert checked >= 90
     ok(5, f"tree split equals exhaustive impurity search on {checked} datasets")

@@ -2,6 +2,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vetpv.cli import main
@@ -42,9 +43,12 @@ class TestRun:
             for line in (out / "manifest.tsv").read_text().splitlines()
             if line
         )
+        # with resample strategy none, the resampled matrix is the train matrix's file
+        assert manifest["matrix_train_resampled"] == manifest["matrix_train"]
         for name, filename in manifest.items():
             stem = Path(filename).name
-            assert stem.startswith(name + "-")
+            owner = "matrix_train" if name == "matrix_train_resampled" else name
+            assert stem.startswith(owner + "-")
             assert (out / filename).exists()
 
     def test_rerun_reproduces_artifacts_byte_for_byte(self, finished_run, tmp_path):
@@ -56,6 +60,17 @@ class TestRun:
             if path.name == "run_report.json":  # carries timings
                 continue
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_aliased_resampled_matrix_loads(self, finished_run):
+        from vetpv import pipeline
+
+        _, out = finished_run
+        store = pipeline.ArtifactStore(out)
+        resampled, train = pipeline.load_resampled(store), pipeline.load_split(store)["train"]
+        assert resampled.n_rows > 0
+        assert np.array_equal(resampled.values, train.values)
+        assert np.array_equal(resampled.labels, train.labels)
+        assert resampled.keys == train.keys
 
     def test_config_hash_stable(self, finished_run):
         config, out = finished_run
@@ -170,23 +185,6 @@ class TestSubcommands:
         for artifact in ("bulk_main", "merged", "matrix_train", "model", "model_ssl",
                          "metrics", "shap_values", "rankings", "summary_points"):
             assert artifact in manifest
-
-    def test_threaded_ingest_matches_sequential(self, small_corpus, tmp_path):
-        from dataclasses import replace
-
-        from vetpv import pipeline
-
-        config = load_config(small_corpus / "pipeline.ini")
-        seq_store = pipeline.ArtifactStore(tmp_path / "seq")
-        par_store = pipeline.ArtifactStore(tmp_path / "par")
-        pipeline.stage_ingest(replace(config, threads=1), seq_store)
-        pipeline.stage_ingest(replace(config, threads=3), par_store)
-        assert (tmp_path / "seq" / "manifest.tsv").read_text() == (
-            tmp_path / "par" / "manifest.tsv"
-        ).read_text()
-        for line in (tmp_path / "seq" / "manifest.tsv").read_text().splitlines():
-            name = line.split("\t")[1]
-            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
     def test_single_tree_model_trains(self, small_corpus, tmp_path):
         out = tmp_path / "tree"

@@ -8,6 +8,7 @@ from vetpv.explain import (
     SpeciesGroupMap,
     aggregate_shap,
     group_rows,
+    local_accuracy_error,
     model_margin,
     shap_summary,
     species_of_rows,
@@ -15,35 +16,42 @@ from vetpv.explain import (
     tree_shap_batch,
 )
 from vetpv.forest import ForestParams, fit_forest
-from vetpv.matrix import DEATH, RECOVERED, ColumnMeta, FeatureMatrix
-from vetpv.trees import DecisionTreeModel, TreeNode, TreeParams, flatten_tree
+from vetpv.matrix import DEATH, RECOVERED, ColumnMeta, FeatureMatrix, from_arrays
+from vetpv.trees import DecisionTreeModel, FlatTree, TreeParams
 
 
-def single_tree_model(root, n_features=2):
-    return DecisionTreeModel(root, [f"f{j}" for j in range(n_features)], TreeParams())
+def flat_tree(*nodes):
+    """FlatTree from (left, right, feature, threshold, value, cover) node tuples."""
+    left, right, feature, threshold, value, cover = (np.array(c) for c in zip(*nodes))
+    return FlatTree(left, right, feature, threshold, value, cover)
+
+
+def single_tree_model(tree, n_features=2):
+    return DecisionTreeModel(tree, [f"f{j}" for j in range(n_features)], TreeParams())
 
 
 class TestTreeShap:
     def test_single_leaf_has_zero_attributions(self):
-        model = single_tree_model(TreeNode(value=0.8, cover=10.0))
+        model = single_tree_model(flat_tree((-1, -1, -1, 0.0, 0.8, 10.0)))
         vec = tree_shap(model, np.array([1.0, 2.0]))
         assert np.allclose(vec.phi, 0.0)
         assert vec.base_value == pytest.approx(0.8)
 
     def test_worked_stump_example(self):
-        root = TreeNode(feature=0, threshold=0.5, cover=100.0)
-        root.left = TreeNode(value=0.0, cover=50.0)
-        root.right = TreeNode(value=1.0, cover=50.0)
-        model = single_tree_model(root, n_features=1)
+        tree = flat_tree(
+            (1, 2, 0, 0.5, 0.0, 100.0),
+            (-1, -1, -1, 0.0, 0.0, 50.0),
+            (-1, -1, -1, 0.0, 1.0, 50.0),
+        )
+        model = single_tree_model(tree, n_features=1)
         vec = tree_shap(model, np.array([0.7]))
         assert vec.base_value == pytest.approx(0.5)
         assert vec.phi[0] == pytest.approx(0.5)
 
     def test_matches_exhaustive_subset_oracle_on_random_trees(self, rng):
         for _ in range(40):
-            root = random_cover_tree(rng, n_features=4, max_depth=3)
-            model = single_tree_model(root, n_features=4)
-            flat = flatten_tree(root)
+            flat = random_cover_tree(rng, n_features=4, max_depth=3)
+            model = single_tree_model(flat, n_features=4)
             for _ in range(4):
                 x = rng.uniform(size=4)
                 vec = tree_shap(model, x)
@@ -67,21 +75,21 @@ class TestTreeShap:
     def test_dummy_feature_gets_zero(self, rng):
         # trees that never split on feature 3
         for _ in range(10):
-            root = random_cover_tree(rng, n_features=3, max_depth=3)
-            model = single_tree_model(root, n_features=4)
+            tree = random_cover_tree(rng, n_features=3, max_depth=3)
+            model = single_tree_model(tree, n_features=4)
             x = rng.uniform(size=4)
             vec = tree_shap(model, x)
             assert vec.phi[3] == 0.0
 
     def test_repeated_feature_on_path_handled(self, rng):
-        root = TreeNode(feature=0, threshold=0.6, cover=90.0)
-        inner = TreeNode(feature=0, threshold=0.3, cover=60.0)
-        inner.left = TreeNode(value=1.0, cover=20.0)
-        inner.right = TreeNode(value=2.0, cover=40.0)
-        root.left = inner
-        root.right = TreeNode(value=5.0, cover=30.0)
-        model = single_tree_model(root, n_features=2)
-        flat = flatten_tree(root)
+        flat = flat_tree(
+            (1, 4, 0, 0.6, 0.0, 90.0),
+            (2, 3, 0, 0.3, 0.0, 60.0),
+            (-1, -1, -1, 0.0, 1.0, 20.0),
+            (-1, -1, -1, 0.0, 2.0, 40.0),
+            (-1, -1, -1, 0.0, 5.0, 30.0),
+        )
+        model = single_tree_model(flat, n_features=2)
         for x0 in (0.1, 0.45, 0.9):
             x = np.array([x0, 0.5])
             vec = tree_shap(model, x)
@@ -273,3 +281,37 @@ def test_batch_explanation_aligns_keys(separable_matrix):
     subset = separable_matrix.take_rows(np.arange(7))
     vectors = tree_shap_batch(model, subset)
     assert [v.key for v in vectors] == subset.keys
+
+
+def empty_child_model():
+    """A split with an empty left child (cover 0), as adjacent-float splits
+    made before the threshold fix: rows sent right get a NaN phi."""
+    tree = flat_tree(
+        (1, 2, 0, 0.5, 0.0, 10.0),
+        (-1, -1, -1, 0.0, 0.0, 0.0),
+        (-1, -1, -1, 0.0, 1.0, 10.0),
+    )
+    return single_tree_model(tree)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestLocalAccuracyGate:
+    X = np.array([[0.2, 0.0], [0.7, 0.0]])  # a finite row, then a NaN row
+
+    def test_nan_row_counts_whatever_the_row_order(self):
+        model = empty_child_model()
+        for rows in (self.X, self.X[::-1]):
+            vectors = [tree_shap(model, x) for x in rows]
+            assert np.isfinite(vectors[rows[:, 0].argmin()].phi).all()
+            assert np.isnan(local_accuracy_error(vectors, model_margin(model, rows)))
+
+    def test_explain_stage_fails_on_nan_attributions(self, small_corpus, tmp_path):
+        from vetpv import pipeline
+        from vetpv.config import load_config
+
+        config = load_config(small_corpus / "pipeline.ini")
+        store = pipeline.ArtifactStore(tmp_path)
+        matrices = {config.explain_dataset: from_arrays(self.X, np.array([0, 1]))}
+        with pytest.raises(pipeline.StageError, match="nan"):
+            pipeline.stage_explain(config, store, matrices, empty_child_model())
+        assert not store.has("shap_values")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,42 +25,71 @@ from vetpv.models import (
     predict_proba,
     serialize_model,
 )
-from vetpv.trees import FitError, TreeNode, TreeParams, fit_cart, fit_tree, flatten_tree
+from vetpv.trees import FitError, FlatTree, TreeParams, fit_cart, fit_tree
 
 
 def matrix_of(X, y):
     return from_arrays(np.asarray(X, float), np.asarray(y, np.int8))
 
 
+def is_leaf(tree, i=0):
+    return tree.children_left[i] == -1
+
+
+def split_nodes(tree):
+    return np.flatnonzero(tree.children_left != -1)
+
+
+TREE_SPECS = [
+    ModelSpec("tree", {"max_depth": 4}),
+    ModelSpec("forest", {"n_trees": 4, "max_depth": 4, "seed": 5}),
+    ModelSpec("gbdt", {"n_rounds": 6, "max_depth": 3}),
+]
+
+
+def trees_of(model):
+    return [model.tree] if model.kind == "tree" else model.trees
+
+
+@pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.kind)
+def test_fitted_trees_are_in_pre_order(spec, separable_matrix):
+    model = fit_model(spec, separable_matrix)
+    assert any(len(split_nodes(tree)) for tree in trees_of(model))
+    for tree in trees_of(model):
+        for i in split_nodes(tree):
+            assert tree.children_left[i] == i + 1
+            assert tree.children_right[i] > i
+
+
 class TestCart:
     def test_pure_labels_yield_single_leaf(self):
-        root = fit_cart(np.array([[0.0], [1.0], [2.0]]), np.array([1, 1, 1]))
-        assert root.is_leaf
-        assert root.value == 1.0
-        assert root.cover == 3.0
+        tree = fit_cart(np.array([[0.0], [1.0], [2.0]]), np.array([1, 1, 1]))
+        assert tree.n_nodes() == 1
+        assert tree.value[0] == 1.0
+        assert tree.cover[0] == 3.0
 
     def test_worked_1d_split_at_midpoint(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([RECOVERED, RECOVERED, DEATH, DEATH])
-        root = fit_cart(X, y, TreeParams(max_depth=3))
-        assert root.feature == 0
-        assert root.threshold == 1.5
+        tree = fit_cart(X, y, TreeParams(max_depth=3))
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 1.5
         oracle = brute_force_best_split(X, y)
-        assert (root.feature, root.threshold) == (oracle[1], oracle[2])
+        assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
     def test_max_depth_zero_gives_majority_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 0])
-        root = fit_cart(X, y, TreeParams(max_depth=0))
-        assert root.is_leaf
-        assert root.value == pytest.approx(2 / 3)
+        tree = fit_cart(X, y, TreeParams(max_depth=0))
+        assert tree.n_nodes() == 1
+        assert tree.value[0] == pytest.approx(2 / 3)
 
     def test_split_tie_prefers_lowest_feature_index(self):
         # identical feature duplicated: both give the same gain
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([1, 1, 0, 0])
-        root = fit_cart(X, y, TreeParams(max_depth=1))
-        assert root.feature == 0
+        tree = fit_cart(X, y, TreeParams(max_depth=1))
+        assert tree.feature[0] == 0
 
     def test_chosen_split_matches_exhaustive_search(self, rng):
         for _ in range(25):
@@ -69,39 +99,27 @@ class TestCart:
             y = (X[:, 0] + rng.normal(scale=0.8, size=n) > 0).astype(np.int8)
             if len(np.unique(y)) < 2:
                 continue
-            root = fit_cart(X, y, TreeParams(max_depth=1))
+            tree = fit_cart(X, y, TreeParams(max_depth=1))
             oracle = brute_force_best_split(X, y)
             if oracle is None:
-                assert root.is_leaf
+                assert is_leaf(tree)
             else:
-                assert (root.feature, root.threshold) == (oracle[1], oracle[2])
+                assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
     def test_cover_adds_up_recursively(self, rng):
         X = rng.normal(size=(60, 3))
         y = (X[:, 1] > 0).astype(np.int8)
-        root = fit_cart(X, y, TreeParams(max_depth=4))
-
-        def check(node):
-            if node.is_leaf:
-                return node.cover
-            assert node.cover == pytest.approx(check(node.left) + check(node.right))
-            return node.cover
-
-        assert check(root) == 60.0
+        tree = fit_cart(X, y, TreeParams(max_depth=4))
+        for i in split_nodes(tree):
+            children = tree.cover[tree.children_left[i]] + tree.cover[tree.children_right[i]]
+            assert tree.cover[i] == pytest.approx(children)
+        assert tree.cover[0] == 60.0
 
     def test_min_leaf_respected(self, rng):
         X = rng.normal(size=(30, 2))
         y = (X[:, 0] > 0).astype(np.int8)
-        root = fit_cart(X, y, TreeParams(max_depth=6, min_leaf=5))
-
-        def leaves(node):
-            if node.is_leaf:
-                yield node
-            else:
-                yield from leaves(node.left)
-                yield from leaves(node.right)
-
-        assert all(leaf.cover >= 5 for leaf in leaves(root))
+        tree = fit_cart(X, y, TreeParams(max_depth=6, min_leaf=5))
+        assert all(tree.cover[tree.children_left == -1] >= 5)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(FitError):
@@ -152,8 +170,8 @@ class TestGbdt:
         p = sigmoid(np.full(4, model.base_score))
         g = p - y
         h = p * (1 - p)
-        assert model.trees[0].is_leaf
-        assert model.trees[0].value == pytest.approx(-g.sum() / h.sum())
+        assert model.trees[0].n_nodes() == 1
+        assert model.trees[0].value[0] == pytest.approx(-g.sum() / h.sum())
 
     def test_leaf_values_satisfy_closed_form_everywhere(self, rng):
         X = rng.normal(size=(80, 3))
@@ -166,17 +184,17 @@ class TestGbdt:
             g = p - y
             h = p * (1 - p)
 
-            def check(node, rows):
-                if node.is_leaf:
+            def check(i, rows):
+                if is_leaf(tree, i):
                     expected = -g[rows].sum() / (h[rows].sum() + params.reg_lambda)
-                    assert node.value == pytest.approx(expected, abs=1e-12)
+                    assert tree.value[i] == pytest.approx(expected, abs=1e-12)
                     return
-                left = rows[X[rows, node.feature] < node.threshold]
-                right = rows[X[rows, node.feature] >= node.threshold]
-                check(node.left, left)
-                check(node.right, right)
+                left = rows[X[rows, tree.feature[i]] < tree.threshold[i]]
+                right = rows[X[rows, tree.feature[i]] >= tree.threshold[i]]
+                check(tree.children_left[i], left)
+                check(tree.children_right[i], right)
 
-            check(tree, np.arange(len(y)))
+            check(0, np.arange(len(y)))
             margins += params.learning_rate * np.array([walk_tree(tree, x) for x in X])
 
     def test_training_logloss_non_increasing(self, separable_matrix):
@@ -200,15 +218,9 @@ class TestGbdt:
             for f in range(separable_matrix.n_cols)
         }
 
-        def check(node):
-            if node.is_leaf:
-                return
-            assert node.threshold in edges[node.feature]
-            check(node.left)
-            check(node.right)
-
         for tree in model.trees:
-            check(tree)
+            for i in split_nodes(tree):
+                assert tree.threshold[i] in edges[tree.feature[i]]
         accuracy = np.mean(model.predict(separable_matrix.values) == separable_matrix.labels)
         exact = fit_gbdt(separable_matrix, GbdtParams(n_rounds=20, max_depth=3))
         exact_accuracy = np.mean(exact.predict(separable_matrix.values) == separable_matrix.labels)
@@ -306,7 +318,7 @@ class TestPredictProba:
             predict_proba(model, np.zeros((2, separable_matrix.n_cols + 1)))
 
     def test_forest_of_identical_single_leaf_trees(self):
-        leaf = TreeNode(value=0.25, cover=10.0)
+        leaf = FlatTree(*(np.array([v]) for v in (-1, -1, -1, 0.0, 0.25, 10.0)))
         from vetpv.forest import RandomForestModel
 
         model = RandomForestModel([leaf, leaf, leaf], ["f0"], ForestParams(n_trees=3))
@@ -412,10 +424,18 @@ class TestSerialization:
             clone.predict_proba(separable_matrix.values[:10]),
         )
 
+    @pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.kind)
+    def test_roundtrip_preserves_tree_arrays(self, spec, separable_matrix):
+        model = fit_model(spec, separable_matrix)
+        clone = parse_model(serialize_model(model))
+        assert len(trees_of(clone)) == len(trees_of(model))
+        for got, want in zip(trees_of(clone), trees_of(model)):
+            for field in dataclasses.fields(FlatTree):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
     def test_node_lines_carry_cover(self, separable_matrix):
         model = fit_model(ModelSpec("tree", {"max_depth": 2}), separable_matrix)
         text = serialize_model(model)
-        flat = flatten_tree(model.root)
-        assert f"{model.root.cover!r}" in text
+        assert f"{model.tree.cover.tolist()[0]!r}" in text
         assert text.splitlines()[3].startswith("tree nodes=")
-        assert flat.n_nodes == int(text.splitlines()[3].split("=")[1])
+        assert model.tree.n_nodes() == int(text.splitlines()[3].split("=")[1])

@@ -50,8 +50,8 @@ def labels_for(draw, n):
     return np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
 
 
-def root_split(root):
-    return None if root.is_leaf else (root.feature, root.threshold)
+def root_split(tree):
+    return None if tree.children_left[0] == -1 else (tree.feature[0], tree.threshold[0])
 
 
 def oracle_split(found):
@@ -74,8 +74,8 @@ class TestGiniAgainstOracle:
     def test_root_split_matches_exhaustive_search(self, data):
         X = data.draw(matrices())
         y = labels_for(data.draw, len(X))
-        root = fit_cart(X, y, TreeParams(max_depth=1))
-        assert root_split(root) == oracle_split(brute_force_best_split(X, y))
+        tree = fit_cart(X, y, TreeParams(max_depth=1))
+        assert root_split(tree) == oracle_split(brute_force_best_split(X, y))
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -83,9 +83,9 @@ class TestGiniAgainstOracle:
         X = data.draw(matrices(max_rows=12))
         y = labels_for(data.draw, len(X))
         w = np.asarray(data.draw(st.lists(st.integers(1, 4), min_size=len(X), max_size=len(X))))
-        root = fit_cart(X, y, TreeParams(max_depth=1), sample_weight=w.astype(float))
+        tree = fit_cart(X, y, TreeParams(max_depth=1), sample_weight=w.astype(float))
         oracle = brute_force_best_split(np.repeat(X, w, axis=0), np.repeat(y, w))
-        assert root_split(root) == oracle_split(oracle)
+        assert root_split(tree) == oracle_split(oracle)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -101,8 +101,8 @@ class TestGiniAgainstOracle:
         assert root_split(at_edge) == (feature, threshold)
         past_edge = fit_cart(X, y, TreeParams(max_depth=1, min_leaf=smaller + 1))
         assert root_split(past_edge) != (feature, threshold)
-        if not past_edge.is_leaf:
-            left = X[:, past_edge.feature] < past_edge.threshold
+        if root_split(past_edge) is not None:
+            left = X[:, past_edge.feature[0]] < past_edge.threshold[0]
             assert min(left.sum(), (~left).sum()) >= smaller + 1
 
 
@@ -171,10 +171,10 @@ def adjacent_float_matrix(draw):
     return np.column_stack(columns)
 
 
-def child_covers(node):
-    if node.is_leaf:
-        return []
-    return [node.left.cover, node.right.cover] + child_covers(node.left) + child_covers(node.right)
+def child_covers(tree):
+    split = tree.children_left != -1
+    return np.concatenate([tree.cover[tree.children_left[split]],
+                           tree.cover[tree.children_right[split]]])
 
 
 @given(st.data())
@@ -185,8 +185,8 @@ def test_adjacent_floats_never_leave_an_empty_child(data):
     matrix = from_arrays(X, y)
     tree = fit_tree(matrix, TreeParams(max_depth=4))
     gbdt = fit_gbdt(matrix, GbdtParams(n_rounds=3, max_depth=3, learning_rate=0.3))
-    for root in [tree.root, *gbdt.trees]:
-        assert all(cover > 0 for cover in child_covers(root))
+    for flat in [tree.tree, *gbdt.trees]:
+        assert all(cover > 0 for cover in child_covers(flat))
     for model in (tree, gbdt):
         for row in X:
             assert np.isfinite(tree_shap(model, row).phi).all()
@@ -196,9 +196,9 @@ def test_adjacent_pair_splits_between_its_values():
     low = 3.5999999999999996
     assert (low + 3.6) / 2 == low  # the midpoint rounds onto the lower value
     X = np.array([[low], [low], [3.6], [3.6]])
-    root = fit_cart(X, np.array([0, 0, 1, 1]), TreeParams(max_depth=1))
-    assert root.threshold == 3.6
-    assert (root.left.cover, root.right.cover) == (2.0, 2.0)
+    tree = fit_cart(X, np.array([0, 0, 1, 1]), TreeParams(max_depth=1))
+    assert tree.threshold[0] == 3.6
+    assert (tree.cover[tree.children_left[0]], tree.cover[tree.children_right[0]]) == (2.0, 2.0)
 
 
 @pytest.mark.parametrize("bins", [2, 3, 16])
@@ -207,4 +207,4 @@ def test_histogram_mode_is_a_coarser_code_map(bins):
     X = rng.normal(size=(120, 3)).round(1)
     y = (X[:, 0] + rng.normal(size=120) > 0).astype(np.int8)
     model = fit_gbdt(from_arrays(X, y), GbdtParams(n_rounds=4, max_depth=3, histogram_bins=bins))
-    assert all(cover > 0 for root in model.trees for cover in child_covers(root))
+    assert all(cover > 0 for tree in model.trees for cover in child_covers(tree))
