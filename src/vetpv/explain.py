@@ -2,13 +2,25 @@
 used for reporting: per-species-group summaries and top/bottom rankings of
 adverse-event terms and active ingredients.
 
-The attribution is the classic path-dependent algorithm: conditional
-expectations are defined by per-node cover proportions, so no background
-dataset is needed and the result matches exhaustive subset enumeration
-exactly. Sign convention: the margin (and therefore every phi) is oriented
-toward Recovered; negative attributions push a prediction toward Death.
-Boosted ensembles are explained on the raw log-odds margin, forests on the
-cover-weighted mean of per-tree Recovered probabilities.
+The attribution is path-dependent TreeSHAP (Lundberg et al., arXiv:1905.04610):
+conditional expectations are defined by per-node cover proportions, so no
+background dataset is needed and the result matches exhaustive subset
+enumeration. It is computed in the path formulation of GPUTreeShap (Mitchell
+et al., arXiv:2010.13972). Every root-to-leaf path of every tree is enumerated
+once; a feature split on more than once along a path becomes one element with
+an interval [lo, hi) and one product of cover fractions, and a row follows
+the element when lo <= x < hi. The subset weights of a path (EXTEND) and their
+unwound sums then run as numpy operations over (rows x paths x elements)
+arrays, one group of equal-length paths and one bounded block of rows at a
+time, and tree_shap_batch returns one (n, d) array. Explaining every row
+(`[explain] max_rows = 0`) therefore costs a handful of array operations per
+path length, not a Python recursion per row and tree.
+
+Sign convention: the margin (and therefore every phi) is oriented toward
+Recovered; negative attributions push a prediction toward Death. Boosted
+ensembles are explained on the raw log-odds margin, forests on the
+cover-weighted mean of per-tree Recovered probabilities; base_value(model)
+plus a row's phi sum is its margin.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,142 +55,21 @@ class ExplainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ShapVector:
-    key: str
-    phi: np.ndarray
-    base_value: float
+# (rows x paths x elements) cells per working array: a block of rows keeps
+# the kernel's scratch under a MB however many rows are explained
+_BLOCK_CELLS = 1 << 13
 
 
-def _node_expectations(flat: FlatTree) -> np.ndarray:
-    """Cover-weighted expectation of the tree output at every node."""
-    expect = flat.value.astype(np.float64).copy()
-
-    def fill(i: int) -> float:
-        left = flat.children_left[i]
-        if left == -1:
-            return expect[i]
-        right = flat.children_right[i]
-        vl = fill(left)
-        vr = fill(right)
-        wl = flat.cover[left]
-        wr = flat.cover[right]
-        expect[i] = (wl * vl + wr * vr) / (wl + wr)
-        return expect[i]
-
-    fill(0)
-    return expect
-
-
-def _tree_depth(flat: FlatTree) -> int:
-    def depth(i: int) -> int:
-        if flat.children_left[i] == -1:
-            return 0
-        return 1 + max(depth(flat.children_left[i]), depth(flat.children_right[i]))
-
-    return depth(0)
-
-
-def _extend(fi, zf, of, pw, unique_depth, zero_fraction, one_fraction, feature_index):
-    fi[unique_depth] = feature_index
-    zf[unique_depth] = zero_fraction
-    of[unique_depth] = one_fraction
-    pw[unique_depth] = 1.0 if unique_depth == 0 else 0.0
-    for i in range(unique_depth - 1, -1, -1):
-        pw[i + 1] += one_fraction * pw[i] * (i + 1) / (unique_depth + 1)
-        pw[i] = zero_fraction * pw[i] * (unique_depth - i) / (unique_depth + 1)
-
-
-def _unwind(fi, zf, of, pw, unique_depth, path_index):
-    one_fraction = of[path_index]
-    zero_fraction = zf[path_index]
-    next_one = pw[unique_depth]
-    for i in range(unique_depth - 1, -1, -1):
-        if one_fraction != 0.0:
-            tmp = pw[i]
-            pw[i] = next_one * (unique_depth + 1) / ((i + 1) * one_fraction)
-            next_one = tmp - pw[i] * zero_fraction * (unique_depth - i) / (unique_depth + 1)
-        else:
-            pw[i] = pw[i] * (unique_depth + 1) / (zero_fraction * (unique_depth - i))
-    for i in range(path_index, unique_depth):
-        fi[i] = fi[i + 1]
-        zf[i] = zf[i + 1]
-        of[i] = of[i + 1]
-
-
-def _unwound_sum(zf, of, pw, unique_depth, path_index):
-    one_fraction = of[path_index]
-    zero_fraction = zf[path_index]
-    next_one = pw[unique_depth]
-    total = 0.0
-    for i in range(unique_depth - 1, -1, -1):
-        if one_fraction != 0.0:
-            tmp = next_one * (unique_depth + 1) / ((i + 1) * one_fraction)
-            total += tmp
-            next_one = pw[i] - tmp * zero_fraction * (unique_depth - i) / (unique_depth + 1)
-        else:
-            total += pw[i] / zero_fraction / ((unique_depth - i) / (unique_depth + 1))
-    return total
-
-
-def _single_tree_shap(flat: FlatTree, expect: np.ndarray, x: np.ndarray, phi: np.ndarray):
-    """Adds one tree's attributions to phi; callers add expect[0] as the base."""
-    maxd = _tree_depth(flat) + 2
-    size = (maxd * (maxd + 1)) // 2
-    fi = np.zeros(size, dtype=np.int64)
-    zf = np.zeros(size, dtype=np.float64)
-    of = np.zeros(size, dtype=np.float64)
-    pw = np.zeros(size, dtype=np.float64)
-
-    children_left = flat.children_left
-    children_right = flat.children_right
-    feature = flat.feature
-    threshold = flat.threshold
-    cover = flat.cover
-
-    def recurse(node, unique_depth, pfi, pzf, pof, ppw, zero_fraction, one_fraction, feature_index):
-        cfi = pfi[unique_depth + 1:]
-        cfi[: unique_depth + 1] = pfi[: unique_depth + 1]
-        czf = pzf[unique_depth + 1:]
-        czf[: unique_depth + 1] = pzf[: unique_depth + 1]
-        cof = pof[unique_depth + 1:]
-        cof[: unique_depth + 1] = pof[: unique_depth + 1]
-        cpw = ppw[unique_depth + 1:]
-        cpw[: unique_depth + 1] = ppw[: unique_depth + 1]
-        _extend(cfi, czf, cof, cpw, unique_depth, zero_fraction, one_fraction, feature_index)
-
-        if children_left[node] == -1:
-            leaf_value = expect[node]
-            for i in range(1, unique_depth + 1):
-                w = _unwound_sum(czf, cof, cpw, unique_depth, i)
-                phi[cfi[i]] += w * (cof[i] - czf[i]) * leaf_value
-            return
-
-        split = feature[node]
-        hot = children_left[node] if x[split] < threshold[node] else children_right[node]
-        cold = children_right[node] if hot == children_left[node] else children_left[node]
-        w = cover[node]
-        hot_zero = cover[hot] / w
-        cold_zero = cover[cold] / w
-        incoming_zero = 1.0
-        incoming_one = 1.0
-        path_index = 0
-        while path_index <= unique_depth:
-            if cfi[path_index] == split:
-                break
-            path_index += 1
-        if path_index != unique_depth + 1:
-            incoming_zero = czf[path_index]
-            incoming_one = cof[path_index]
-            _unwind(cfi, czf, cof, cpw, unique_depth, path_index)
-            unique_depth -= 1
-
-        recurse(hot, unique_depth + 1, cfi, czf, cof, cpw,
-                hot_zero * incoming_zero, incoming_one, split)
-        recurse(cold, unique_depth + 1, cfi, czf, cof, cpw,
-                cold_zero * incoming_zero, 0.0, split)
-
-    recurse(0, 0, fi, zf, of, pw, 1.0, 1.0, -1)
+def _root_expectation(flat: FlatTree) -> float:
+    """Cover-weighted mean of the tree's leaf values: one sweep from the last
+    node back, since a pre-order child comes after its parent."""
+    left, right = flat.children_left.tolist(), flat.children_right.tolist()
+    cover, expect = flat.cover.tolist(), flat.value.tolist()
+    for i in range(len(expect) - 1, -1, -1):
+        a, b = left[i], right[i]
+        if a != -1:
+            expect[i] = (cover[a] * expect[a] + cover[b] * expect[b]) / (cover[a] + cover[b])
+    return expect[0]
 
 
 def _model_parts(model) -> tuple[list[FlatTree], np.ndarray, float]:
@@ -200,53 +92,123 @@ def model_margin(model, X: np.ndarray) -> np.ndarray:
     return model.predict_proba(X)[:, 1]
 
 
-def tree_shap(model, row: np.ndarray, key: str = "") -> ShapVector:
-    """Exact Shapley attribution of one row under cover-weighted expectations.
-
-    base_value + phi.sum() equals model_margin(model, row) up to accumulated
-    float rounding (< 1e-9 at practical tree counts).
-    """
-    row = np.asarray(row, dtype=np.float64).reshape(-1)
-    if len(row) != len(model.feature_names):
-        raise ExplainError(f"expected {len(model.feature_names)} features, got {len(row)}")
-    flats, weights, offset = _model_parts(model)
-    d = len(row)
-    phi = np.zeros(d)
-    base = offset
-    tree_phi = np.zeros(d)
+def base_value(model) -> float:
+    """The margin's expectation under cover weights; every row's
+    base_value + phi.sum() is its margin."""
+    flats, weights, base = _model_parts(model)
     for flat, weight in zip(flats, weights):
-        expect = _expectations_cached(model, flat)
-        tree_phi[:] = 0.0
-        _single_tree_shap(flat, expect, row, tree_phi)
-        phi += weight * tree_phi
-        base += weight * expect[0]
-    return ShapVector(key=key, phi=phi, base_value=float(base))
+        base += weight * _root_expectation(flat)
+    return float(base)
 
 
-def _expectations_cached(model, flat: FlatTree) -> np.ndarray:
-    cache = getattr(model, "_shap_expectations", None)
-    if cache is None:
-        cache = {}
-        model._shap_expectations = cache
-    found = cache.get(id(flat))
-    if found is None:
-        found = _node_expectations(flat)
-        cache[id(flat)] = found
-    return found
+def _tree_paths(flat: FlatTree, weight: float, paths: dict) -> None:
+    """Appends every root-to-leaf path of flat to the group paths[m], m its
+    number of distinct features: m features, m (lo, hi, zero) elements and
+    the leaf value times the tree weight.
+
+    A row follows the path iff lo <= x[feature] < hi for every element
+    (left means x < threshold); zero is the product of the cover fractions
+    of the path's splits on that feature.
+    """
+    split = np.flatnonzero(flat.children_left != -1)
+    fraction = np.ones(len(flat.cover))
+    for child in (flat.children_left[split], flat.children_right[split]):
+        fraction[child] = flat.cover[child] / flat.cover[split]
+    left, right = flat.children_left.tolist(), flat.children_right.tolist()
+    feature, threshold = flat.feature.tolist(), flat.threshold.tolist()
+    fraction, value = fraction.tolist(), (weight * flat.value).tolist()
+    stack = [(0, {})]
+    while stack:
+        node, elements = stack.pop()
+        if left[node] == -1:
+            if elements:
+                features, bounds, values = paths.setdefault(len(elements), ([], [], []))
+                features.extend(elements)
+                bounds.extend(elements.values())
+                values.append(value[node])
+            continue
+        f, t = feature[node], threshold[node]
+        lo, hi, zero = elements.get(f, (-np.inf, np.inf, 1.0))
+        for child, interval in ((right[node], (max(lo, t), hi)), (left[node], (lo, min(hi, t)))):
+            stack.append((child, {**elements, f: (*interval, zero * fraction[child])}))
 
 
-def tree_shap_batch(model, matrix: FeatureMatrix) -> list[ShapVector]:
-    return [
-        tree_shap(model, matrix.values[i], key=matrix.keys[i]) for i in range(matrix.n_rows)
-    ]
+def _group_phi(X: np.ndarray, group: tuple, phi: np.ndarray) -> None:
+    """Adds the attributions of one group of equal-length paths to phi.
+
+    For each (row, path) the weights of the path's subsets are EXTENDed one
+    element at a time and then unwound for every element at once
+    (Lundberg et al., Algorithm 2), as array operations over
+    (rows x paths x elements).
+    """
+    value = np.array(group[2])
+    n_paths = len(value)
+    feature = np.array(group[0], dtype=np.intp).reshape(n_paths, -1)
+    lo, hi, zero = np.array(group[1]).reshape(n_paths, -1, 3).transpose(2, 0, 1)
+    m = feature.shape[1]
+    # 1/zero is read only where a row misses the element. A missed element
+    # whose zero fraction is 0 (an empty child) makes every subset weight of
+    # the path 0, so its 1/zero is taken as 0 and the path adds exactly 0.
+    inv_zero = np.divide(1.0, zero, out=np.zeros_like(zero), where=zero > 0)
+    step = max(1, _BLOCK_CELLS // (n_paths * (m + 1)))
+    d = phi.shape[1]
+    for start in range(0, len(X), step):
+        xs = X[start:start + step][:, feature]
+        b = len(xs)
+        one = (lo <= xs) & (xs < hi)
+        pw = np.zeros((b, n_paths, m + 1))
+        pw[..., 0] = 1.0
+        for k in range(1, m + 1):
+            j = np.arange(k)
+            head = pw[..., :k]
+            up = head * one[..., k - 1, None] * ((j + 1) / (k + 1))
+            head *= zero[:, k - 1, None] * ((k - j) / (k + 1))
+            pw[..., 1:k + 1] += up
+        total_one = np.zeros((b, n_paths, m))
+        total_zero = np.zeros((b, n_paths))
+        next_one = pw[..., m, None]
+        for j in range(m - 1, -1, -1):
+            tmp = next_one * ((m + 1) / (j + 1))
+            total_one += tmp
+            next_one = pw[..., j, None] - tmp * (zero * ((m - j) / (m + 1)))
+            total_zero += pw[..., j] * ((m + 1) / (m - j))
+        weights = np.where(one, total_one, total_zero[..., None] * inv_zero)
+        contrib = weights * (one - zero) * value[:, None]
+        index = np.arange(b)[:, None, None] * d + feature
+        phi[start:start + b] += np.bincount(
+            index.ravel(), weights=contrib.ravel(), minlength=b * d
+        ).reshape(b, d)
 
 
-def local_accuracy_error(vectors: list[ShapVector], margins: np.ndarray) -> float:
+def tree_shap_batch(model, X: np.ndarray) -> np.ndarray:
+    """Exact Shapley attributions of every row of X under cover-weighted
+    expectations, as an (n, d) array.
+
+    base_value(model) + phi.sum(axis=1) equals model_margin(model, X) up to
+    accumulated float rounding (< 1e-9 at practical tree counts). Each row's
+    phi is the same whatever other rows X holds.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
+        raise ExplainError(
+            f"expected rows of {len(model.feature_names)} features, got shape {X.shape}"
+        )
+    flats, weights, _ = _model_parts(model)
+    paths: dict[int, tuple] = {}
+    for flat, weight in zip(flats, weights):
+        _tree_paths(flat, weight, paths)
+    phi = np.zeros(X.shape)
+    for m in sorted(paths):
+        _group_phi(X, paths[m], phi)
+    return phi
+
+
+def local_accuracy_error(phi: np.ndarray, base: float, margins: np.ndarray) -> float:
     """Largest |base + sum(phi) - margin| over the rows; nan if any phi or
-    base value is not finite, whatever the order of the rows."""
-    errors = [abs(v.base_value + float(v.phi.sum()) - m) for v, m in zip(vectors, margins)]
-    finite = all(np.isfinite(v.phi).all() and np.isfinite(v.base_value) for v in vectors)
-    return float(np.max(errors, initial=0.0)) if finite else float("nan")
+    the base value is not finite, whatever the order of the rows."""
+    if not (np.isfinite(phi).all() and np.isfinite(base)):
+        return float("nan")
+    return float(np.max(np.abs(base + phi.sum(axis=1) - margins), initial=0.0))
 
 
 # --- species groups ------------------------------------------------------------
@@ -368,7 +330,7 @@ def _display_name(meta) -> str:
 
 
 def aggregate_shap(
-    vectors: list[ShapVector],
+    phi: np.ndarray,
     matrix: FeatureMatrix,
     groups: SpeciesGroupMap,
     scope: str,
@@ -379,11 +341,10 @@ def aggregate_shap(
     is active and such columns need support >= 1 to appear; other columns use
     every group row. The absolute mean always runs over all group rows.
     """
-    if len(vectors) != matrix.n_rows:
-        raise ExplainError(f"{len(vectors)} vectors for {matrix.n_rows} rows")
-    phi = np.vstack([v.phi for v in vectors])
-    if phi.shape[1] != matrix.n_cols:
-        raise ExplainError("attribution width does not match the matrix")
+    if phi.shape != (matrix.n_rows, matrix.n_cols):
+        raise ExplainError(
+            f"attributions of shape {phi.shape} for a {matrix.n_rows} x {matrix.n_cols} matrix"
+        )
     columns = _scope_columns(matrix, scope)
     by_group = group_rows(matrix, groups)
     rankings: dict[str, ShapRanking] = {}
@@ -419,7 +380,7 @@ def aggregate_shap(
 
 
 def shap_summary(
-    vectors: list[ShapVector],
+    phi: np.ndarray,
     matrix: FeatureMatrix,
     rows: np.ndarray,
     top_k: int = 15,
@@ -432,7 +393,7 @@ def shap_summary(
     rows = np.asarray(rows, dtype=np.intp)
     if len(rows) < 2:
         log.warning("summary group has fewer than 2 rows; emitting anyway")
-    phi = np.vstack([vectors[i].phi for i in rows]) if len(rows) else np.zeros((0, matrix.n_cols))
+    phi = phi[rows]
     order = np.argsort(-np.abs(phi).mean(axis=0), kind="stable") if len(rows) else []
     selected = list(order[: min(top_k, matrix.n_cols)])
     out = []
@@ -451,15 +412,20 @@ def shap_summary(
 # --- CSV emitters ---------------------------------------------------------------
 
 
-def shap_values_csv(vectors: list[ShapVector], matrix: FeatureMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["key", "feature", "phi", "base_value"])
+def shap_values_csv(phi: np.ndarray, base: float, matrix: FeatureMatrix) -> Iterator[str]:
+    """The shap_values CSV as text chunks, the header and then one chunk per
+    row, so that the whole text need not be held at once."""
+
+    def text(records) -> str:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(records)
+        return buf.getvalue()
+
+    yield text([["key", "feature", "phi", "base_value"]])
     names = matrix.column_names()
-    for v in vectors:
-        for j, name in enumerate(names):
-            writer.writerow([v.key, name, repr(float(v.phi[j])), repr(v.base_value)])
-    return buf.getvalue()
+    base_text = repr(float(base))
+    for key, row in zip(matrix.keys, phi):
+        yield text([key, name, repr(value), base_text] for name, value in zip(names, row.tolist()))
 
 
 def rankings_csv(rankings: dict[str, ShapRanking], top_n: int = 10) -> str:

@@ -77,14 +77,6 @@ def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
     return fit_ensemble(member_specs, mode, matrix, seed=seed, n_folds=n_folds)
 
 
-def predict_proba(model, rows) -> np.ndarray:
-    """Class-probability matrix for the given rows; rows sum to 1."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
-    return model.predict_proba(rows)
-
-
 class VotingEnsemble:
     """Soft vote: the mean of member probability vectors."""
 

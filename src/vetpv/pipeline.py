@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +51,24 @@ class MissingArtifactError(StageError):
     pass
 
 
+def _write_file(partial: Path, chunks, final) -> Path:
+    """Write the text chunks to partial, encoding and hashing one chunk at a
+    time, then rename it to final(sha256 hex digest of the bytes): a crash
+    mid-write leaves the previous file, never a torn one."""
+    digest = hashlib.sha256()
+    try:
+        with open(partial, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+        path = final(digest.hexdigest())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+    return path
+
+
 class ArtifactStore:
     """Content-hash-named files plus a manifest index under the output dir."""
 
@@ -65,30 +84,39 @@ class ArtifactStore:
 
     def _load_manifest(self):
         if self.manifest_path.exists():
-            for line in self.manifest_path.read_text(encoding="utf-8").splitlines():
+            text = self.manifest_path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), start=1):
                 if not line:
                     continue
-                name, filename = line.split("\t")
-                self._manifest[name] = filename
+                fields = line.split("\t")
+                if len(fields) != 2 or not all(fields):
+                    raise StageError(
+                        f"{self.manifest_path}:{lineno}: malformed manifest line {line!r} "
+                        "(expected name<TAB>filename)"
+                    )
+                self._manifest[fields[0]] = fields[1]
 
-    def _write_manifest(self):
-        lines = [f"{name}\t{self._manifest[name]}" for name in sorted(self._manifest)]
-        self.manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def _write_manifest(self, name: str, filename: str):
+        """Record name -> filename; the manifest on disk is replaced whole."""
+        manifest = {**self._manifest, name: filename}
+        lines = [f"{key}\t{manifest[key]}\n" for key in sorted(manifest)]
+        _write_file(self.out_dir / "manifest.tsv.partial", lines, lambda _: self.manifest_path)
+        self._manifest = manifest
 
-    def put_text(self, name: str, text: str, ext: str) -> Path:
-        data = text.encode("utf-8")
-        digest = hashlib.sha256(data).hexdigest()[:12]
-        filename = f"{name}-{digest}.{ext}"
-        path = self.out_dir / filename
-        path.write_bytes(data)
-        self._manifest[name] = filename
-        self._write_manifest()
+    def put_text(self, name: str, text, ext: str) -> Path:
+        """Store text, a str or an iterable of str chunks, as a file named by
+        its content hash, and point the manifest's name entry at it."""
+        path = _write_file(
+            self.out_dir / f"{name}.{ext}.partial",
+            [text] if isinstance(text, str) else text,
+            lambda digest: self.out_dir / f"{name}-{digest[:12]}.{ext}",
+        )
+        self._write_manifest(name, path.name)
         return path
 
     def alias(self, name: str, target: str):
         """Point name at the file artifact target already names."""
-        self._manifest[name] = self._manifest[target]
-        self._write_manifest()
+        self._write_manifest(name, self._manifest[target])
 
     def get_text(self, name: str) -> str:
         filename = self._manifest.get(name)
@@ -428,18 +456,19 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, m
     if config.explain_max_rows and dataset.n_rows > config.explain_max_rows:
         dataset = dataset.take_rows(np.arange(config.explain_max_rows))
     groups = explain.SpeciesGroupMap.load(config.species_groups)
-    vectors = explain.tree_shap_batch(model, dataset)
-    worst = explain.local_accuracy_error(vectors, explain.model_margin(model, dataset.values))
+    phi = explain.tree_shap_batch(model, dataset.values)
+    base = explain.base_value(model)
+    worst = explain.local_accuracy_error(phi, base, explain.model_margin(model, dataset.values))
     if not worst <= explain.LOCAL_ACCURACY_TOL:
         raise StageError(
             f"attributions miss the model margin by {worst!r} "
             f"(tolerance {explain.LOCAL_ACCURACY_TOL}, non-finite values count as nan)"
         )
-    store.put_text("shap_values", explain.shap_values_csv(vectors, dataset), "csv")
+    store.put_text("shap_values", explain.shap_values_csv(phi, base, dataset), "csv")
 
     all_rankings = {}
     for scope in ("ae_term", "ingredient"):
-        rankings = explain.aggregate_shap(vectors, dataset, groups, scope)
+        rankings = explain.aggregate_shap(phi, dataset, groups, scope)
         all_rankings[scope] = rankings
     buf = []
     for scope, rankings in all_rankings.items():
@@ -452,7 +481,7 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, m
 
     by_group = explain.group_rows(dataset, groups)
     summaries = {
-        group: explain.shap_summary(vectors, dataset, rows, config.summary_top_k)
+        group: explain.shap_summary(phi, dataset, rows, config.summary_top_k)
         for group, rows in by_group.items()
         if len(rows)
     }

@@ -19,7 +19,7 @@ from vetpv import pipeline
 from vetpv.boosting import GbdtParams, fit_gbdt
 from vetpv.bulkio import export_bulk_string, import_bulk_string
 from vetpv.config import config_hash, load_config
-from vetpv.explain import model_margin, tree_shap
+from vetpv.explain import base_value, model_margin, tree_shap_batch
 from vetpv.harmonize import map_atcvet
 from vetpv.ingest import AgeUnit, ChemDescriptors, WeightUnit
 from vetpv.matrix import DEATH, RECOVERED, from_arrays
@@ -114,17 +114,15 @@ def test_criterion_1_treeshap_oracle_equivalence(separable_matrix):
         flat = random_cover_tree(rng, n_features=n_features, max_depth=3)
         model = DecisionTreeModel(flat, [f"f{j}" for j in range(n_features)], TreeParams())
         rows = rng.uniform(size=(50, n_features))
-        for x in rows:
-            got = tree_shap(model, x).phi
+        for x, got in zip(rows, tree_shap_batch(model, rows)):
             subsets = all_subset_values(flat, x, n_features)
             want = shapley_from_subset_values(subsets, n_features)
             assert np.allclose(got, want, atol=1e-9)
 
     gbdt = fit_gbdt(separable_matrix, GbdtParams(n_rounds=40, max_depth=3))
     margins = model_margin(gbdt, separable_matrix.values)
-    for i in range(separable_matrix.n_rows):
-        vec = tree_shap(gbdt, separable_matrix.values[i])
-        assert abs(vec.base_value + vec.phi.sum() - margins[i]) <= 1e-9
+    phi = tree_shap_batch(gbdt, separable_matrix.values)
+    assert np.all(np.abs(base_value(gbdt) + phi.sum(axis=1) - margins) <= 1e-9)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s"

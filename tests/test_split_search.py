@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_best_gain_split, brute_force_best_split
 from vetpv.boosting import GbdtParams, fit_gbdt, gain_score
-from vetpv.explain import tree_shap
+from vetpv.explain import tree_shap_batch
 from vetpv.matrix import from_arrays
 from vetpv.trees import TreeParams, best_split, fit_cart, fit_tree, rank_bins
 
@@ -188,8 +188,7 @@ def test_adjacent_floats_never_leave_an_empty_child(data):
     for flat in [tree.tree, *gbdt.trees]:
         assert all(cover > 0 for cover in child_covers(flat))
     for model in (tree, gbdt):
-        for row in X:
-            assert np.isfinite(tree_shap(model, row).phi).all()
+        assert np.isfinite(tree_shap_batch(model, X)).all()
 
 
 def test_adjacent_pair_splits_between_its_values():
