@@ -19,6 +19,7 @@ from .resample import ResamplePlan
 from .ssl import SslPlan
 
 OUTPUT_DIR_ENV = "VETPV_OUTPUT_DIR"
+_DATA_DIR = Path(__file__).parent / "data"
 
 
 class ConfigError(ValueError):
@@ -103,13 +104,12 @@ def load_config(path: Path) -> PipelineConfig:
     except ValueError:
         raise ConfigError(f"seed must be an integer, got {seed_raw!r}") from None
 
-    data_dir = Path(__file__).parent / "data"
     input_dir = resolve("paths", "input_dir")
-    veddra = resolve("paths", "veddra", required=False) or data_dir / "veddra.tsv"
-    atcvet = resolve("paths", "atcvet", required=False) or data_dir / "atcvet.tsv"
-    descriptors = resolve("paths", "descriptors", required=False) or data_dir / "descriptors.tsv"
+    veddra = resolve("paths", "veddra", required=False) or _DATA_DIR / "veddra.tsv"
+    atcvet = resolve("paths", "atcvet", required=False) or _DATA_DIR / "atcvet.tsv"
+    descriptors = resolve("paths", "descriptors", required=False) or _DATA_DIR / "descriptors.tsv"
     species_groups = (
-        resolve("paths", "species_groups", required=False) or data_dir / "species_groups.tsv"
+        resolve("paths", "species_groups", required=False) or _DATA_DIR / "species_groups.tsv"
     )
     output_override = os.environ.get(OUTPUT_DIR_ENV)
     if output_override:
@@ -237,14 +237,20 @@ def load_config(path: Path) -> PipelineConfig:
     )
 
 
+def _data_path_text(path: Path) -> str:
+    """A bundled data file as bundled:<name>, so the text (and its hash) does
+    not depend on where the package is installed; any other path as is."""
+    return f"bundled:{path.name}" if path == _DATA_DIR / path.name else str(path)
+
+
 def effective_config_text(config: PipelineConfig) -> str:
     """Sorted flat dump of the effective configuration (printed and hashed)."""
     items = {
         "paths.input_dir": str(config.input_dir),
-        "paths.veddra": str(config.veddra),
-        "paths.atcvet": str(config.atcvet),
-        "paths.descriptors": str(config.descriptors),
-        "paths.species_groups": str(config.species_groups),
+        "paths.veddra": _data_path_text(config.veddra),
+        "paths.atcvet": _data_path_text(config.atcvet),
+        "paths.descriptors": _data_path_text(config.descriptors),
+        "paths.species_groups": _data_path_text(config.species_groups),
         "paths.output_dir": str(config.output_dir),
         "run.seed": config.seed,
         "prepare.correlation_threshold": config.correlation_threshold,

@@ -69,6 +69,11 @@ def _write_file(partial: Path, chunks, final) -> Path:
     return path
 
 
+def _replace_file(path: Path, chunks):
+    """Replace path whole with the text chunks, through path.partial."""
+    _write_file(path.with_name(path.name + ".partial"), chunks, lambda _: path)
+
+
 class ArtifactStore:
     """Content-hash-named files plus a manifest index under the output dir."""
 
@@ -100,7 +105,7 @@ class ArtifactStore:
         """Record name -> filename; the manifest on disk is replaced whole."""
         manifest = {**self._manifest, name: filename}
         lines = [f"{key}\t{manifest[key]}\n" for key in sorted(manifest)]
-        _write_file(self.out_dir / "manifest.tsv.partial", lines, lambda _: self.manifest_path)
+        _replace_file(self.manifest_path, lines)
         self._manifest = manifest
 
     def put_text(self, name: str, text, ext: str) -> Path:
@@ -511,9 +516,7 @@ def run(config: PipelineConfig, echo=print) -> RunReport:
             # persist the partial report so the failing stage is on record
             report.failed_stage = name
             report.failure = str(exc)
-            (config.output_dir / "run_report.json").write_text(
-                report.to_json(), encoding="utf-8"
-            )
+            _replace_file(config.output_dir / "run_report.json", [report.to_json()])
             raise
         seconds = time.perf_counter() - start
         echo(f"stage {name}: {seconds:.2f}s")
@@ -580,8 +583,6 @@ def run(config: PipelineConfig, echo=print) -> RunReport:
             )
         )
 
-    (config.output_dir / "run_report.json").write_text(report.to_json(), encoding="utf-8")
-    (config.output_dir / "effective_config.txt").write_text(
-        effective_config_text(config), encoding="utf-8"
-    )
+    _replace_file(config.output_dir / "run_report.json", [report.to_json()])
+    _replace_file(config.output_dir / "effective_config.txt", [effective_config_text(config)])
     return report

@@ -221,3 +221,29 @@ def brute_force_best_gain_split(
         return None
     best = max(gain for gain, _, _ in found)
     return next(c for c in found if c[0] >= best * (1 - rtol))
+
+
+def gradient_descent_logistic(X, y, loss_grad, step_size=1.0, l2=1e-4, tol=1e-6,
+                              max_iter=10_000):
+    """Full-batch fixed-step gradient descent on loss_grad's objective over
+    train-fitted z-scores (std 0 -> 1), stopping at gradient norm tol or after
+    max_iter steps: the reference for the Newton fit of vetpv.baselines.
+
+    Returns (weights, bias, mean, std, final gradient norm).
+    """
+    y = y.astype(np.float64)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std[std == 0] = 1.0
+    Xs = (X - mean) / std
+    weights = np.zeros(X.shape[1])
+    bias = 0.0
+    grad_norm = np.inf
+    for _ in range(max_iter):
+        _, grad_w, grad_b = loss_grad(weights, bias, Xs, y, l2)
+        grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+        if grad_norm <= tol:
+            break
+        weights -= step_size * grad_w
+        bias -= step_size * grad_b
+    return weights, bias, mean, std, grad_norm

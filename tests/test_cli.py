@@ -270,6 +270,44 @@ class TestArtifactStore:
         for reader in (store, pipeline.ArtifactStore(tmp_path)):
             assert reader.get_text("metrics") == "f1\n0.9\n"
 
+    @pytest.mark.parametrize("failing, failing_stage", [
+        ("run_report.json", None), ("effective_config.txt", None), ("run_report.json", "split"),
+    ])
+    def test_failed_replace_keeps_previous_report_and_config(
+        self, small_corpus, tmp_path, monkeypatch, failing, failing_stage
+    ):
+        import os
+
+        from vetpv import pipeline
+
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("run_report.json", "effective_config.txt"):
+            (out / name).write_text("previous\n")
+        config = tmp_path / "logistic.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {out}\n"
+            "[run]\nseed = 1\n[model]\nkind = logistic\n"
+            "[ssl]\nenabled = false\n[explain]\nenabled = false\n"
+        )
+        if failing_stage:
+            def fail(*_):
+                raise ValueError("stage failed")
+
+            monkeypatch.setattr(pipeline, f"stage_{failing_stage}", fail)
+        replace = os.replace
+
+        def replace_or_fail(src, dst):
+            if Path(dst).name == failing:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_or_fail)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.run(load_config(config), echo=lambda *_: None)
+        assert (out / failing).read_text() == "previous\n"
+        assert not list(out.glob("*.partial"))
+
     def test_text_chunks_are_stored_like_their_text(self, tmp_path):
         from vetpv import pipeline
 
@@ -285,6 +323,25 @@ class TestArtifactStore:
         (tmp_path / "manifest.tsv").write_text("model\tmodel-abc.txt\nmetrics metrics-def.csv\n")
         with pytest.raises(pipeline.StageError, match=r"manifest\.tsv:2: malformed"):
             pipeline.ArtifactStore(tmp_path)
+
+
+class TestEffectiveConfig:
+    def test_bundled_data_paths_do_not_depend_on_install_location(self, tmp_path):
+        import vetpv
+        from vetpv.config import effective_config_text
+
+        (tmp_path / "quarters").mkdir()
+        config = tmp_path / "defaults.ini"
+        ini = "[paths]\ninput_dir = quarters\noutput_dir = out\n[run]\nseed = 1\n"
+        config.write_text(ini)
+        text = effective_config_text(load_config(config))
+        assert str(Path(vetpv.__file__).parent) not in text
+        assert "paths.veddra = bundled:veddra.tsv\n" in text
+        groups = tmp_path / "species_groups.tsv"
+        groups.write_text("")
+        config.write_text(ini.replace("[run]", "species_groups = species_groups.tsv\n[run]"))
+        text = effective_config_text(load_config(config))
+        assert f"paths.species_groups = {groups}\n" in text
 
 
 class TestEnvOverrides:

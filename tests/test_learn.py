@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import brute_force_best_split, walk_tree
+from oracles import brute_force_best_split, gradient_descent_logistic, walk_tree
 from vetpv.baselines import (
     KnnParams,
+    LogisticModel,
     LogisticParams,
     fit_knn,
     fit_logistic,
@@ -283,6 +285,46 @@ class TestBaselines:
         )
         assert float(np.sqrt(grad_w @ grad_w + grad_b**2)) < 1e-5
 
+    def test_newton_fit_matches_gradient_descent_reference(self, separable_matrix):
+        X, y = separable_matrix.values, separable_matrix.labels
+        model = fit_logistic(separable_matrix)
+        weights, bias, mean, std, _ = gradient_descent_logistic(X, y, logistic_loss_grad)
+        Xs = (X - mean) / std
+        loss, grad_w, grad_b = logistic_loss_grad(model.weights, model.bias, Xs, y, 1e-4)
+        reference_loss, _, _ = logistic_loss_grad(weights, bias, Xs, y, 1e-4)
+        assert loss <= reference_loss
+        assert math.sqrt(grad_w @ grad_w + grad_b**2) <= LogisticParams().tol
+        reference = LogisticModel(weights, bias, mean, std, separable_matrix.column_names())
+        assert np.array_equal(model.predict(X), reference.predict(X))
+
+    def test_line_search_recovers_from_an_overshooting_newton_step(self):
+        # the full Newton step from the sixth iterate raises the loss from 0.19 to 1.97;
+        # taken undamped, the weights run off to about 1e5 and the fit never converges
+        X = np.array([[-4, -16], [-8, 4], [9, 11], [10, -2], [9, 12]], dtype=float)
+        y = np.array([0, 1, 0, 0, 1], dtype=np.int8)
+        assert fit_logistic(matrix_of(X, y)).converged
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_degenerate_matrices_fit_finite_weights(self, data, caplog):
+        n = data.draw(st.integers(2, 12))
+        grid = st.lists(st.integers(-8, 8), min_size=n, max_size=n)
+        columns = [np.asarray(data.draw(grid)) / 4 for _ in range(data.draw(st.integers(1, 3)))]
+        columns.append(np.full(n, data.draw(st.integers(-8, 8)) / 4))  # constant
+        columns.append(columns[data.draw(st.integers(0, len(columns) - 2))])  # duplicated
+        X = np.column_stack(columns)
+        if data.draw(st.booleans()):  # perfectly separable on column 0
+            y = X[:, 0] > data.draw(st.sampled_from(sorted(set(X[:, 0]))))
+        else:
+            y = np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        l2 = data.draw(st.sampled_from([0.0, 1e-4]))
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="vetpv.baselines"):
+            model = fit_logistic(matrix_of(X, y), LogisticParams(l2=l2))
+        assert np.isfinite(model.weights).all() and math.isfinite(model.bias)
+        assert model.converged or "did not converge" in caplog.text
+
     def test_knn_exact_match_wins(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
         y = np.array([0, 1, 0], dtype=np.int8)
@@ -399,6 +441,7 @@ class TestEnsembles:
         assert np.allclose(proba.sum(axis=1), 1.0)
         accuracy = np.mean(stack.predict(separable_matrix.values) == separable_matrix.labels)
         assert accuracy > 0.8
+        assert stack.meta.converged
 
 
 class TestSerialization:
