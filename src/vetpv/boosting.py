@@ -25,10 +25,6 @@ class GbdtParams:
     max_depth: int = 4
     min_child_weight: float = 1.0
     reg_lambda: float = 1.0
-    seed: int = 0
-    # None = exact greedy splits; an integer merges each feature's values into
-    # that many quantile bins, whose edges are the only candidate thresholds
-    histogram_bins: int | None = None
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -38,18 +34,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def quantile_bin_edges(column: np.ndarray, bins: int) -> np.ndarray:
-    """Up to bins-1 interior edges at quantile midpoints of distinct values."""
-    distinct = np.unique(column)
-    if len(distinct) <= 1:
-        return np.empty(0)
-    midpoints = (distinct[:-1] + distinct[1:]) / 2
-    if len(midpoints) <= bins - 1:
-        return midpoints
-    positions = np.linspace(0, len(midpoints) - 1, bins - 1)
-    return midpoints[np.unique(positions.round().astype(int))]
 
 
 def gain_score(min_child_weight: float, lam: float):
@@ -162,11 +146,6 @@ def fit_gbdt(
     base_score = float(np.log(prevalence / (1.0 - prevalence)))
 
     bins = rank_bins(X)
-    if params.histogram_bins is not None:
-        if params.histogram_bins < 2:
-            raise FitError(f"histogram_bins must be >= 2, got {params.histogram_bins}")
-        bins = bins.coarsen([quantile_bin_edges(v, params.histogram_bins) for v in bins.values])
-
     margin = np.full(n, base_score)
     leaf_value = np.empty(n)
     trees: list[FlatTree] = []

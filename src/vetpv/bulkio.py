@@ -1,17 +1,15 @@
-"""Bulk-load text emission for the four report tables.
+"""Bulk-load text for the four report tables.
 
 The format matches PostgreSQL's COPY text protocol: tab-delimited fields,
 newline-delimited rows, absent values as \\N, and literal backslash / tab /
-newline / carriage-return escaped. Rows are staged in an in-memory buffer and
-flushed to the sink in large blocks. import_bulk reverses the encoding so the
-round trip is exact.
+newline / carriage-return escaped. Each table becomes one string;
+import_bulk_string reverses the encoding so the round trip is exact.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 from pathlib import Path
 
 from .ingest import (
@@ -27,7 +25,6 @@ from .ingest import (
 )
 
 NULL = "\\N"
-FLUSH_BLOCK_BYTES = 1 << 20
 
 TABLE_NAMES = ("main", "events", "outcomes", "drugs")
 
@@ -65,12 +62,6 @@ _COLUMNS = {
 }
 
 _ROW_TYPES = {"main": MainRow, "events": AERow, "outcomes": OutcomeRow, "drugs": DrugRow}
-
-
-class BulkWriteError(OSError):
-    def __init__(self, message: str, bytes_written: int):
-        super().__init__(f"{message} (after {bytes_written} bytes)")
-        self.bytes_written = bytes_written
 
 
 def escape_field(text: str) -> str:
@@ -125,99 +116,6 @@ def _decode_value(text: str, kind):
     return unescape_field(text)
 
 
-class _BufferedSink:
-    """Accumulates encoded rows and flushes to the byte sink in large blocks."""
-
-    def __init__(self, sink):
-        self._sink = sink
-        self._buffer = bytearray()
-        self.bytes_written = 0
-
-    def write_line(self, line: str):
-        self._buffer += line.encode("utf-8")
-        self._buffer += b"\n"
-        if len(self._buffer) >= FLUSH_BLOCK_BYTES:
-            self.flush()
-
-    def flush(self):
-        if not self._buffer:
-            return
-        try:
-            self._sink.write(bytes(self._buffer))
-        except OSError as exc:
-            raise BulkWriteError(str(exc), self.bytes_written) from exc
-        self.bytes_written += len(self._buffer)
-        self._buffer.clear()
-
-
-def write_table(rows, table_name: str, sink) -> int:
-    columns = _COLUMNS[table_name]
-    buffered = _BufferedSink(sink)
-    for row in rows:
-        fields = [_encode_value(getattr(row, name), kind) for name, kind in columns]
-        buffered.write_line("\t".join(fields))
-    buffered.flush()
-    return len(rows)
-
-
-def read_table(table_name: str, stream) -> list:
-    columns = _COLUMNS[table_name]
-    row_type = _ROW_TYPES[table_name]
-    text = stream.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = []
-    for line in text.split("\n"):
-        if line == "":
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(columns):
-            raise ValueError(
-                f"{table_name}: expected {len(columns)} fields, got {len(cells)}"
-            )
-        kwargs = {name: _decode_value(cell, kind) for (name, kind), cell in zip(columns, cells)}
-        rows.append(row_type(**kwargs))
-    return rows
-
-
-def export_bulk(tables: RawTables, destination) -> dict[str, int]:
-    """Write the four tables as bulk-load text; returns row counts per table.
-
-    destination is either a directory path (files <table>.tsv are created) or
-    a mapping of table name to an open binary sink.
-    """
-    counts = {}
-    if isinstance(destination, (str, Path)):
-        directory = Path(destination)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name in TABLE_NAMES:
-            with open(directory / f"{name}.tsv", "wb") as sink:
-                counts[name] = write_table(getattr(tables, name), name, sink)
-    else:
-        for name in TABLE_NAMES:
-            counts[name] = write_table(getattr(tables, name), name, destination[name])
-    return counts
-
-
-def import_bulk(source) -> RawTables:
-    """Inverse of export_bulk; source is a directory or mapping of streams."""
-    loaded = {}
-    if isinstance(source, (str, Path)):
-        directory = Path(source)
-        for name in TABLE_NAMES:
-            with open(directory / f"{name}.tsv", "rb") as stream:
-                loaded[name] = read_table(name, stream)
-    else:
-        for name in TABLE_NAMES:
-            loaded[name] = read_table(name, source[name])
-    return RawTables(
-        main=loaded["main"],
-        events=loaded["events"],
-        outcomes=loaded["outcomes"],
-        drugs=loaded["drugs"],
-    )
-
-
 def export_csv(tables: RawTables, directory) -> dict[str, int]:
     """RFC-4180 CSV export of the same four tables."""
     directory = Path(directory)
@@ -248,12 +146,33 @@ def export_csv(tables: RawTables, directory) -> dict[str, int]:
 
 
 def export_bulk_string(tables: RawTables) -> dict[str, str]:
-    """In-memory export, mainly for tests and small fixtures."""
-    sinks = {name: io.BytesIO() for name in TABLE_NAMES}
-    export_bulk(tables, sinks)
-    return {name: sink.getvalue().decode("utf-8") for name, sink in sinks.items()}
+    """The bulk-load text of each table, keyed by table name."""
+    texts = {}
+    for name in TABLE_NAMES:
+        columns = _COLUMNS[name]
+        lines = ["\t".join([_encode_value(getattr(row, cname), kind) for cname, kind in columns])
+                 for row in getattr(tables, name)]
+        texts[name] = "\n".join(lines) + "\n" if lines else ""
+    return texts
+
+
+def _parse_table(table_name: str, text: str) -> list:
+    columns = _COLUMNS[table_name]
+    row_type = _ROW_TYPES[table_name]
+    rows = []
+    for line in text.split("\n"):
+        if line == "":
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise ValueError(
+                f"{table_name}: expected {len(columns)} fields, got {len(cells)}"
+            )
+        kwargs = {name: _decode_value(cell, kind) for (name, kind), cell in zip(columns, cells)}
+        rows.append(row_type(**kwargs))
+    return rows
 
 
 def import_bulk_string(texts: dict[str, str]) -> RawTables:
-    streams = {name: io.StringIO(text) for name, text in texts.items()}
-    return import_bulk(streams)
+    """Inverse of export_bulk_string."""
+    return RawTables(**{name: _parse_table(name, texts[name]) for name in TABLE_NAMES})

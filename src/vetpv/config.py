@@ -14,9 +14,10 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .models import MODEL_KINDS, ModelSpec
+from .models import MODEL_KINDS, ModelSpec, param_names
 from .resample import ResamplePlan
 from .ssl import SslPlan
+from .trees import FitError
 
 OUTPUT_DIR_ENV = "VETPV_OUTPUT_DIR"
 _DATA_DIR = Path(__file__).parent / "data"
@@ -159,10 +160,12 @@ def load_config(path: Path) -> PipelineConfig:
             if key == "kind":
                 continue
             model_params[key] = _coerce(value)
-    model_params.setdefault("seed", seed)
-    if model_kind in ("tree", "logistic", "knn"):  # these take no seed
-        model_params.pop("seed", None)
-    model = ModelSpec(model_kind, model_params)
+    if "seed" in param_names(model_kind):
+        model_params.setdefault("seed", seed)
+    try:
+        model = ModelSpec(model_kind, model_params)
+    except FitError as exc:
+        raise ConfigError(f"invalid [model] section: {exc}") from None
 
     ssl_enabled = str(_get(parser, "ssl", "enabled", default="true")).lower() == "true"
     try:

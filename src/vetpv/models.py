@@ -7,7 +7,7 @@ Every fitted model exposes predict_proba(X) -> (n, 2) with columns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -15,11 +15,26 @@ from .baselines import KnnModel, KnnParams, LogisticModel, LogisticParams, fit_k
 from .boosting import GbdtParams, GradientBoostedModel, fit_gbdt
 from .forest import ForestParams, RandomForestModel, fit_forest
 from .matrix import FeatureMatrix, from_arrays
-from .trees import DecisionTreeModel, FitError, FlatTree, TreeParams, fit_cart, fit_tree
+from .trees import DecisionTreeModel, FitError, FlatTree, TreeParams, fit_cart
 
 MODEL_FORMAT_VERSION = 1
 
-MODEL_KINDS = ("tree", "forest", "gbdt", "logistic", "knn", "vote", "stack")
+# the params dataclass of each single-learner kind
+PARAMS = {
+    "tree": TreeParams,
+    "forest": ForestParams,
+    "gbdt": GbdtParams,
+    "logistic": LogisticParams,
+    "knn": KnnParams,
+}
+ENSEMBLE_KEYS = ("seed", "n_folds", "members")  # what fit_model takes for vote/stack
+
+MODEL_KINDS = (*PARAMS, "vote", "stack")
+
+
+def param_names(kind: str) -> set[str]:
+    """The params keys a spec of this kind accepts."""
+    return {f.name for f in fields(PARAMS[kind])} if kind in PARAMS else set(ENSEMBLE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -30,51 +45,45 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise FitError(f"unknown model kind {self.kind!r}")
+        unknown = sorted(set(self.params) - param_names(self.kind))
+        if unknown:
+            raise FitError(f"model kind {self.kind!r} takes no parameter {', '.join(unknown)}")
 
 
 def default_members(seed: int) -> list[ModelSpec]:
     """The default ensemble trio: two boosted learners with distinct
     hyperparameters around a random forest."""
     return [
-        ModelSpec("gbdt", {"n_rounds": 80, "learning_rate": 0.1, "max_depth": 4, "seed": seed}),
+        ModelSpec("gbdt", {"n_rounds": 80, "learning_rate": 0.1, "max_depth": 4}),
         ModelSpec("forest", {"n_trees": 40, "max_depth": 10, "seed": seed + 1}),
-        ModelSpec(
-            "gbdt",
-            {"n_rounds": 150, "learning_rate": 0.05, "max_depth": 3, "seed": seed + 2},
-        ),
+        ModelSpec("gbdt", {"n_rounds": 150, "learning_rate": 0.05, "max_depth": 3}),
     ]
 
 
 def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
     params = dict(spec.params)
+    if spec.kind not in PARAMS:  # ensembles
+        seed = params.pop("seed", 0)
+        n_folds = params.pop("n_folds", 5)
+        members = params.pop("members", None)
+        if members is None:
+            member_specs = default_members(seed)
+        else:
+            member_specs = [ModelSpec(m["kind"], dict(m.get("params", {}))) for m in members]
+        return fit_ensemble(member_specs, spec.kind, matrix, seed=seed, n_folds=n_folds)
+    kind_params = PARAMS[spec.kind](**params)
     if spec.kind == "tree":
-        tree_params = TreeParams(**params)
-        if sample_weight is not None:
-            tree = fit_cart(matrix.values, matrix.labels, tree_params, sample_weight=sample_weight)
-            return DecisionTreeModel(tree, matrix.column_names(), tree_params)
-        return fit_tree(matrix, tree_params)
-    if spec.kind == "forest":
-        if sample_weight is not None:
-            raise FitError("forest fitting does not support sample weights")
-        return fit_forest(matrix, ForestParams(**params))
+        tree = fit_cart(matrix.values, matrix.labels, kind_params, sample_weight=sample_weight)
+        return DecisionTreeModel(tree, matrix.column_names(), kind_params)
     if spec.kind == "gbdt":
-        return fit_gbdt(matrix, GbdtParams(**params), sample_weight=sample_weight)
+        return fit_gbdt(matrix, kind_params, sample_weight=sample_weight)
     if sample_weight is not None:
         raise FitError(f"{spec.kind} fitting does not support sample weights")
+    if spec.kind == "forest":
+        return fit_forest(matrix, kind_params)
     if spec.kind == "logistic":
-        return fit_logistic(matrix, LogisticParams(**params))
-    if spec.kind == "knn":
-        return fit_knn(matrix, KnnParams(**params))
-    # ensembles
-    mode = spec.kind
-    seed = params.pop("seed", 0)
-    n_folds = params.pop("n_folds", 5)
-    members = params.pop("members", None)
-    if members is None:
-        member_specs = default_members(seed)
-    else:
-        member_specs = [ModelSpec(m["kind"], dict(m.get("params", {}))) for m in members]
-    return fit_ensemble(member_specs, mode, matrix, seed=seed, n_folds=n_folds)
+        return fit_logistic(matrix, kind_params)
+    return fit_knn(matrix, kind_params)
 
 
 class VotingEnsemble:

@@ -179,11 +179,6 @@ def apply_imputer(stats: ImputerStats, reports) -> list[MergedReport]:
     return out
 
 
-def impute(reports) -> list[MergedReport]:
-    """Fit-and-apply convenience for a single table (no split discipline)."""
-    return apply_imputer(fit_imputer(reports), reports)
-
-
 # --- row filtering --------------------------------------------------------------
 
 
@@ -424,11 +419,6 @@ def fit_encoder(fit_on, spec: EncodingSpec = EncodingSpec()) -> FittedEncoder:
     return FittedEncoder(spec=spec, category_maps=category_maps, vocabularies=vocabularies)
 
 
-def encode(reports, spec: EncodingSpec, fit_on) -> FeatureMatrix:
-    """Encode reports with statistics fitted on fit_on (normally the training rows)."""
-    return fit_encoder(fit_on, spec).transform(reports)
-
-
 # --- correlation pruning -----------------------------------------------------
 
 
@@ -507,13 +497,6 @@ def prune_correlated(
 # --- stratified splitting -------------------------------------------------------
 
 
-@dataclass
-class SplitSet:
-    train: FeatureMatrix
-    validation: FeatureMatrix
-    test: FeatureMatrix
-
-
 def largest_remainder_quotas(count: int, ratios) -> list[int]:
     """Integer allocation of count across ratios; remainders largest-first."""
     exact = [count * r for r in ratios]
@@ -545,18 +528,3 @@ def stratified_assignment(labels: np.ndarray, ratios, seed: int) -> np.ndarray:
             assignment[shuffled[start : start + quota]] = split_id
             start += quota
     return assignment
-
-
-def split_stratified(
-    matrix: FeatureMatrix, ratios=(0.8, 0.1, 0.1), seed: int = 0
-) -> SplitSet:
-    """Deterministic stratified train/validation/test split by largest-remainder
-    allocation within each class."""
-    if matrix.labels is None:
-        raise PrepareError("split_stratified requires labels")
-    assignment = stratified_assignment(matrix.labels, ratios, seed)
-    return SplitSet(
-        train=matrix.take_rows(np.flatnonzero(assignment == 0)),
-        validation=matrix.take_rows(np.flatnonzero(assignment == 1)),
-        test=matrix.take_rows(np.flatnonzero(assignment == 2)),
-    )

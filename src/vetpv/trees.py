@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import FeatureMatrix
-
 TIE_RTOL = 1e-10  # summation order moves a gain by up to about 4e-13 of itself
 
 
@@ -58,31 +56,19 @@ class TreeParams:
 class Bins:
     """Bin codes of a training matrix: codes[i, f] is the bin of X[i, f].
 
-    Feature f owns bins start[f] to start[f + 1] - 1, in ascending value
-    order. Without cuts, bin start[f] + b holds the value values[f][b]; with
-    cuts (histogram mode), cuts[f][b] is the one threshold after that bin.
+    Feature f owns bins start[f] to start[f + 1] - 1, one per distinct value
+    in ascending order: bin start[f] + b holds the value values[f][b].
     """
 
-    def __init__(self, codes: np.ndarray, start: np.ndarray, values: list, cuts=None):
-        self.codes, self.start, self.values, self.cuts = codes, start, values, cuts
+    def __init__(self, codes: np.ndarray, start: np.ndarray, values: list):
+        self.codes, self.start, self.values = codes, start, values
         self.feature = np.repeat(np.arange(len(start) - 1), np.diff(start))
 
     def take(self, rows: np.ndarray) -> "Bins":
-        return Bins(self.codes[rows], self.start, self.values, self.cuts)
-
-    def coarsen(self, cuts: list) -> "Bins":
-        """The coarser code map whose only thresholds are cuts[f]."""
-        start = np.cumsum([0] + [len(c) + 1 for c in cuts])
-        codes = np.empty_like(self.codes)
-        for f, (values, c) in enumerate(zip(self.values, cuts)):
-            coarse = np.searchsorted(c, values, side="right") + start[f]
-            codes[:, f] = coarse[self.codes[:, f] - self.start[f]]
-        return Bins(codes, start, self.values, cuts)
+        return Bins(self.codes[rows], self.start, self.values)
 
     def threshold(self, f: int, lo: int, hi: int) -> float:
         """Threshold of the split that sends bins <= lo left and bins >= hi right."""
-        if self.cuts is not None:
-            return float(self.cuts[f][lo - self.start[f]])
         a, b = self.values[f][lo - self.start[f]], self.values[f][hi - self.start[f]]
         mid = (a + b) / 2
         return float(mid if mid > a else b)
@@ -270,10 +256,3 @@ class DecisionTreeModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] > 0.5).astype(np.int8)
-
-
-def fit_tree(matrix: FeatureMatrix, params: TreeParams = TreeParams()) -> DecisionTreeModel:
-    if matrix.labels is None:
-        raise FitError("training matrix has no labels")
-    tree = fit_cart(matrix.values, matrix.labels, params)
-    return DecisionTreeModel(tree, matrix.column_names(), params)

@@ -331,9 +331,7 @@ def test_criterion_8_paper_trend_checks(prepared):
         if dr_under > dr_none:
             trend_up += 1
 
-        gb_spec = ModelSpec(
-            "gbdt", {"n_rounds": 100, "learning_rate": 0.1, "max_depth": 4, "seed": seed}
-        )
+        gb_spec = ModelSpec("gbdt", {"n_rounds": 100, "learning_rate": 0.1, "max_depth": 4})
         supervised = fit_model(gb_spec, train)
         f1_sup = evaluate(test.labels, supervised.predict(test.values)).weighted_f1
         ssl_model, _, _ = ssl_train(

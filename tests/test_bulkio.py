@@ -1,20 +1,15 @@
 import csv
 import datetime as dt
-import io
+import hashlib
 
-import pytest
 from hypothesis import given, strategies as st
 
 from vetpv.bulkio import (
-    BulkWriteError,
     escape_field,
-    export_bulk,
     export_bulk_string,
     export_csv,
-    import_bulk,
     import_bulk_string,
     unescape_field,
-    write_table,
 )
 from vetpv.ingest import (
     AgeUnit,
@@ -31,18 +26,16 @@ from vetpv.synth import fixture_document
 
 def test_absent_field_renders_null_marker():
     row = MainRow(key="K", species="Dog", breed=None)
-    sink = io.BytesIO()
-    write_table([row], "main", sink)
-    fields = sink.getvalue().decode().rstrip("\n").split("\t")
+    text = export_bulk_string(RawTables(main=[row]))["main"]
+    fields = text.rstrip("\n").split("\t")
     assert fields[2] == "\\N"
 
 
 def test_tab_in_field_escaped():
     row = DrugRow(key="K", ingredient_name="a\tb")
-    sink = io.BytesIO()
-    write_table([row], "drugs", sink)
-    assert "a\\tb" in sink.getvalue().decode()
-    assert "a\tb" not in sink.getvalue().decode().split("\t", 1)[1]
+    text = export_bulk_string(RawTables(drugs=[row]))["drugs"]
+    assert "a\\tb" in text
+    assert "a\tb" not in text.split("\t", 1)[1]
 
 
 @given(st.text())
@@ -87,24 +80,30 @@ def test_nasty_strings_roundtrip():
     assert back.outcomes == tables.outcomes
 
 
-def test_directory_export_and_import(tmp_path):
+def test_string_round_trip_keeps_row_counts():
     text, _ = fixture_document(n_reports=30, seed=12)
     tables, _ = parse_quarter(text)
-    counts = export_bulk(tables, tmp_path / "bulk")
-    assert counts == tables.counts()
-    assert import_bulk(tmp_path / "bulk").main == tables.main
+    texts = export_bulk_string(tables)
+    assert {name: text.count("\n") for name, text in texts.items()} == tables.counts()
+    assert import_bulk_string(texts) == tables
 
 
-def test_write_failure_reports_bytes_written():
-    class FailingSink:
-        def write(self, data):
-            raise OSError("disk full")
+# sha256 of each table's bulk text for fixture_document(n_reports=150, seed=11):
+# round trip and idempotence cannot see a format change made on both sides
+FIXTURE_DIGESTS = {
+    "main": "488a4b71ba22258d1eabe7085cc5237308305bc8c8d155099e6300db0a06dca3",
+    "events": "8d619be0ac7c69460eed595f76f7d339782d44a088cab77ca65574da5eedb388",
+    "outcomes": "e4d9a2b3c53634aa9ef2aa15a38e9f7bb6b469fe9bdffbfe2159bcdde199d56d",
+    "drugs": "1e21f7956e3d8f70fc6cdb260803e4a61a07c29b387bebf678cd0fe6c4060647",
+}
 
-    rows = [MainRow(key=f"K{i}", species="Dog") for i in range(3)]
-    with pytest.raises(BulkWriteError) as err:
-        write_table(rows, "main", FailingSink())
-    assert err.value.bytes_written == 0
-    assert "disk full" in str(err.value)
+
+def test_bulk_text_bytes_are_pinned():
+    text, _ = fixture_document(n_reports=150, seed=11)
+    tables, _ = parse_quarter(text)
+    texts = export_bulk_string(tables)
+    digests = {name: hashlib.sha256(t.encode("utf-8")).hexdigest() for name, t in texts.items()}
+    assert digests == FIXTURE_DIGESTS
 
 
 def test_csv_export_is_rfc4180_parseable(tmp_path):

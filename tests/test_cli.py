@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vetpv.cli import main
+from vetpv.cli import EXIT_CONFIG, main
 from vetpv.config import ConfigError, load_config
 
 
@@ -135,6 +135,17 @@ class TestValidation:
         )
         parsed = load_config(config)
         assert parsed.model.kind == "knn"
+
+    def test_unknown_model_key_fails_before_stages(self, small_corpus, tmp_path, capsys):
+        config = tmp_path / "step.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {tmp_path / 'out'}\n"
+            "[run]\nseed = 1\n[model]\nkind = logistic\nstep_size = 0.5\n"
+            "[ssl]\nenabled = false\n[explain]\nenabled = false\n"
+        )
+        assert run_cli("run", "--config", str(config)) == EXIT_CONFIG
+        assert "step_size" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.tsv").exists()
 
     def test_explaining_ssl_model_requires_ssl_enabled(self, small_corpus, tmp_path):
         config = tmp_path / "sslless.ini"

@@ -26,7 +26,7 @@ from vetpv.models import (
     parse_model,
     serialize_model,
 )
-from vetpv.trees import FitError, FlatTree, TreeParams, fit_cart, fit_tree
+from vetpv.trees import FitError, FlatTree, TreeParams, fit_cart
 
 
 def matrix_of(X, y):
@@ -137,7 +137,7 @@ class TestForest:
         params = ForestParams(n_trees=1, max_depth=4, bootstrap=False,
                               features_per_split=separable_matrix.n_cols, seed=0)
         forest = fit_forest(separable_matrix, params)
-        tree = fit_tree(separable_matrix, TreeParams(max_depth=4))
+        tree = fit_model(ModelSpec("tree", {"max_depth": 4}), separable_matrix)
         assert np.array_equal(
             forest.predict_proba(separable_matrix.values),
             tree.predict_proba(separable_matrix.values),
@@ -151,7 +151,7 @@ class TestForest:
 
     def test_forest_training_accuracy_at_least_tree(self, separable_matrix):
         y = separable_matrix.labels
-        tree = fit_tree(separable_matrix, TreeParams(max_depth=3))
+        tree = fit_model(ModelSpec("tree", {"max_depth": 3}), separable_matrix)
         forest = fit_forest(separable_matrix, ForestParams(n_trees=25, max_depth=3, seed=1))
         tree_acc = np.mean(tree.predict(separable_matrix.values) == y)
         forest_acc = np.mean(forest.predict(separable_matrix.values) == y)
@@ -208,28 +208,6 @@ class TestGbdt:
             p = np.clip(sigmoid(margins), 1e-12, 1 - 1e-12)
             losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-    def test_histogram_mode_trains_on_binned_thresholds(self, separable_matrix):
-        from vetpv.boosting import quantile_bin_edges
-
-        params = GbdtParams(n_rounds=20, max_depth=3, histogram_bins=16)
-        model = fit_gbdt(separable_matrix, params)
-        edges = {
-            f: set(quantile_bin_edges(separable_matrix.values[:, f], 16).tolist())
-            for f in range(separable_matrix.n_cols)
-        }
-
-        for tree in model.trees:
-            for i in split_nodes(tree):
-                assert tree.threshold[i] in edges[tree.feature[i]]
-        accuracy = np.mean(model.predict(separable_matrix.values) == separable_matrix.labels)
-        exact = fit_gbdt(separable_matrix, GbdtParams(n_rounds=20, max_depth=3))
-        exact_accuracy = np.mean(exact.predict(separable_matrix.values) == separable_matrix.labels)
-        assert accuracy >= exact_accuracy - 0.05
-
-    def test_histogram_bins_validated(self, separable_matrix):
-        with pytest.raises(FitError):
-            fit_gbdt(separable_matrix, GbdtParams(histogram_bins=1))
 
     def test_zero_rounds_rejected(self, separable_matrix):
         with pytest.raises(FitError):

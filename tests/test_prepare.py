@@ -11,17 +11,14 @@ from vetpv.prepare import (
     FittedEncoder,
     PrepareError,
     UnitError,
-    encode,
     filter_rows,
     fit_encoder,
     fit_imputer,
     apply_imputer,
-    impute,
     largest_remainder_quotas,
     normalize_all,
     normalize_units,
     prune_correlated,
-    split_stratified,
     stratified_assignment,
 )
 
@@ -95,7 +92,7 @@ class TestImpute:
             make_report(key="3", age_value=4, age_unit=AgeUnit.YEAR),
         ]
         rows, _ = normalize_all(rows)
-        imputed = impute(rows)
+        imputed = apply_imputer(fit_imputer(rows), rows)
         assert imputed[1].age_years == 3.0
 
     def test_mode_ties_break_lexicographically(self):
@@ -108,7 +105,7 @@ class TestImpute:
             make_report(key="5", species="Cat", gender=None),
         ]
         rows, _ = normalize_all(rows)
-        imputed = impute(rows)
+        imputed = apply_imputer(fit_imputer(rows), rows)
         assert imputed[4].gender == "F"
 
     def test_species_without_values_falls_back_to_global(self):
@@ -118,7 +115,7 @@ class TestImpute:
             make_report(key="2", species="Turtle"),
         ]
         rows, _ = normalize_all(rows)
-        imputed = impute(rows)
+        imputed = apply_imputer(fit_imputer(rows), rows)
         assert imputed[1].age_years == 5.0
 
     def test_field_absent_everywhere_errors_with_name(self):
@@ -230,7 +227,7 @@ class TestEncode:
 
     def test_unknown_column_in_spec_errors(self):
         with pytest.raises(PrepareError):
-            encode([], EncodingSpec(numeric=("nope",), categorical=(), multi_hot=()), [])
+            fit_encoder([], EncodingSpec(numeric=("nope",), categorical=(), multi_hot=()))
 
     def test_encoder_json_roundtrip(self):
         rows = [make_report(key="1", species="A", ae_terms=["X"])]
@@ -321,36 +318,38 @@ def labeled_matrix(n_death, n_recovered, seed=0):
     return from_arrays(gen.normal(size=(n, 3)), y[gen.permutation(n)])
 
 
+def split(matrix, seed):
+    """(train, validation, test) rows of matrix under the 80/10/10 assignment."""
+    assignment = stratified_assignment(matrix.labels, (0.8, 0.1, 0.1), seed)
+    return [matrix.take_rows(np.flatnonzero(assignment == s)) for s in range(3)]
+
+
 class TestSplit:
     def test_worked_allocation_200_rows(self):
-        matrix = labeled_matrix(30, 170)
-        split = split_stratified(matrix, seed=7)
-        assert split.train.class_counts() == {"Death": 24, "Recovered": 136}
-        assert split.validation.class_counts() == {"Death": 3, "Recovered": 17}
-        assert split.test.class_counts() == {"Death": 3, "Recovered": 17}
+        train, validation, test = split(labeled_matrix(30, 170), seed=7)
+        assert train.class_counts() == {"Death": 24, "Recovered": 136}
+        assert validation.class_counts() == {"Death": 3, "Recovered": 17}
+        assert test.class_counts() == {"Death": 3, "Recovered": 17}
 
     def test_worked_allocation_100_rows_85_15(self):
-        matrix = labeled_matrix(15, 85)
-        split = split_stratified(matrix, seed=3)
-        assert split.train.class_counts() == {"Death": 12, "Recovered": 68}
+        train, _, _ = split(labeled_matrix(15, 85), seed=3)
+        assert train.class_counts() == {"Death": 12, "Recovered": 68}
 
     def test_same_seed_identical_assignment(self):
         matrix = labeled_matrix(20, 60)
-        a = split_stratified(matrix, seed=11)
-        b = split_stratified(matrix, seed=11)
-        assert a.train.keys == b.train.keys
-        assert a.test.keys == b.test.keys
+        a = split(matrix, seed=11)
+        b = split(matrix, seed=11)
+        assert a[0].keys == b[0].keys
+        assert a[2].keys == b[2].keys
 
     def test_splits_partition_the_keys(self):
         matrix = labeled_matrix(25, 75, seed=5)
-        split = split_stratified(matrix, seed=2)
-        combined = sorted(split.train.keys + split.validation.keys + split.test.keys)
+        combined = sorted(key for part in split(matrix, seed=2) for key in part.keys)
         assert combined == sorted(matrix.keys)
 
     def test_small_class_rejected(self):
-        matrix = labeled_matrix(2, 50)
         with pytest.raises(PrepareError):
-            split_stratified(matrix, seed=0)
+            split(labeled_matrix(2, 50), seed=0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

@@ -10,14 +10,14 @@ gains equal the kernel's; adjacent floats have their own test.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_best_gain_split, brute_force_best_split
 from vetpv.boosting import GbdtParams, fit_gbdt, gain_score
 from vetpv.explain import tree_shap_batch
 from vetpv.matrix import from_arrays
-from vetpv.trees import TreeParams, best_split, fit_cart, fit_tree, rank_bins
+from vetpv.models import ModelSpec, fit_model
+from vetpv.trees import TreeParams, best_split, fit_cart, rank_bins
 
 COLUMN_KINDS = ("grid", "binary", "integer", "constant", "copy", "mirror")
 
@@ -183,7 +183,7 @@ def test_adjacent_floats_never_leave_an_empty_child(data):
     X = adjacent_float_matrix(data.draw)
     y = labels_for(data.draw, len(X))
     matrix = from_arrays(X, y)
-    tree = fit_tree(matrix, TreeParams(max_depth=4))
+    tree = fit_model(ModelSpec("tree", {"max_depth": 4}), matrix)
     gbdt = fit_gbdt(matrix, GbdtParams(n_rounds=3, max_depth=3, learning_rate=0.3))
     for flat in [tree.tree, *gbdt.trees]:
         assert all(cover > 0 for cover in child_covers(flat))
@@ -198,12 +198,3 @@ def test_adjacent_pair_splits_between_its_values():
     tree = fit_cart(X, np.array([0, 0, 1, 1]), TreeParams(max_depth=1))
     assert tree.threshold[0] == 3.6
     assert (tree.cover[tree.children_left[0]], tree.cover[tree.children_right[0]]) == (2.0, 2.0)
-
-
-@pytest.mark.parametrize("bins", [2, 3, 16])
-def test_histogram_mode_is_a_coarser_code_map(bins):
-    rng = np.random.default_rng(bins)
-    X = rng.normal(size=(120, 3)).round(1)
-    y = (X[:, 0] + rng.normal(size=120) > 0).astype(np.int8)
-    model = fit_gbdt(from_arrays(X, y), GbdtParams(n_rounds=4, max_depth=3, histogram_bins=bins))
-    assert all(cover > 0 for tree in model.trees for cover in child_covers(tree))
