@@ -1,7 +1,8 @@
 """Second-order gradient boosting on logistic loss.
 
 Per round a regression tree is fitted to gradients g = p - y and hessians
-h = p (1 - p) by the CART split search (`trees.best_split`) with gain 0.5 *
+h = p (1 - p) by the tree growth CART and the forest use (`trees.grow_trees`,
+one tree at a time, so every sum keeps its order) with gain 0.5 *
 [G_L^2/(H_L+l) + G_R^2/(H_R+l) - G^2/(H+l)]; leaves are -sum(g)/(sum(h)+l).
 The raw margin base_score + eta * sum(trees) is the log-odds of Recovered.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import FitError, FlatTree, apply_tree, grow_tree, rank_bins
+from .trees import FitError, FlatTree, apply_tree, grow_trees, node_square, rank_bins
 
 PREVALENCE_CLIP = 1e-6
 
@@ -39,9 +40,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 def gain_score(min_child_weight: float, lam: float):
     """Second-order gain over (count, gradient, hessian) sums."""
 
-    def score(left, right, total):
+    def score(left, right, total, job):
         (_, gl, hl), (_, gr, hr) = left, right
-        gains = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - total[1] ** 2 / (total[2] + lam))
+        parent = (node_square(total[1]) / (total[2] + lam))[job]
+        gains = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent)
         return np.where((hl >= min_child_weight) & (hr >= min_child_weight), gains, -np.inf)
 
     return score
@@ -59,7 +61,7 @@ def _fit_round_tree(bins, g, h, w, params: GbdtParams, leaf_value) -> FlatTree:
         return depth < params.max_depth and len(rows) >= 2
 
     score = gain_score(params.min_child_weight, params.reg_lambda)
-    return grow_tree(bins, np.array([g, h]), score, make_node, splittable)
+    return grow_trees(bins, np.array([g, h]), score, [np.arange(len(g))], make_node, splittable)[0]
 
 
 class GradientBoostedModel:

@@ -246,15 +246,16 @@ def _data_path_text(path: Path) -> str:
     return f"bundled:{path.name}" if path == _DATA_DIR / path.name else str(path)
 
 
-def effective_config_text(config: PipelineConfig) -> str:
-    """Sorted flat dump of the effective configuration (printed and hashed)."""
+def effective_config_text(config: PipelineConfig, output_dir: bool = True) -> str:
+    """Sorted flat dump of the effective configuration (printed and hashed;
+    config_hash leaves out paths.output_dir, which says where the outputs go,
+    not what they are)."""
     items = {
         "paths.input_dir": str(config.input_dir),
         "paths.veddra": _data_path_text(config.veddra),
         "paths.atcvet": _data_path_text(config.atcvet),
         "paths.descriptors": _data_path_text(config.descriptors),
         "paths.species_groups": _data_path_text(config.species_groups),
-        "paths.output_dir": str(config.output_dir),
         "run.seed": config.seed,
         "prepare.correlation_threshold": config.correlation_threshold,
         "prepare.priority": ",".join(config.priority),
@@ -280,6 +281,8 @@ def effective_config_text(config: PipelineConfig) -> str:
         "explain.top_k": config.summary_top_k,
         "explain.max_rows": config.explain_max_rows,
     }
+    if output_dir:
+        items["paths.output_dir"] = str(config.output_dir)
     for key in sorted(config.model.params):
         items[f"model.{key}"] = config.model.params[key]
     lines = [f"{key} = {items[key]}" for key in sorted(items)]
@@ -287,4 +290,5 @@ def effective_config_text(config: PipelineConfig) -> str:
 
 
 def config_hash(config: PipelineConfig) -> str:
-    return hashlib.sha256(effective_config_text(config).encode("utf-8")).hexdigest()[:16]
+    text = effective_config_text(config, output_dir=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

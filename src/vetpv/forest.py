@@ -1,6 +1,7 @@
 """Random forest over the CART learner: bootstrap rows, random feature subset
-per split, per-tree RNG streams spawned from the seed so results do not depend
-on scheduling."""
+per split, per-tree RNG streams spawned from the seed. The trees grow in
+lockstep on one coding of the matrix (`trees.grow_cart`); each keeps its own
+stream and node order, so a tree is the same as if it grew alone."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import FitError, FlatTree, TreeParams, apply_tree, fit_cart, rank_bins
+from .trees import FitError, FlatTree, TreeParams, apply_tree, checked_matrix, grow_cart, rank_bins
+from .trees import fit_cart  # noqa: F401  perfbench/spans.py wraps forest.fit_cart in traced runs
 
 
 @dataclass(frozen=True)
@@ -71,27 +73,20 @@ def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> 
         raise FitError(f"n_trees must be >= 1, got {params.n_trees}")
     if matrix.labels is None:
         raise FitError("training matrix has no labels")
-    X = matrix.values
+    X = checked_matrix(matrix.values, params.min_leaf)
     y = matrix.labels
     n, d = X.shape
     m = params.features_per_split
     if m is None:
         m = max(1, int(round(math.sqrt(d))))
-    tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
-    bins = rank_bins(X)  # one coding for every tree; each bootstrap takes its rows
-
     streams = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    trees = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        tree = fit_cart(
-            X[rows],
-            y[rows],
-            tree_params,
-            features_per_split=None if m >= d else m,
-            rng=rng,
-            bins=bins.take(rows),
-        )
-        trees.append(tree)
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    # Bootstraps are row indices into the one coding; repeats count as rows.
+    roots = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
+
+    def draw(t):
+        return np.sort(rngs[t].choice(d, size=m, replace=False))
+
+    tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
+    trees = grow_cart(rank_bins(X), y, np.ones(n), tree_params, roots, None if m >= d else draw)
     return RandomForestModel(trees, matrix.column_names(), params)

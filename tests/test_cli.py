@@ -354,6 +354,20 @@ class TestEffectiveConfig:
         text = effective_config_text(load_config(config))
         assert f"paths.species_groups = {groups}\n" in text
 
+    def test_output_dir_does_not_change_the_hash(self, tmp_path):
+        from vetpv.config import config_hash, effective_config_text
+
+        (tmp_path / "quarters").mkdir()
+        config = tmp_path / "pipeline.ini"
+        configs = []
+        for out in ("out", "elsewhere/out"):
+            config.write_text(f"[paths]\ninput_dir = quarters\noutput_dir = {out}\n[run]\nseed = 1\n")
+            configs.append(load_config(config))
+        assert configs[0].output_dir != configs[1].output_dir
+        assert config_hash(configs[0]) == config_hash(configs[1])
+        for parsed in configs:
+            assert f"paths.output_dir = {parsed.output_dir}\n" in effective_config_text(parsed)
+
 
 class TestEnvOverrides:
     def test_output_dir_env_override(self, small_corpus, tmp_path, monkeypatch):

@@ -62,7 +62,29 @@ def test_fitted_trees_are_in_pre_order(spec, separable_matrix):
             assert tree.children_right[i] > i
 
 
-class TestCart:
+class InputChecks:
+    """The input checks of a CART-based learner; fit(X, y, min_leaf) fits it."""
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(FitError):
+            self.fit(np.zeros((0, 2)), np.zeros(0))
+
+    def test_nan_rejected(self):
+        X = np.array([[0.0], [np.nan]])
+        with pytest.raises(FitError):
+            self.fit(X, np.array([0, 1]))
+
+    def test_fewer_rows_than_min_leaf_rejected(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(FitError, match="min_leaf=4"):
+            self.fit(X, np.array([0, 1, 1]), min_leaf=4)
+
+
+class TestCart(InputChecks):
+    @staticmethod
+    def fit(X, y, min_leaf=1):
+        return fit_cart(X, y, TreeParams(min_leaf=min_leaf))
+
     def test_pure_labels_yield_single_leaf(self):
         tree = fit_cart(np.array([[0.0], [1.0], [2.0]]), np.array([1, 1, 1]))
         assert tree.n_nodes() == 1
@@ -122,17 +144,13 @@ class TestCart:
         tree = fit_cart(X, y, TreeParams(max_depth=6, min_leaf=5))
         assert all(tree.cover[tree.children_left == -1] >= 5)
 
-    def test_empty_training_set_rejected(self):
-        with pytest.raises(FitError):
-            fit_cart(np.zeros((0, 2)), np.zeros(0))
-
-    def test_nan_rejected(self):
-        X = np.array([[0.0], [np.nan]])
-        with pytest.raises(FitError):
-            fit_cart(X, np.array([0, 1]))
 
 
-class TestForest:
+class TestForest(InputChecks):
+    @staticmethod
+    def fit(X, y, min_leaf=1):
+        return fit_forest(from_arrays(X, y), ForestParams(n_trees=3, max_depth=2, min_leaf=min_leaf))
+
     def test_degenerate_forest_equals_single_tree(self, separable_matrix):
         params = ForestParams(n_trees=1, max_depth=4, bootstrap=False,
                               features_per_split=separable_matrix.n_cols, seed=0)

@@ -1,23 +1,27 @@
 """The shared split-search kernel against the brute-force oracles.
 
 CART is checked through fit_cart's root split against brute_force_best_split,
-boosting through best_split with the second-order gain against
-brute_force_best_gain_split. Inputs are built to hold the awkward cases: tied
-gains, duplicate rows, constant, binary and integer-coded columns, non-unit
-weights and min_leaf / min_child_weight exactly at a split's edge. Values sit
-on a grid of eighths, so every sum is exact in any order and the oracles'
-gains equal the kernel's; adjacent floats have their own test.
+boosting through find_splits with the second-order gain against
+brute_force_best_gain_split, and one batched find_splits call over several
+nodes against both oracles node by node. Inputs are built to hold the awkward
+cases: tied gains, duplicate rows, constant, binary and integer-coded columns,
+non-unit weights and min_leaf / min_child_weight exactly at a split's edge.
+Values sit on a grid of eighths, so every sum is exact in any order and the
+oracles' gains equal the kernel's; adjacent floats have their own tests.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_best_gain_split, brute_force_best_split
+from vetpv import trees
 from vetpv.boosting import GbdtParams, fit_gbdt, gain_score
 from vetpv.explain import tree_shap_batch
+from vetpv.forest import ForestParams, fit_forest
 from vetpv.matrix import from_arrays
-from vetpv.models import ModelSpec, fit_model
-from vetpv.trees import TreeParams, best_split, fit_cart, rank_bins
+from vetpv.models import ModelSpec, fit_model, serialize_model
+from vetpv.trees import TreeParams, find_splits, fit_cart, gini_score, rank_bins
 
 COLUMN_KINDS = ("grid", "binary", "integer", "constant", "copy", "mirror")
 
@@ -61,7 +65,7 @@ def oracle_split(found):
 def kernel_gain_split(X, g, h, reg_lambda, min_child_weight):
     bins = rank_bins(X)
     score = gain_score(min_child_weight, reg_lambda)
-    found = best_split(bins, np.arange(len(X)), None, np.array([g, h]), score)
+    [found] = find_splits(bins, [np.arange(len(X))], None, np.array([g, h]), score)
     if found is None:
         return None
     feature, lo, hi = found
@@ -159,16 +163,16 @@ class TestGainAgainstOracle:
                 assert kernel_gain_split(X, g, h, 1.0, 0.0)[0] == 0
 
 
+def adjacent_float_column(draw, n):
+    """A column whose values come in pairs a, nextafter(a, +inf)."""
+    base = np.asarray(draw(st.lists(st.integers(1, 400), min_size=1, max_size=4))) / 10
+    pool = np.concatenate([base, np.nextafter(base, np.inf)])
+    return pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+
+
 def adjacent_float_matrix(draw):
-    """Columns whose values come in pairs a, nextafter(a, +inf)."""
     n = draw(st.integers(4, 30))
-    columns = []
-    for _ in range(draw(st.integers(1, 3))):
-        base = np.asarray(draw(st.lists(st.integers(1, 400), min_size=1, max_size=4))) / 10
-        pool = np.concatenate([base, np.nextafter(base, np.inf)])
-        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-        columns.append(pool[picks])
-    return np.column_stack(columns)
+    return np.column_stack([adjacent_float_column(draw, n) for _ in range(draw(st.integers(1, 3)))])
 
 
 def child_covers(tree):
@@ -198,3 +202,103 @@ def test_adjacent_pair_splits_between_its_values():
     tree = fit_cart(X, np.array([0, 0, 1, 1]), TreeParams(max_depth=1))
     assert tree.threshold[0] == 3.6
     assert (tree.cover[tree.children_left[0]], tree.cover[tree.children_right[0]]) == (2.0, 2.0)
+
+
+def rank_matrix(X):
+    """Each column's values replaced by their rank: the same partitions, with
+    midpoints that never round onto a value."""
+    return np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T]).astype(np.float64)
+
+
+@st.composite
+def search_jobs(draw):
+    """One matrix with labels and eighths-grid gradients, and several jobs on
+    its one coding: rows drawn with repeats and two candidate columns each,
+    plus a job on two constant columns, a single-class job, a job on an
+    adjacent-float column and a job on a column and its exact copy."""
+    base = draw(matrices())
+    n = len(base)
+    y = labels_for(draw, n)
+    X = np.column_stack([base, np.full(n, 2.0), np.full(n, -1.0), adjacent_float_column(draw, n),
+                         base[:, 0]])
+    d = X.shape[1]
+    pair = st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True).map(sorted)
+
+    def some_rows():
+        return np.asarray(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+
+    jobs = [(some_rows(), draw(pair)) for _ in range(draw(st.integers(1, 4)))]
+    jobs += [(some_rows(), [d - 4, d - 3]), (np.flatnonzero(y == y[0]), draw(pair)),
+             (some_rows(), [0, d - 2]), (some_rows(), [0, d - 1])]
+    jobs = [jobs[i] for i in draw(st.permutations(range(len(jobs))))]
+    g = np.asarray(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 8
+    h = np.asarray(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 8
+    return X, y, g, h, jobs
+
+
+def batched(bins, jobs, stats, score):
+    rows, columns = [r for r, _ in jobs], np.array([c for _, c in jobs])
+    return find_splits(bins, rows, columns, stats, score)
+
+
+class TestBatchedSearch:
+    @given(search_jobs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_gini_job_matches_its_oracle(self, case):
+        X, y, _, _, jobs = case
+        bins = rank_bins(X)
+        stats = np.array([np.ones(len(y)), (y == 1).astype(float)])
+        found = batched(bins, jobs, stats, gini_score(1))
+        for (rows, columns), split in zip(jobs, found):
+            ranks = rank_matrix(X[rows][:, columns])
+            oracle = brute_force_best_split(ranks, y[rows])
+            if oracle is None:
+                assert split is None
+                continue
+            _, f, threshold = oracle
+            feature, lo, hi = split
+            assert feature == columns[f]
+            left = bins.codes[rows, feature] <= lo
+            assert np.array_equal(left, ranks[:, f] < threshold)
+            assert np.array_equal(left, X[rows, feature] < bins.threshold(feature, lo, hi))
+        d = X.shape[1]
+        for (rows, columns), split in zip(jobs, found):
+            if columns == [d - 4, d - 3] or len(set(y[rows])) == 1:
+                assert split is None
+            if columns == [0, d - 1] and split is not None:
+                assert split[0] == 0
+
+    @given(search_jobs(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.25, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_gain_job_matches_its_oracle(self, case, lam, mcw):
+        X, _, g, h, jobs = case
+        bins = rank_bins(X)
+        found = batched(bins, jobs, np.array([g, h]), gain_score(mcw, lam))
+        for (rows, columns), split in zip(jobs, found):
+            oracle = brute_force_best_gain_split(X[rows][:, columns], g[rows], h[rows], lam, mcw)
+            expected = None if oracle is None else (columns[oracle[1]], oracle[2])
+            got = None if split is None else (split[0], bins.threshold(*split))
+            assert got == expected
+
+    @given(search_jobs())
+    @settings(max_examples=60, deadline=None)
+    def test_a_job_finds_the_same_split_alone(self, case):
+        X, y, g, h, jobs = case
+        bins = rank_bins(X)
+        stats = np.array([np.ones(len(y)), (y == 1).astype(float), g, h])
+        score = gini_score(1)
+        alone = [batched(bins, [job], stats[:2], score)[0] for job in jobs]
+        assert batched(bins, jobs, stats[:2], score) == alone
+        score = gain_score(0.0, 1.0)
+        alone = [batched(bins, [job], stats[2:], score)[0] for job in jobs]
+        assert batched(bins, jobs, stats[2:], score) == alone
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_does_not_depend_on_the_batch_bound(bootstrap, separable_matrix, monkeypatch):
+    params = ForestParams(n_trees=6, max_depth=5, features_per_split=2, seed=9, bootstrap=bootstrap)
+    texts = set()
+    for bound in (1, trees.SEARCH_ELEMENTS, 1 << 30):
+        monkeypatch.setattr(trees, "SEARCH_ELEMENTS", bound)
+        texts.add(serialize_model(fit_forest(separable_matrix, params)))
+    assert len(texts) == 1
