@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import sigmoid
 from .matrix import FeatureMatrix
-from .trees import FitError
+from .trees import FitError, sigmoid
 
 log = logging.getLogger(__name__)
 

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import FitError, FlatTree, apply_tree, grow_trees, node_square, rank_bins
+from .trees import (FitError, FlatTree, TreeEnsemble, checked_matrix, grow_trees, node_square,
+                    rank_bins, sigmoid)
+# perfbench/spans.py wraps these names in traced runs
+from .trees import TreeEnsemble as GradientBoostedModel, apply_tree  # noqa: F401
 
 PREVALENCE_CLIP = 1e-6
 
@@ -26,15 +29,6 @@ class GbdtParams:
     max_depth: int = 4
     min_child_weight: float = 1.0
     reg_lambda: float = 1.0
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def gain_score(min_child_weight: float, lam: float):
@@ -64,68 +58,11 @@ def _fit_round_tree(bins, g, h, w, params: GbdtParams, leaf_value) -> FlatTree:
     return grow_trees(bins, np.array([g, h]), score, [np.arange(len(g))], make_node, splittable)[0]
 
 
-class GradientBoostedModel:
-    kind = "gbdt"
-
-    def __init__(
-        self,
-        base_score: float,
-        learning_rate: float,
-        trees: list[FlatTree],
-        feature_names: list[str],
-        params: GbdtParams | None = None,
-    ):
-        self.base_score = base_score
-        self.learning_rate = learning_rate
-        self.trees = trees
-        self.feature_names = list(feature_names)
-        self.params = params
-
-    def _check_width(self, X: np.ndarray):
-        if X.shape[1] != len(self.feature_names):
-            raise FitError(
-                f"expected {len(self.feature_names)} features, got {X.shape[1]}"
-            )
-
-    def raw_margin(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        self._check_width(X)
-        margin = np.full(len(X), self.base_score)
-        for tree in self.trees:
-            margin += self.learning_rate * apply_tree(tree, X)
-        return margin
-
-    def staged_margins(self, X: np.ndarray, checkpoints: list[int]) -> np.ndarray:
-        """Margins after each prefix length in checkpoints, in one pass."""
-        X = np.asarray(X, dtype=np.float64)
-        self._check_width(X)
-        bad = [t for t in checkpoints if t < 0 or t > len(self.trees)]
-        if bad:
-            raise FitError(f"checkpoints out of range: {bad}")
-        margin = np.full(len(X), self.base_score)
-        wanted = set(checkpoints)
-        staged = {}
-        if 0 in wanted:
-            staged[0] = margin.copy()
-        for t, tree in enumerate(self.trees, start=1):
-            margin += self.learning_rate * apply_tree(tree, X)
-            if t in wanted:
-                staged[t] = margin.copy()
-        return np.vstack([staged[t] for t in checkpoints])
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p1 = sigmoid(self.raw_margin(X))
-        return np.column_stack([1.0 - p1, p1])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.raw_margin(X) > 0.0).astype(np.int8)
-
-
 def fit_gbdt(
     matrix: FeatureMatrix,
     params: GbdtParams = GbdtParams(),
     sample_weight: np.ndarray | None = None,
-) -> GradientBoostedModel:
+) -> TreeEnsemble:
     """Boost params.n_rounds trees on logistic loss.
 
     base_score is the log-odds of the (weighted) training prevalence, clipped
@@ -135,9 +72,7 @@ def fit_gbdt(
         raise FitError(f"n_rounds must be >= 1, got {params.n_rounds}")
     if matrix.labels is None:
         raise FitError("training matrix has no labels")
-    X = matrix.values
-    if np.isnan(X).any():
-        raise FitError("training matrix contains NaN; impute before fitting")
+    X = checked_matrix(matrix.values, 1)
     y = matrix.labels.astype(np.float64)
     n = len(y)
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
@@ -157,10 +92,4 @@ def fit_gbdt(
         h = np.maximum(p * (1.0 - p), 1e-16) * w
         trees.append(_fit_round_tree(bins, g, h, w, params, leaf_value))
         margin += params.learning_rate * leaf_value
-    return GradientBoostedModel(
-        base_score=base_score,
-        learning_rate=params.learning_rate,
-        trees=trees,
-        feature_names=matrix.column_names(),
-        params=params,
-    )
+    return TreeEnsemble("gbdt", trees, matrix.column_names(), base_score, params.learning_rate)

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .models import MODEL_KINDS, ModelSpec, param_names
+from .models import MODEL_KINDS, TREE_KINDS, ModelSpec, param_names
 from .resample import ResamplePlan
 from .ssl import SslPlan
 from .trees import FitError
@@ -187,12 +187,12 @@ def load_config(path: Path) -> PipelineConfig:
     explain_model = _get(parser, "explain", "model", default="supervised")
     if explain_model not in ("supervised", "ssl"):
         raise ConfigError(f"[explain] model must be 'supervised' or 'ssl', got {explain_model!r}")
-    if explain_enabled and model_kind not in ("tree", "forest", "gbdt"):
+    if explain_enabled and model_kind not in TREE_KINDS:
         raise ConfigError(
             f"explanations require a tree model, but [model] kind is {model_kind!r}; "
             "set [explain] enabled = false"
         )
-    if ssl_enabled and model_kind not in ("tree", "forest", "gbdt"):
+    if ssl_enabled and model_kind not in TREE_KINDS:
         raise ConfigError(
             f"pseudo-labeling checkpoints require a tree model, but [model] kind is "
             f"{model_kind!r}; set [ssl] enabled = false"

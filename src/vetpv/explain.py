@@ -17,10 +17,10 @@ time, and tree_shap_batch returns one (n, d) array. Explaining every row
 path length, not a Python recursion per row and tree.
 
 Sign convention: the margin (and therefore every phi) is oriented toward
-Recovered; negative attributions push a prediction toward Death. Boosted
-ensembles are explained on the raw log-odds margin, forests on the
-cover-weighted mean of per-tree Recovered probabilities; base_value(model)
-plus a row's phi sum is its margin.
+Recovered; negative attributions push a prediction toward Death. Every model
+is explained on its margin (`TreeEnsemble.margin`): the raw log-odds for
+boosted ensembles, the plain mean of per-tree Recovered probabilities for
+forests; base_value(model) plus a row's phi sum is its margin.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .boosting import GradientBoostedModel
-from .forest import RandomForestModel
 from .matrix import FeatureMatrix
-from .trees import DecisionTreeModel, FlatTree
+from .trees import FlatTree, TreeEnsemble
 
 log = logging.getLogger(__name__)
 
@@ -72,31 +70,27 @@ def _root_expectation(flat: FlatTree) -> float:
     return expect[0]
 
 
-def _model_parts(model) -> tuple[list[FlatTree], np.ndarray, float]:
-    """(trees, per-tree weights, additive offset) for the margin output."""
-    if isinstance(model, GradientBoostedModel):
-        return model.trees, np.full(len(model.trees), model.learning_rate), model.base_score
-    if isinstance(model, RandomForestModel):
-        covers = np.array([tree.cover[0] for tree in model.trees])
-        return model.trees, covers / covers.sum(), 0.0
-    if isinstance(model, DecisionTreeModel):
-        return [model.tree], np.ones(1), 0.0
-    raise ExplainError(f"cannot explain model type {type(model).__name__}")
+def _tree_weights(model) -> list[float]:
+    """Each tree's weight in the margin: the learning rate, over the tree
+    count for a forest."""
+    if not isinstance(model, TreeEnsemble):
+        raise ExplainError(f"cannot explain model type {type(model).__name__}")
+    scale = len(model.trees) if model.kind == "forest" else 1
+    return [model.learning_rate / scale] * len(model.trees)
 
 
 def model_margin(model, X: np.ndarray) -> np.ndarray:
     """The quantity attributions sum to: log-odds margin for boosted models,
     Recovered probability for forests and single trees."""
-    if isinstance(model, GradientBoostedModel):
-        return model.raw_margin(X)
-    return model.predict_proba(X)[:, 1]
+    return model.margin(X)
 
 
 def base_value(model) -> float:
     """The margin's expectation under cover weights; every row's
     base_value + phi.sum() is its margin."""
-    flats, weights, base = _model_parts(model)
-    for flat, weight in zip(flats, weights):
+    weights = _tree_weights(model)
+    base = model.base_score
+    for flat, weight in zip(model.trees, weights):
         base += weight * _root_expectation(flat)
     return float(base)
 
@@ -193,9 +187,8 @@ def tree_shap_batch(model, X: np.ndarray) -> np.ndarray:
         raise ExplainError(
             f"expected rows of {len(model.feature_names)} features, got shape {X.shape}"
         )
-    flats, weights, _ = _model_parts(model)
     paths: dict[int, tuple] = {}
-    for flat, weight in zip(flats, weights):
+    for flat, weight in zip(model.trees, _tree_weights(model)):
         _tree_paths(flat, weight, paths)
     phi = np.zeros(X.shape)
     for m in sorted(paths):
@@ -428,29 +421,22 @@ def shap_values_csv(phi: np.ndarray, base: float, matrix: FeatureMatrix) -> Iter
         yield text([key, name, repr(value), base_text] for name, value in zip(names, row.tolist()))
 
 
-def rankings_csv(rankings: dict[str, ShapRanking], top_n: int = 10) -> str:
+def rankings_csv(scopes: dict[str, dict[str, ShapRanking]], top_n: int = 10) -> str:
+    """One CSV of every scope's rankings (aggregate_shap results by scope), in
+    scope order and then by group."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
         ["scope", "group", "end", "rank", "name", "mean_signed_shap", "mean_abs_shap", "support"]
     )
-    for group in sorted(rankings):
-        ranking = rankings[group]
-        top, bottom = ranking.top_bottom(top_n)
-        for end, entries in (("top", top), ("bottom", bottom)):
-            for rank, e in enumerate(entries, start=1):
-                writer.writerow(
-                    [
-                        ranking.scope,
-                        group,
-                        end,
-                        rank,
-                        e.name,
-                        repr(e.mean_signed_shap),
-                        repr(e.mean_abs_shap),
-                        e.support,
-                    ]
-                )
+    for rankings in scopes.values():
+        for group in sorted(rankings):
+            ranking = rankings[group]
+            top, bottom = ranking.top_bottom(top_n)
+            for end, entries in (("top", top), ("bottom", bottom)):
+                for rank, e in enumerate(entries, start=1):
+                    writer.writerow([ranking.scope, group, end, rank, e.name,
+                                     repr(e.mean_signed_shap), repr(e.mean_abs_shap), e.support])
     return buf.getvalue()
 
 

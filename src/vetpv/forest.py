@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import FitError, FlatTree, TreeParams, apply_tree, checked_matrix, grow_cart, rank_bins
-from .trees import fit_cart  # noqa: F401  perfbench/spans.py wraps forest.fit_cart in traced runs
+from .trees import FitError, TreeEnsemble, TreeParams, checked_matrix, grow_cart, rank_bins
+# perfbench/spans.py wraps these names in traced runs
+from .trees import TreeEnsemble as RandomForestModel, apply_tree, fit_cart  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -25,50 +26,7 @@ class ForestParams:
     bootstrap: bool = True
 
 
-class RandomForestModel:
-    kind = "forest"
-
-    def __init__(self, trees: list[FlatTree], feature_names: list[str], params: ForestParams):
-        self.trees = trees
-        self.feature_names = list(feature_names)
-        self.params = params
-
-    def _check_width(self, X: np.ndarray):
-        if X.shape[1] != len(self.feature_names):
-            raise FitError(
-                f"expected {len(self.feature_names)} features, got {X.shape[1]}"
-            )
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        self._check_width(X)
-        p1 = np.zeros(len(X))
-        for tree in self.trees:
-            p1 += apply_tree(tree, X)
-        p1 /= len(self.trees)
-        return np.column_stack([1.0 - p1, p1])
-
-    def staged_proba(self, X: np.ndarray, checkpoints: list[int]) -> np.ndarray:
-        """Class-1 probability of each prefix ensemble, in one pass."""
-        X = np.asarray(X, dtype=np.float64)
-        self._check_width(X)
-        bad = [t for t in checkpoints if t < 1 or t > len(self.trees)]
-        if bad:
-            raise FitError(f"checkpoints out of range: {bad}")
-        running = np.zeros(len(X))
-        wanted = set(checkpoints)
-        staged = {}
-        for t, tree in enumerate(self.trees, start=1):
-            running += apply_tree(tree, X)
-            if t in wanted:
-                staged[t] = running / t
-        return np.vstack([staged[t] for t in checkpoints])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] > 0.5).astype(np.int8)
-
-
-def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> RandomForestModel:
+def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> TreeEnsemble:
     if params.n_trees < 1:
         raise FitError(f"n_trees must be >= 1, got {params.n_trees}")
     if matrix.labels is None:
@@ -89,4 +47,4 @@ def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> 
 
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
     trees = grow_cart(rank_bins(X), y, np.ones(n), tree_params, roots, None if m >= d else draw)
-    return RandomForestModel(trees, matrix.column_names(), params)
+    return TreeEnsemble("forest", trees, matrix.column_names())

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .baselines import KnnModel, KnnParams, LogisticModel, LogisticParams, fit_knn, fit_logistic
-from .boosting import GbdtParams, GradientBoostedModel, fit_gbdt
-from .forest import ForestParams, RandomForestModel, fit_forest
+from .boosting import GbdtParams, fit_gbdt
+from .forest import ForestParams, fit_forest
 from .matrix import FeatureMatrix, from_arrays
-from .trees import DecisionTreeModel, FitError, FlatTree, TreeParams, fit_cart
+from .trees import FitError, FlatTree, TreeEnsemble, TreeParams, fit_cart
 
 MODEL_FORMAT_VERSION = 1
 
@@ -30,6 +30,7 @@ PARAMS = {
 ENSEMBLE_KEYS = ("seed", "n_folds", "members")  # what fit_model takes for vote/stack
 
 MODEL_KINDS = (*PARAMS, "vote", "stack")
+TREE_KINDS = ("tree", "forest", "gbdt")  # the kinds fitted as a TreeEnsemble
 
 
 def param_names(kind: str) -> set[str]:
@@ -74,7 +75,7 @@ def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
     kind_params = PARAMS[spec.kind](**params)
     if spec.kind == "tree":
         tree = fit_cart(matrix.values, matrix.labels, kind_params, sample_weight=sample_weight)
-        return DecisionTreeModel(tree, matrix.column_names(), kind_params)
+        return TreeEnsemble("tree", [tree], matrix.column_names())
     if spec.kind == "gbdt":
         return fit_gbdt(matrix, kind_params, sample_weight=sample_weight)
     if sample_weight is not None:
@@ -237,16 +238,12 @@ def _parse_vector(line: str, name: str) -> np.ndarray:
 def serialize_model(model) -> str:
     out: list[str] = [f"vetpv-model {MODEL_FORMAT_VERSION}", f"kind={model.kind}"]
     out.append("features=" + "\t".join(model.feature_names))
-    if model.kind == "tree":
-        _write_tree(model.tree, out)
-    elif model.kind == "forest":
-        out.append(f"n_trees={len(model.trees)}")
-        for tree in model.trees:
-            _write_tree(tree, out)
-    elif model.kind == "gbdt":
-        out.append(f"base_score={model.base_score!r}")
-        out.append(f"learning_rate={model.learning_rate!r}")
-        out.append(f"n_trees={len(model.trees)}")
+    if model.kind in TREE_KINDS:
+        if model.kind == "gbdt":
+            out.append(f"base_score={model.base_score!r}")
+            out.append(f"learning_rate={model.learning_rate!r}")
+        if model.kind != "tree":
+            out.append(f"n_trees={len(model.trees)}")
         for tree in model.trees:
             _write_tree(tree, out)
     elif model.kind == "logistic":
@@ -308,27 +305,20 @@ def parse_model(text: str):
     features = feature_line[len("features="):]
     feature_names = features.split("\t") if features else []
     pos = 3
-    if kind == "tree":
-        tree, pos = _read_tree(lines, pos)
-        return DecisionTreeModel(tree, feature_names, TreeParams())
-    if kind == "forest":
-        n_trees = int(lines[pos].split("=", 1)[1])
-        pos += 1
+    if kind in TREE_KINDS:
+        base_score, learning_rate, n_trees = 0.0, 1.0, 1
+        if kind == "gbdt":
+            base_score = float(lines[pos].split("=", 1)[1])
+            learning_rate = float(lines[pos + 1].split("=", 1)[1])
+            pos += 2
+        if kind != "tree":
+            n_trees = int(lines[pos].split("=", 1)[1])
+            pos += 1
         trees = []
         for _ in range(n_trees):
             tree, pos = _read_tree(lines, pos)
             trees.append(tree)
-        return RandomForestModel(trees, feature_names, ForestParams(n_trees=n_trees))
-    if kind == "gbdt":
-        base_score = float(lines[pos].split("=", 1)[1])
-        learning_rate = float(lines[pos + 1].split("=", 1)[1])
-        n_trees = int(lines[pos + 2].split("=", 1)[1])
-        pos += 3
-        trees = []
-        for _ in range(n_trees):
-            tree, pos = _read_tree(lines, pos)
-            trees.append(tree)
-        return GradientBoostedModel(base_score, learning_rate, trees, feature_names)
+        return TreeEnsemble(kind, trees, feature_names, base_score, learning_rate)
     if kind == "logistic":
         weights = _parse_vector(lines[pos], "weights")
         bias = float(lines[pos + 1].split("=", 1)[1])

@@ -471,18 +471,11 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, m
         )
     store.put_text("shap_values", explain.shap_values_csv(phi, base, dataset), "csv")
 
-    all_rankings = {}
-    for scope in ("ae_term", "ingredient"):
-        rankings = explain.aggregate_shap(phi, dataset, groups, scope)
-        all_rankings[scope] = rankings
-    buf = []
-    for scope, rankings in all_rankings.items():
-        buf.append(explain.rankings_csv(rankings, config.top_n))
-    header, *rest = buf[0].splitlines(keepends=True)
-    merged_rankings = header + "".join(
-        "".join(text.splitlines(keepends=True)[1:]) for text in buf
-    )
-    store.put_text("rankings", merged_rankings, "csv")
+    rankings = {
+        scope: explain.aggregate_shap(phi, dataset, groups, scope)
+        for scope in ("ae_term", "ingredient")
+    }
+    store.put_text("rankings", explain.rankings_csv(rankings, config.top_n), "csv")
 
     by_group = explain.group_rows(dataset, groups)
     summaries = {

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import GradientBoostedModel, sigmoid
-from .forest import RandomForestModel
 from .matrix import DEATH, RECOVERED, CLASS_NAMES, FeatureMatrix
 from .models import ModelSpec, fit_model
-from .trees import DecisionTreeModel
+from .trees import TreeEnsemble
 
 log = logging.getLogger(__name__)
 
@@ -55,30 +53,17 @@ def evenly_spaced_checkpoints(total: int, max_checkpoints: int = 50) -> tuple[in
 
 
 def make_checkpoints(model, max_checkpoints: int = 50) -> CheckpointSeries:
-    if isinstance(model, (GradientBoostedModel, RandomForestModel)):
-        total = len(model.trees)
-    elif isinstance(model, DecisionTreeModel):
-        total = 1  # a single tree has only the degenerate T=1 series
-    else:
+    """Checkpoints of a tree model; a single tree has only the degenerate T=1 series."""
+    if not isinstance(model, TreeEnsemble):
         raise SslError(f"checkpointing supports tree models, not {type(model).__name__}")
-    return CheckpointSeries(model=model, checkpoints=evenly_spaced_checkpoints(total, max_checkpoints))
+    return CheckpointSeries(model, evenly_spaced_checkpoints(len(model.trees), max_checkpoints))
 
 
 def staged_probabilities(series: CheckpointSeries, rows: np.ndarray) -> np.ndarray:
     """(T, n) matrix of Death probability per checkpoint, computed in one pass."""
-    rows = np.asarray(rows, dtype=np.float64)
-    model = series.model
-    checkpoints = list(series.checkpoints)
-    if isinstance(model, GradientBoostedModel):
-        margins = model.staged_margins(rows, checkpoints)
-        return 1.0 - sigmoid(margins)
-    if isinstance(model, RandomForestModel):
-        return 1.0 - model.staged_proba(rows, checkpoints)
-    if isinstance(model, DecisionTreeModel):
-        if list(checkpoints) != [1]:
-            raise SslError("a single tree only has the T=1 checkpoint")
-        return model.predict_proba(rows)[:, 0].reshape(1, -1)
-    raise SslError(f"unsupported model type {type(model).__name__}")
+    if not isinstance(series.model, TreeEnsemble):
+        raise SslError(f"unsupported model type {type(series.model).__name__}")
+    return 1.0 - series.model.staged_proba(rows, list(series.checkpoints))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """CART decision trees, the split search and tree growth they share with the
-forest and with boosting, and the one tree representation: `FlatTree` arrays,
+forest and with boosting, the one tree representation: `FlatTree` arrays,
 grown in pre-order and used as they are by prediction, attribution and
-serialization.
+serialization, and the one tree model: `TreeEnsemble`.
 
 Each fit codes its matrix once (`rank_bins`: one bin per distinct value of a
 column). `grow_trees` grows one tree, or a forest's trees in lockstep: each
@@ -320,24 +320,66 @@ def apply_tree(flat: FlatTree, X: np.ndarray) -> np.ndarray:
     return flat.value[node]
 
 
-class DecisionTreeModel:
-    """Single CART classifier over a feature matrix."""
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
-    kind = "tree"
 
-    def __init__(self, tree: FlatTree, feature_names: list[str], params: TreeParams):
-        self.tree = tree
+class TreeEnsemble:
+    """Trees plus the rule that combines them into a margin, for every tree
+    model: one CART tree ("tree"), a forest ("forest") or a boosted model
+    ("gbdt").
+
+    The margin of the first t trees is base_score + learning_rate * (sum of
+    their leaf values), divided by t for a forest: the log-odds of Recovered
+    for gbdt, P(Recovered) otherwise. A tree or forest keeps base_score 0 and
+    learning_rate 1, so its margin is its leaf value or the plain mean of its
+    trees' leaf values.
+    """
+
+    def __init__(self, kind: str, trees: list[FlatTree], feature_names: list[str],
+                 base_score: float = 0.0, learning_rate: float = 1.0):
+        self.kind = kind
+        self.trees = trees
         self.feature_names = list(feature_names)
-        self.params = params
+        self.base_score = base_score
+        self.learning_rate = learning_rate
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def staged_margins(self, X: np.ndarray, checkpoints: list[int]) -> np.ndarray:
+        """Margin of each prefix of t trees, t in checkpoints, in one pass."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != len(self.feature_names):
-            raise FitError(
-                f"expected {len(self.feature_names)} features, got {X.shape[1]}"
-            )
-        p1 = apply_tree(self.tree, X)
+            raise FitError(f"expected {len(self.feature_names)} features, got {X.shape[1]}")
+        lowest = 1 if self.kind == "forest" else 0  # a forest has no empty prefix
+        bad = [t for t in checkpoints if not lowest <= t <= len(self.trees)]
+        if bad:
+            raise FitError(f"checkpoints out of range: {bad}")
+        running = np.full(len(X), self.base_score)
+        wanted = set(checkpoints)
+        staged = {}
+        for t in range(len(self.trees) + 1):
+            if t:
+                running += self.learning_rate * apply_tree(self.trees[t - 1], X)
+            if t in wanted:
+                staged[t] = running / t if self.kind == "forest" else running.copy()
+        return np.vstack([staged[t] for t in checkpoints])
+
+    def staged_proba(self, X: np.ndarray, checkpoints: list[int]) -> np.ndarray:
+        """P(Recovered) of each prefix of t trees, t in checkpoints."""
+        margins = self.staged_margins(X, checkpoints)
+        return sigmoid(margins) if self.kind == "gbdt" else margins
+
+    def margin(self, X: np.ndarray) -> np.ndarray:
+        return self.staged_margins(X, [len(self.trees)])[0]
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        p1 = self.staged_proba(X, [len(self.trees)])[0]
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] > 0.5).astype(np.int8)
+        threshold = 0.0 if self.kind == "gbdt" else 0.5
+        return (self.margin(X) > threshold).astype(np.int8)

@@ -29,7 +29,7 @@ from vetpv.prepare import normalize_units, stratified_assignment
 from vetpv.resample import ResamplePlan, apply_plan, enn, random_resample, smote
 from vetpv.ssl import SslPlan, compute_aum, ssl_train
 from vetpv.synth import write_corpus
-from vetpv.trees import DecisionTreeModel, TreeParams, fit_cart
+from vetpv.trees import TreeEnsemble, TreeParams, fit_cart
 
 CORPUS_SEED = 20240801
 
@@ -112,7 +112,7 @@ def test_criterion_1_treeshap_oracle_equivalence(separable_matrix):
     n_features = 4
     for _ in range(200):
         flat = random_cover_tree(rng, n_features=n_features, max_depth=3)
-        model = DecisionTreeModel(flat, [f"f{j}" for j in range(n_features)], TreeParams())
+        model = TreeEnsemble("tree", [flat], [f"f{j}" for j in range(n_features)])
         rows = rng.uniform(size=(50, n_features))
         for x, got in zip(rows, tree_shap_batch(model, rows)):
             subsets = all_subset_values(flat, x, n_features)

@@ -10,6 +10,7 @@ from oracles import brute_force_shapley, random_cover_tree
 from vetpv import explain
 from vetpv.boosting import GbdtParams, fit_gbdt
 from vetpv.explain import (
+    LOCAL_ACCURACY_TOL,
     ExplainError,
     SpeciesGroupMap,
     aggregate_shap,
@@ -24,7 +25,7 @@ from vetpv.explain import (
 )
 from vetpv.forest import ForestParams, fit_forest
 from vetpv.matrix import DEATH, RECOVERED, ColumnMeta, FeatureMatrix, from_arrays
-from vetpv.trees import DecisionTreeModel, FlatTree, TreeParams
+from vetpv.trees import FlatTree, TreeEnsemble
 
 
 def flat_tree(*nodes):
@@ -34,7 +35,7 @@ def flat_tree(*nodes):
 
 
 def single_tree_model(tree, n_features=2):
-    return DecisionTreeModel(tree, [f"f{j}" for j in range(n_features)], TreeParams())
+    return TreeEnsemble("tree", [tree], [f"f{j}" for j in range(n_features)])
 
 
 def explain_rows(model, X):
@@ -81,6 +82,19 @@ class TestTreeShap:
         phi, base = explain_rows(model, X)
         assert np.allclose(base + phi.sum(axis=1), model_margin(model, X), rtol=0, atol=1e-9)
 
+    def test_local_accuracy_on_forest_of_unequal_covers(self):
+        # the forest margin is the plain mean of its trees, whatever their root covers
+        model = TreeEnsemble("forest", [
+            flat_tree((1, 2, 0, 0.5, 0.0, 10.0), (-1, -1, -1, 0.0, 0.4, 5.0),
+                      (-1, -1, -1, 0.0, 0.6, 5.0)),
+            flat_tree((1, 2, 0, 0.5, 0.0, 30.0), (-1, -1, -1, 0.0, 0.2, 15.0),
+                      (-1, -1, -1, 0.0, 0.3, 15.0)),
+        ], ["f0"])
+        X = np.array([[0.0], [1.0]])
+        phi, base = explain_rows(model, X)
+        assert np.allclose(model_margin(model, X), [0.3, 0.45], rtol=0, atol=1e-15)
+        assert local_accuracy_error(phi, base, model_margin(model, X)) <= LOCAL_ACCURACY_TOL
+
     def test_dummy_feature_gets_zero(self, rng):
         # trees that never split on feature 3
         for _ in range(10):
@@ -114,7 +128,7 @@ class TestTreeShap:
         phi = tree_shap_batch(model, X)
         assert np.array_equal(phi, [[-1.0, 0.0], [0.0, 0.0]])
         for x, got in zip(X, phi):
-            assert np.array_equal(got, brute_force_shapley(model.tree, x, 2))
+            assert np.array_equal(got, brute_force_shapley(model.trees[0], x, 2))
 
     def test_rows_do_not_depend_on_blocking(self, separable_matrix, monkeypatch):
         model = fit_forest(separable_matrix, ForestParams(n_trees=6, max_depth=6, seed=3))

@@ -14,7 +14,7 @@ from vetpv.baselines import (
     fit_logistic,
     logistic_loss_grad,
 )
-from vetpv.boosting import GbdtParams, GradientBoostedModel, fit_gbdt, sigmoid
+from vetpv.boosting import GbdtParams, fit_gbdt, sigmoid
 from vetpv.forest import ForestParams, fit_forest
 from vetpv.matrix import DEATH, RECOVERED, from_arrays
 from vetpv.models import (
@@ -26,7 +26,7 @@ from vetpv.models import (
     parse_model,
     serialize_model,
 )
-from vetpv.trees import FitError, FlatTree, TreeParams, fit_cart
+from vetpv.trees import FitError, FlatTree, TreeEnsemble, TreeParams, fit_cart
 
 
 def matrix_of(X, y):
@@ -48,15 +48,11 @@ TREE_SPECS = [
 ]
 
 
-def trees_of(model):
-    return [model.tree] if model.kind == "tree" else model.trees
-
-
 @pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.kind)
 def test_fitted_trees_are_in_pre_order(spec, separable_matrix):
     model = fit_model(spec, separable_matrix)
-    assert any(len(split_nodes(tree)) for tree in trees_of(model))
-    for tree in trees_of(model):
+    assert any(len(split_nodes(tree)) for tree in model.trees)
+    for tree in model.trees:
         for i in split_nodes(tree):
             assert tree.children_left[i] == i + 1
             assert tree.children_right[i] > i
@@ -231,8 +227,12 @@ class TestGbdt:
         with pytest.raises(FitError):
             fit_gbdt(separable_matrix, GbdtParams(n_rounds=0))
 
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(FitError):
+            fit_gbdt(matrix_of(np.zeros((0, 2)), np.zeros(0)), GbdtParams(n_rounds=2))
+
     def test_zero_trees_predicts_base_probability(self):
-        model = GradientBoostedModel(0.4, 0.1, [], ["f0"])
+        model = TreeEnsemble("gbdt", [], ["f0"], 0.4, 0.1)
         proba = model.predict_proba(np.array([[0.0], [5.0]]))
         assert np.allclose(proba[:, 1], sigmoid(np.array([0.4, 0.4])))
 
@@ -364,9 +364,7 @@ class TestPredictProba:
 
     def test_forest_of_identical_single_leaf_trees(self):
         leaf = FlatTree(*(np.array([v]) for v in (-1, -1, -1, 0.0, 0.25, 10.0)))
-        from vetpv.forest import RandomForestModel
-
-        model = RandomForestModel([leaf, leaf, leaf], ["f0"], ForestParams(n_trees=3))
+        model = TreeEnsemble("forest", [leaf, leaf, leaf], ["f0"])
         proba = model.predict_proba(np.array([[1.0]]))
         assert np.allclose(proba, [[0.75, 0.25]])
 
@@ -388,7 +386,7 @@ def stub_member(death_prob):
     """Single-constant model emitting the requested Death probability."""
     p_recovered = 1.0 - death_prob
     base = math.log(p_recovered / (1 - p_recovered))
-    return GradientBoostedModel(base, 0.1, [], ["f0"])
+    return TreeEnsemble("gbdt", [], ["f0"], base, 0.1)
 
 
 class TestEnsembles:
@@ -474,14 +472,14 @@ class TestSerialization:
     def test_roundtrip_preserves_tree_arrays(self, spec, separable_matrix):
         model = fit_model(spec, separable_matrix)
         clone = parse_model(serialize_model(model))
-        assert len(trees_of(clone)) == len(trees_of(model))
-        for got, want in zip(trees_of(clone), trees_of(model)):
+        assert len(clone.trees) == len(model.trees)
+        for got, want in zip(clone.trees, model.trees):
             for field in dataclasses.fields(FlatTree):
                 assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
 
     def test_node_lines_carry_cover(self, separable_matrix):
         model = fit_model(ModelSpec("tree", {"max_depth": 2}), separable_matrix)
         text = serialize_model(model)
-        assert f"{model.tree.cover.tolist()[0]!r}" in text
+        assert f"{model.trees[0].cover.tolist()[0]!r}" in text
         assert text.splitlines()[3].startswith("tree nodes=")
-        assert model.tree.n_nodes() == int(text.splitlines()[3].split("=")[1])
+        assert model.trees[0].n_nodes() == int(text.splitlines()[3].split("=")[1])

@@ -189,7 +189,7 @@ def test_adjacent_floats_never_leave_an_empty_child(data):
     matrix = from_arrays(X, y)
     tree = fit_model(ModelSpec("tree", {"max_depth": 4}), matrix)
     gbdt = fit_gbdt(matrix, GbdtParams(n_rounds=3, max_depth=3, learning_rate=0.3))
-    for flat in [tree.tree, *gbdt.trees]:
+    for flat in [*tree.trees, *gbdt.trees]:
         assert all(cover > 0 for cover in child_covers(flat))
     for model in (tree, gbdt):
         assert np.isfinite(tree_shap_batch(model, X)).all()

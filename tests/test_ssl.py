@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vetpv.boosting import GradientBoostedModel
 from vetpv.forest import ForestParams, fit_forest
 from vetpv.matrix import DEATH, RECOVERED, from_arrays
 from vetpv.models import ModelSpec, fit_model, serialize_model
@@ -18,6 +17,7 @@ from vetpv.ssl import (
     ssl_train,
     staged_probabilities,
 )
+from vetpv.trees import TreeEnsemble
 
 
 @pytest.fixture
@@ -39,16 +39,26 @@ class TestStagedProbabilities:
         assert staged.shape == (1, labeled.n_rows)
         assert np.allclose(staged[0], model.predict_proba(labeled.values)[:, 0])
 
-    def test_incremental_equals_naive_prefix_oracle(self, labeled):
-        model = fit_model(ModelSpec("gbdt", {"n_rounds": 12, "max_depth": 2}), labeled)
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("gbdt", {"n_rounds": 12, "max_depth": 2}),
+        ModelSpec("forest", {"n_trees": 12, "max_depth": 3, "seed": 4}),
+    ], ids=lambda s: s.kind)
+    def test_incremental_equals_naive_prefix_oracle(self, spec, labeled):
+        model = fit_model(spec, labeled)
         checkpoints = (1, 4, 7, 12)
         staged = staged_probabilities(CheckpointSeries(model, checkpoints), labeled.values)
         for row, t in enumerate(checkpoints):
-            prefix = GradientBoostedModel(
-                model.base_score, model.learning_rate, model.trees[:t], model.feature_names
-            )
+            prefix = TreeEnsemble(model.kind, model.trees[:t], model.feature_names,
+                                  model.base_score, model.learning_rate)
             naive = prefix.predict_proba(labeled.values)[:, 0]
-            assert np.allclose(staged[row], naive, atol=1e-12)
+            assert np.array_equal(staged[row], naive)
+
+    def test_single_tree_has_one_checkpoint(self, labeled):
+        model = fit_model(ModelSpec("tree", {"max_depth": 3}), labeled)
+        series = make_checkpoints(model)
+        assert series.checkpoints == (1,)
+        staged = staged_probabilities(series, labeled.values)
+        assert np.array_equal(staged, model.predict_proba(labeled.values)[:, 0][None])
 
     def test_forest_prefix_equals_full_forest_at_final_checkpoint(self, labeled):
         model = fit_forest(labeled, ForestParams(n_trees=9, max_depth=3, seed=4))
