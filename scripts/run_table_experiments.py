@@ -55,10 +55,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config.output_dir = Path(tmp)
         store = pipeline.ArtifactStore(config.output_dir)
-        tables, _ = pipeline.stage_ingest(config, store)
-        reports, _ = pipeline.stage_harmonize(config, store, tables)
-        cleaned, _ = pipeline.stage_prepare(config, store, reports)
-        matrices, _ = pipeline.stage_split(config, store, cleaned)
+        _, outputs = pipeline.run_stages(config, store, ("ingest", "harmonize", "prepare", "split"))
+        matrices = outputs["split"]
 
     train, test, unlabeled = matrices["train"], matrices["test"], matrices["unlabeled"]
     runs = []

@@ -28,6 +28,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_STAGE = 2
 
+# the stages each per-stage subcommand runs, in order
+COMMAND_STAGES = {
+    "ingest": ("ingest",),
+    "prepare": ("harmonize", "prepare", "split", "resample"),
+    "train": ("train",),
+    "ssl": ("ssl",),
+    "evaluate": ("evaluate",),
+    "explain": ("explain",),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -111,36 +121,9 @@ def main(argv=None) -> int:
             print(f"run complete: {len(report.stages)} stages, hash {report.config_hash}")
             return EXIT_OK
         store = pipeline.ArtifactStore(config.output_dir)
-        if args.command == "ingest":
-            tables, stats = pipeline.stage_ingest(config, store)
-            if args.csv:
-                bulkio.export_csv(tables, config.output_dir / "csv")
-            print(f"ingested {stats['reports']} reports from {len(stats['files'])} files")
-        elif args.command == "prepare":
-            reports, _ = pipeline.stage_harmonize(config, store)
-            cleaned, counts = pipeline.stage_prepare(config, store, reports)
-            matrices, split_details = pipeline.stage_split(config, store, cleaned)
-            pipeline.stage_resample(config, store, matrices)
-            print(
-                f"prepared {len(cleaned)} reports "
-                f"(labeled {split_details['labeled']}, unlabeled {split_details['unlabeled']})"
-            )
-        elif args.command == "train":
-            _, details = pipeline.stage_train(config, store)
-            print(f"trained {details['kind']} on {details['train_rows']} rows")
-        elif args.command == "ssl":
-            _, details = pipeline.stage_ssl(config, store)
-            print(f"pseudo-labeled {details['pseudo_rows']} rows over {details['rounds_run']} rounds")
-        elif args.command == "evaluate":
-            details = pipeline.stage_evaluate(config, store)
-            for name, values in details.items():
-                print(f"{name}: weighted_f1={values['weighted_f1']}")
-        elif args.command == "explain":
-            details = pipeline.stage_explain(config, store)
-            print(
-                f"explained {details['rows_explained']} rows; "
-                f"max local-accuracy error {details['max_local_accuracy_error']:.2e}"
-            )
+        _, outputs = pipeline.run_stages(config, store, COMMAND_STAGES[args.command])
+        if args.command == "ingest" and args.csv:
+            bulkio.export_csv(outputs["ingest"], config.output_dir / "csv")
         return EXIT_OK
     except pipeline.MissingArtifactError as exc:
         print(f"missing prerequisite: {exc}", file=sys.stderr)

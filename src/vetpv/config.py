@@ -32,7 +32,6 @@ class PipelineConfig:
     # paths
     input_dir: Path
     veddra: Path
-    atcvet: Path
     descriptors: Path
     species_groups: Path
     output_dir: Path
@@ -107,7 +106,6 @@ def load_config(path: Path) -> PipelineConfig:
 
     input_dir = resolve("paths", "input_dir")
     veddra = resolve("paths", "veddra", required=False) or _DATA_DIR / "veddra.tsv"
-    atcvet = resolve("paths", "atcvet", required=False) or _DATA_DIR / "atcvet.tsv"
     descriptors = resolve("paths", "descriptors", required=False) or _DATA_DIR / "descriptors.tsv"
     species_groups = (
         resolve("paths", "species_groups", required=False) or _DATA_DIR / "species_groups.tsv"
@@ -121,7 +119,6 @@ def load_config(path: Path) -> PipelineConfig:
     for name, p in (
         ("input_dir", input_dir),
         ("veddra", veddra),
-        ("atcvet", atcvet),
         ("descriptors", descriptors),
         ("species_groups", species_groups),
     ):
@@ -217,7 +214,6 @@ def load_config(path: Path) -> PipelineConfig:
     return PipelineConfig(
         input_dir=input_dir,
         veddra=veddra,
-        atcvet=atcvet,
         descriptors=descriptors,
         species_groups=species_groups,
         output_dir=Path(output_dir),
@@ -253,7 +249,6 @@ def effective_config_text(config: PipelineConfig, output_dir: bool = True) -> st
     items = {
         "paths.input_dir": str(config.input_dir),
         "paths.veddra": _data_path_text(config.veddra),
-        "paths.atcvet": _data_path_text(config.atcvet),
         "paths.descriptors": _data_path_text(config.descriptors),
         "paths.species_groups": _data_path_text(config.species_groups),
         "run.seed": config.seed,

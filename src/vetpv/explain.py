@@ -325,10 +325,11 @@ def _display_name(meta) -> str:
 def aggregate_shap(
     phi: np.ndarray,
     matrix: FeatureMatrix,
-    groups: SpeciesGroupMap,
+    by_group: dict[str, np.ndarray],
     scope: str,
 ) -> dict[str, ShapRanking]:
-    """Support-conditioned mean attributions per species group.
+    """Support-conditioned mean attributions per species group, over the row
+    indices per group that group_rows returns.
 
     For indicator columns the signed mean runs over rows where the indicator
     is active and such columns need support >= 1 to appear; other columns use
@@ -339,7 +340,6 @@ def aggregate_shap(
             f"attributions of shape {phi.shape} for a {matrix.n_rows} x {matrix.n_cols} matrix"
         )
     columns = _scope_columns(matrix, scope)
-    by_group = group_rows(matrix, groups)
     rankings: dict[str, ShapRanking] = {}
     for group, rows in by_group.items():
         if len(rows) == 0:

@@ -119,32 +119,6 @@ def map_atcvet(code: str) -> str:
 
 
 @dataclass
-class AtcvetIndex:
-    """Snapshot of subgroup display names, keyed by level-4 code."""
-
-    names: dict[str, str]
-
-    @classmethod
-    def load(cls, path: Path | None = None) -> "AtcvetIndex":
-        path = path or _DATA_DIR / "atcvet.tsv"
-        names: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header[:2] != ["code", "subgroup"]:
-                raise OntologyError(f"{path}: expected header 'code<TAB>subgroup'")
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                code, name = line.split("\t")[:2]
-                names[validate_atcvet(code)] = name.strip()
-        return cls(names=names)
-
-    def name_for(self, code: str) -> str | None:
-        return self.names.get(code)
-
-
-@dataclass
 class MergedReport:
     """One row per report after joining the four tables."""
 

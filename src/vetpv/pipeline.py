@@ -131,10 +131,6 @@ class ArtifactStore:
             )
         return (self.out_dir / filename).read_text(encoding="utf-8")
 
-    def has(self, name: str) -> bool:
-        filename = self._manifest.get(name)
-        return filename is not None and (self.out_dir / filename).exists()
-
 
 @dataclass
 class StageRecord:
@@ -208,10 +204,62 @@ def _columns_from_json(text: str) -> list[ColumnMeta]:
     ]
 
 
+# --- reading upstream results -----------------------------------------------------
+
+
+def load_tables(store: ArtifactStore):
+    texts = {name: store.get_text(f"bulk_{name}") for name in bulkio.TABLE_NAMES}
+    return bulkio.import_bulk_string(texts)
+
+
+SPLIT_NAMES = ("train", "validation", "test", "unlabeled")
+
+
+def load_split(store: ArtifactStore) -> dict[str, FeatureMatrix]:
+    columns = _columns_from_json(store.get_text("columns"))
+    return {
+        name: matrix_mod.from_csv(store.get_text(f"matrix_{name}"), columns)
+        for name in SPLIT_NAMES
+    }
+
+
+def load_resampled(store: ArtifactStore) -> FeatureMatrix:
+    columns = _columns_from_json(store.get_text("columns"))
+    return matrix_mod.from_csv(store.get_text("matrix_train_resampled"), columns)
+
+
+# stage name -> its result, read back from the artifacts the stage stored
+LOADERS = {
+    "ingest": load_tables,
+    "harmonize": lambda store: harmonize.merged_from_csv(store.get_text("merged")),
+    "prepare": lambda store: harmonize.merged_from_csv(store.get_text("cleaned")),
+    "split": load_split,
+    "resample": load_resampled,
+    "train": lambda store: parse_model(store.get_text("model")),
+    "ssl": lambda store: parse_model(store.get_text("model_ssl")),
+}
+
+
+class StageOutputs(dict):
+    """Stage results by stage name. The result of a stage that did not run in
+    this process is read back through LOADERS on every lookup and not kept, so
+    it lives only as long as the stage that reads it: read each one once."""
+
+    def __init__(self, store: ArtifactStore):
+        super().__init__()
+        self.store = store
+
+    def __missing__(self, stage: str):
+        return LOADERS[stage](self.store)
+
+
 # --- stages ---------------------------------------------------------------------
+#
+# stage_<name>(config, store, outputs) reads upstream results only as
+# outputs["<stage>"] and returns (result, rows_in, rows_out, details).
 
 
-def stage_ingest(config: PipelineConfig, store: ArtifactStore):
+def stage_ingest(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
     paths = sorted(
         p for p in Path(config.input_dir).iterdir()
         if p.name.endswith(".json") or p.name.endswith(".json.gz")
@@ -235,19 +283,12 @@ def stage_ingest(config: PipelineConfig, store: ArtifactStore):
     for name in bulkio.TABLE_NAMES:
         store.put_text(f"bulk_{name}", texts[name], "tsv")
     store.put_text("parse_stats", json.dumps(stats, indent=1, sort_keys=True), "json")
-    return tables, stats
+    return tables, 0, len(tables.main), stats
 
 
-def load_tables(store: ArtifactStore):
-    texts = {name: store.get_text(f"bulk_{name}") for name in bulkio.TABLE_NAMES}
-    return bulkio.import_bulk_string(texts)
-
-
-def stage_harmonize(config: PipelineConfig, store: ArtifactStore, tables=None):
-    if tables is None:
-        tables = load_tables(store)
+def stage_harmonize(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    tables = outputs["ingest"]
     veddra = harmonize.VeddraMap.load(config.veddra)
-    harmonize.AtcvetIndex.load(config.atcvet)  # validates the snapshot grammar
     provider = ingest.http_provider_from_env() or ingest.TableDescriptorProvider.from_tsv(
         config.descriptors
     )
@@ -265,16 +306,11 @@ def stage_harmonize(config: PipelineConfig, store: ArtifactStore, tables=None):
         "ingredients_with_descriptors": len(descriptor_map),
     }
     store.put_text("merge_stats", json.dumps(details, indent=1, sort_keys=True), "json")
-    return reports, details
+    return reports, len(tables.main), len(reports), details
 
 
-def load_merged(store: ArtifactStore):
-    return harmonize.merged_from_csv(store.get_text("merged"))
-
-
-def stage_prepare(config: PipelineConfig, store: ArtifactStore, reports=None):
-    if reports is None:
-        reports = load_merged(store)
+def stage_prepare(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    reports = outputs["harmonize"]
     normalized, rejects = prepare.normalize_all(reports)
     cleaned, removal_counts = prepare.filter_rows(normalized)
     store.put_text("cleaned", harmonize.merged_to_csv(cleaned), "csv")
@@ -282,19 +318,11 @@ def stage_prepare(config: PipelineConfig, store: ArtifactStore, reports=None):
     store.put_text("rejects", rejects_csv, "csv")
     details = {"rejected_rows": len(rejects), **removal_counts}
     store.put_text("removal_counts", json.dumps(details, indent=1, sort_keys=True), "json")
-    return cleaned, details
+    return cleaned, len(reports), len(cleaned), details
 
 
-def load_cleaned(store: ArtifactStore):
-    return harmonize.merged_from_csv(store.get_text("cleaned"))
-
-
-SPLIT_NAMES = ("train", "validation", "test", "unlabeled")
-
-
-def stage_split(config: PipelineConfig, store: ArtifactStore, cleaned=None):
-    if cleaned is None:
-        cleaned = load_cleaned(store)
+def stage_split(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    cleaned = outputs["prepare"]
     labeled = [r for r in cleaned if r.outcome in (ingest.Outcome.DIED, ingest.Outcome.RECOVERED)]
     unlabeled = [r for r in cleaned if r.outcome not in (ingest.Outcome.DIED, ingest.Outcome.RECOVERED)]
     if not labeled:
@@ -346,21 +374,11 @@ def stage_split(config: PipelineConfig, store: ArtifactStore, cleaned=None):
         },
     }
     store.put_text("split_stats", json.dumps(details, indent=1, sort_keys=True), "json")
-    return matrices, details
+    return matrices, len(cleaned), sum(m.n_rows for m in matrices.values()), details
 
 
-def load_split(store: ArtifactStore) -> dict[str, FeatureMatrix]:
-    columns = _columns_from_json(store.get_text("columns"))
-    return {
-        name: matrix_mod.from_csv(store.get_text(f"matrix_{name}"), columns)
-        for name in SPLIT_NAMES
-    }
-
-
-def stage_resample(config: PipelineConfig, store: ArtifactStore, matrices=None):
-    if matrices is None:
-        matrices = load_split(store)
-    train = matrices["train"]
+def stage_resample(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    train = outputs["split"]["train"]
     resampled = apply_plan(train, config.resample)
     if resampled is train:  # strategy none: the train matrix is already stored
         store.alias("matrix_train_resampled", "matrix_train")
@@ -372,47 +390,28 @@ def stage_resample(config: PipelineConfig, store: ArtifactStore, matrices=None):
         "after": resampled.class_counts(),
     }
     store.put_text("resample_stats", json.dumps(details, indent=1, sort_keys=True), "json")
-    return resampled, details
+    return resampled, train.n_rows, resampled.n_rows, details
 
 
-def load_resampled(store: ArtifactStore) -> FeatureMatrix:
-    columns = _columns_from_json(store.get_text("columns"))
-    return matrix_mod.from_csv(store.get_text("matrix_train_resampled"), columns)
-
-
-def stage_train(config: PipelineConfig, store: ArtifactStore, train=None):
-    if train is None:
-        train = load_resampled(store)
+def stage_train(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    train = outputs["resample"]
     model = fit_model(config.model, train)
     store.put_text("model", serialize_model(model), "txt")
-    return model, {"kind": config.model.kind, "train_rows": train.n_rows}
+    details = {"kind": config.model.kind, "train_rows": train.n_rows}
+    return model, train.n_rows, train.n_rows, details
 
 
-def load_model(store: ArtifactStore, name: str = "model"):
-    return parse_model(store.get_text(name))
-
-
-def stage_ssl(config: PipelineConfig, store: ArtifactStore, matrices=None, train=None,
-              model=None):
-    if matrices is None:
-        matrices = load_split(store)
-    if train is None:
-        train = load_resampled(store)
-    if not store.has("model"):
-        raise MissingArtifactError(
-            "ssl requires a trained baseline; expected artifact 'model' "
-            f"under {store.out_dir} (run the train stage first)"
-        )
-    if model is None:
-        model = load_model(store)
+def stage_ssl(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    baseline = outputs["train"]
+    unlabeled = outputs["split"]["unlabeled"]
     model, provenance, summary = ssl.ssl_train(
-        train, matrices["unlabeled"], config.ssl, model=model
+        outputs["resample"], unlabeled, config.ssl, model=baseline
     )
     store.put_text("model_ssl", serialize_model(model), "txt")
     store.put_text("ssl_provenance", ssl.provenance_csv(provenance), "csv")
     details = {**summary, "keep_fraction": config.ssl.keep_fraction}
     store.put_text("ssl_stats", json.dumps(details, indent=1, sort_keys=True), "json")
-    return model, details
+    return model, unlabeled.n_rows, details["pseudo_rows"], details
 
 
 _METRIC_COLUMNS = (
@@ -425,13 +424,11 @@ _METRIC_COLUMNS = (
 )
 
 
-def stage_evaluate(config: PipelineConfig, store: ArtifactStore, matrices=None, models=None):
-    if matrices is None:
-        matrices = load_split(store)
-    if models is None:
-        models = {"supervised": load_model(store)}
-        if store.has("model_ssl"):
-            models["ssl"] = load_model(store, "model_ssl")
+def stage_evaluate(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    matrices = outputs["split"]
+    models = {"supervised": outputs["train"]}
+    if config.ssl_enabled:
+        models["ssl"] = outputs["ssl"]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["model", "variant", "sampling", "dataset", *_METRIC_COLUMNS])
@@ -448,16 +445,14 @@ def stage_evaluate(config: PipelineConfig, store: ArtifactStore, matrices=None, 
                 col: round(getattr(report, col), 4) for col in _METRIC_COLUMNS
             }
     store.put_text("metrics", buf.getvalue(), "csv")
-    return details
+    test_rows = matrices["test"].n_rows
+    return None, test_rows, test_rows, details
 
 
-def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, model=None):
-    if matrices is None:
-        matrices = load_split(store)
-    if model is None:
-        name = "model_ssl" if config.explain_model == "ssl" else "model"
-        model = load_model(store, name)
-    dataset = matrices[config.explain_dataset]
+def stage_explain(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    dataset = outputs["split"][config.explain_dataset]
+    model = outputs["ssl" if config.explain_model == "ssl" else "train"]
+    rows_in = dataset.n_rows
     if config.explain_max_rows and dataset.n_rows > config.explain_max_rows:
         dataset = dataset.take_rows(np.arange(config.explain_max_rows))
     groups = explain.SpeciesGroupMap.load(config.species_groups)
@@ -471,13 +466,13 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, m
         )
     store.put_text("shap_values", explain.shap_values_csv(phi, base, dataset), "csv")
 
+    by_group = explain.group_rows(dataset, groups)
     rankings = {
-        scope: explain.aggregate_shap(phi, dataset, groups, scope)
+        scope: explain.aggregate_shap(phi, dataset, by_group, scope)
         for scope in ("ae_term", "ingredient")
     }
     store.put_text("rankings", explain.rankings_csv(rankings, config.top_n), "csv")
 
-    by_group = explain.group_rows(dataset, groups)
     summaries = {
         group: explain.shap_summary(phi, dataset, rows, config.summary_top_k)
         for group, rows in by_group.items()
@@ -491,20 +486,23 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, matrices=None, m
         "notes": "horse is grouped as Livestock by the default map; override via "
                  "the species_groups file if a different placement is wanted",
     }
-    return details
+    return None, rows_in, dataset.n_rows, details
 
 
-def run(config: PipelineConfig, echo=print) -> RunReport:
-    """Execute every stage in order, persisting artifacts and the run report."""
-    echo("effective configuration:")
-    echo(effective_config_text(config))
-    store = ArtifactStore(config.output_dir)
+def run_stages(config: PipelineConfig, store: ArtifactStore, names, echo=print):
+    """Run the named stages in order and return (report, outputs).
+
+    Each stage is the module attribute stage_<name>, looked up when it runs,
+    so a replaced attribute (a test's stub, a tracing wrapper) is what runs.
+    A failing stage is recorded in a partial run_report.json before the error
+    propagates.
+    """
     report = RunReport(config_hash=config_hash(config))
-
-    def timed(name, rows_in, fn, *args):
+    outputs = StageOutputs(store)
+    for name in names:
         start = time.perf_counter()
         try:
-            result = fn(config, store, *args)
+            result, rows_in, rows_out, details = globals()[f"stage_{name}"](config, store, outputs)
         except Exception as exc:
             # persist the partial report so the failing stage is on record
             report.failed_stage = name
@@ -513,69 +511,18 @@ def run(config: PipelineConfig, echo=print) -> RunReport:
             raise
         seconds = time.perf_counter() - start
         echo(f"stage {name}: {seconds:.2f}s")
-        return result, seconds
+        report.add(StageRecord(name, seconds, rows_in, rows_out, details))
+        outputs[name] = result
+    return report, outputs
 
-    (tables, ingest_stats), secs = timed("ingest", 0, stage_ingest)
-    report.add(StageRecord("ingest", secs, 0, len(tables.main), ingest_stats))
 
-    (reports, merge_details), secs = timed("harmonize", len(tables.main), stage_harmonize, tables)
-    report.add(StageRecord("harmonize", secs, len(tables.main), len(reports), merge_details))
-
-    (cleaned, prep_details), secs = timed("prepare", len(reports), stage_prepare, reports)
-    report.add(StageRecord("prepare", secs, len(reports), len(cleaned), prep_details))
-
-    (matrices, split_details), secs = timed("split", len(cleaned), stage_split, cleaned)
-    report.add(
-        StageRecord(
-            "split", secs, len(cleaned),
-            sum(m.n_rows for m in matrices.values()), split_details,
-        )
-    )
-
-    (resampled, resample_details), secs = timed(
-        "resample", matrices["train"].n_rows, stage_resample, matrices
-    )
-    report.add(
-        StageRecord(
-            "resample", secs, matrices["train"].n_rows, resampled.n_rows, resample_details
-        )
-    )
-
-    (model, train_details), secs = timed("train", resampled.n_rows, stage_train, resampled)
-    report.add(StageRecord("train", secs, resampled.n_rows, resampled.n_rows, train_details))
-
-    models = {"supervised": model}
-    if config.ssl_enabled:
-        (ssl_model, ssl_details), secs = timed("ssl", matrices["unlabeled"].n_rows,
-                                               stage_ssl, matrices, resampled, model)
-        report.add(
-            StageRecord(
-                "ssl", secs, matrices["unlabeled"].n_rows,
-                ssl_details.get("pseudo_rows", 0), ssl_details,
-            )
-        )
-        models["ssl"] = ssl_model
-
-    eval_details, secs = timed(
-        "evaluate", matrices["test"].n_rows, stage_evaluate, matrices, models
-    )
-    report.add(
-        StageRecord("evaluate", secs, matrices["test"].n_rows, matrices["test"].n_rows, eval_details)
-    )
-
-    if config.explain_enabled:
-        explain_model = models["ssl"] if config.explain_model == "ssl" else model
-        explain_details, secs = timed(
-            "explain", matrices[config.explain_dataset].n_rows,
-            stage_explain, matrices, explain_model,
-        )
-        report.add(
-            StageRecord(
-                "explain", secs, matrices[config.explain_dataset].n_rows,
-                explain_details["rows_explained"], explain_details,
-            )
-        )
-
+def run(config: PipelineConfig, echo=print) -> RunReport:
+    """Execute every enabled stage in order, persisting artifacts and the run report."""
+    echo("effective configuration:")
+    echo(effective_config_text(config))
+    enabled = {"ssl": config.ssl_enabled, "explain": config.explain_enabled}
+    names = [name for name in STAGES if enabled.get(name, True)]
+    report, _ = run_stages(config, ArtifactStore(config.output_dir), names, echo)
     _replace_file(config.output_dir / "run_report.json", [report.to_json()])
     _replace_file(config.output_dir / "effective_config.txt", [effective_config_text(config)])
     return report

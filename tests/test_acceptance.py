@@ -76,10 +76,10 @@ def prepared(corpus, tmp_path_factory):
     config = load_config(corpus / "pipeline.ini")
     config = replace(config, output_dir=out)
     store = pipeline.ArtifactStore(out)
-    tables, _ = pipeline.stage_ingest(config, store)
-    reports, _ = pipeline.stage_harmonize(config, store, tables)
-    cleaned, _ = pipeline.stage_prepare(config, store, reports)
-    return config, store, cleaned
+    _, outputs = pipeline.run_stages(
+        config, store, ("ingest", "harmonize", "prepare"), echo=lambda *a: None
+    )
+    return config, store, outputs["prepare"]
 
 
 def all_subset_values(flat, x, n_features):
@@ -319,7 +319,9 @@ def test_criterion_8_paper_trend_checks(prepared):
     seeds = (11, 12, 13, 14, 15)
     for seed in seeds:
         cfg = replace(config, seed=seed)
-        matrices, _ = pipeline.stage_split(cfg, store, cleaned)
+        outputs = pipeline.StageOutputs(store)
+        outputs["prepare"] = cleaned
+        matrices = pipeline.stage_split(cfg, store, outputs)[0]
         train, test, unlabeled = matrices["train"], matrices["test"], matrices["unlabeled"]
 
         dt_spec = ModelSpec("tree", {"max_depth": 6})

@@ -212,8 +212,8 @@ class TestAggregation:
             [0.0, 0.0, -0.6, 0.0, 0.0, 0.1, 0.0],
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         ]
-        groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ae_term")
+        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ae_term")
         companion = rankings["Companion"]
         heart = [e for e in companion.entries if e.name == "Heart disorders"][0]
         assert heart.mean_signed_shap == pytest.approx(-0.4)
@@ -226,24 +226,24 @@ class TestAggregation:
     def test_inactive_indicator_excluded(self):
         matrix = grouped_matrix()
         phis = [[0.0] * 7] * 4
-        groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ae_term")
+        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ae_term")
         poultry = rankings["Poultry"]  # row d has no active AE indicators
         assert poultry.entries == []
 
     def test_other_column_left_out_of_term_rankings(self):
         matrix = grouped_matrix()
         phis = [[0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]] * 4
-        groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ingredient")
+        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ingredient")
         names = [e.name for e in rankings["Companion"].entries]
         assert "OTHER" not in names
 
     def test_matches_group_by_oracle(self, rng):
         matrix = grouped_matrix()
         phis = rng.normal(size=(4, 7))
-        groups = SpeciesGroupMap.load()
-        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, groups, "ae_term")
+        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ae_term")
         # independent recomputation for the Companion group (rows 0 and 1)
         rows = [0, 1]
         heart_active = [i for i in rows if matrix.values[i, 2] == 1.0]
@@ -261,7 +261,8 @@ class TestAggregation:
         phis = [[0.0] * 6 + [0.0]] * 4
         with caplog.at_level("WARNING"):
             rankings = aggregate_shap(
-                np.asarray(phis, dtype=float), matrix, SpeciesGroupMap.load(), "ae_term"
+                np.asarray(phis, dtype=float), matrix,
+                group_rows(matrix, SpeciesGroupMap.load()), "ae_term",
             )
         assert "Poultry" not in rankings
         assert "no rows" in caplog.text
@@ -282,6 +283,26 @@ class TestAggregation:
         assert names == ["Dog", "Dog", "Cattle", "UNKNOWN"]
         by_group = group_rows(matrix, SpeciesGroupMap.load())
         assert list(by_group["Poultry"]) == []
+
+    def test_explain_stage_warns_once_about_unknown_species(self, small_corpus, tmp_path, caplog):
+        from vetpv import pipeline
+        from vetpv.config import load_config
+
+        matrix = grouped_matrix()
+        matrix.values[3, 1] = 0  # UNKNOWN code
+        stump = flat_tree(
+            (1, 2, 0, 2.5, 0.0, 4.0),
+            (-1, -1, -1, 0.0, -0.3, 2.0),
+            (-1, -1, -1, 0.0, 0.4, 2.0),
+        )
+        config = load_config(small_corpus / "pipeline.ini")
+        outputs = pipeline.StageOutputs(pipeline.ArtifactStore(tmp_path))
+        outputs["split"] = {config.explain_dataset: matrix}
+        outputs["train"] = single_tree_model(stump, n_features=matrix.n_cols)
+        with caplog.at_level("WARNING"):
+            pipeline.stage_explain(config, outputs.store, outputs)
+        unknown = [r for r in caplog.records if "unknown species" in r.getMessage()]
+        assert len(unknown) == 1
 
 
 class TestSummary:
@@ -375,7 +396,10 @@ class TestLocalAccuracyGate:
         ))
         config = load_config(small_corpus / "pipeline.ini")
         store = pipeline.ArtifactStore(tmp_path)
-        matrices = {config.explain_dataset: from_arrays(self.X, np.array([0, 1]))}
+        outputs = pipeline.StageOutputs(store)
+        outputs["split"] = {config.explain_dataset: from_arrays(self.X, np.array([0, 1]))}
+        outputs["train"] = nan_leaf
         with pytest.raises(pipeline.StageError, match="nan"):
-            pipeline.stage_explain(config, store, matrices, nan_leaf)
-        assert not store.has("shap_values")
+            pipeline.stage_explain(config, store, outputs)
+        with pytest.raises(pipeline.MissingArtifactError):
+            store.get_text("shap_values")

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vetpv.harmonize import (
-    AtcvetIndex,
     MergeError,
     OntologyError,
     VeddraMap,
@@ -81,11 +80,6 @@ class TestAtcvet:
     )
     def test_idempotent_on_valid_codes(self, code):
         assert map_atcvet(map_atcvet(code)) == map_atcvet(code)
-
-    def test_snapshot_index_loads_and_names(self):
-        index = AtcvetIndex.load()
-        assert index.name_for("QJ01CA") == "Penicillins with extended spectrum"
-        assert index.name_for("QZ99ZZ") is None
 
 
 def tables_for_merge():
