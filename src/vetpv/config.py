@@ -1,15 +1,17 @@
 """Sectioned key=value pipeline configuration.
 
 Files are INI-style (configparser, no interpolation). The seed is mandatory;
-every referenced path must exist at validation time. The effective
-configuration is dumped (sorted) at the start of a run and hashed into the
-run report so reruns can be compared.
+every referenced path must exist at validation time. A key that nothing reads
+is logged as a warning, except in [model], where it is an error. The
+effective configuration is dumped (sorted) at the start of a run and hashed
+into the run report so reruns can be compared.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +23,8 @@ from .trees import FitError
 
 OUTPUT_DIR_ENV = "VETPV_OUTPUT_DIR"
 _DATA_DIR = Path(__file__).parent / "data"
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -42,7 +46,6 @@ class PipelineConfig:
     priority: tuple[str, ...] = ("molecular_weight",)
     top_k: int = 256
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    list_encoding: str = "multi_hot"
     # resample
     resample: ResamplePlan = field(default_factory=ResamplePlan)
     # model
@@ -75,7 +78,16 @@ def _coerce(value: str):
     return text
 
 
-def _get(parser, section, key, default=None, required=False):
+class _IniFile(configparser.ConfigParser):
+    """A parsed ini that remembers which keys _get has read."""
+
+    def __init__(self):
+        super().__init__(interpolation=None)
+        self.read_keys: set[tuple[str, str]] = set()
+
+
+def _get(parser: _IniFile, section, key, default=None, required=False):
+    parser.read_keys.add((section, key))
     if parser.has_option(section, key):
         return parser.get(section, key).strip()
     if required:
@@ -87,7 +99,7 @@ def load_config(path: Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = _IniFile()
     parser.read(path, encoding="utf-8")
 
     base = path.parent
@@ -111,10 +123,9 @@ def load_config(path: Path) -> PipelineConfig:
         resolve("paths", "species_groups", required=False) or _DATA_DIR / "species_groups.tsv"
     )
     output_override = os.environ.get(OUTPUT_DIR_ENV)
+    output_dir = resolve("paths", "output_dir", required=not output_override)
     if output_override:
         output_dir = Path(output_override)
-    else:
-        output_dir = resolve("paths", "output_dir")
 
     for name, p in (
         ("input_dir", input_dir),
@@ -203,15 +214,7 @@ def load_config(path: Path) -> PipelineConfig:
     if not (0 < threshold <= 1):
         raise ConfigError(f"correlation_threshold must be in (0, 1], got {threshold}")
 
-    list_encoding = _get(parser, "prepare", "list_encoding", default="multi_hot")
-    if list_encoding not in ("multi_hot", "label"):
-        raise ConfigError(f"list_encoding must be multi_hot or label, got {list_encoding!r}")
-    if explain_enabled and list_encoding == "label":
-        raise ConfigError(
-            "per-term rankings need multi_hot list encoding; disable explain for label mode"
-        )
-
-    return PipelineConfig(
+    config = PipelineConfig(
         input_dir=input_dir,
         veddra=veddra,
         descriptors=descriptors,
@@ -222,7 +225,6 @@ def load_config(path: Path) -> PipelineConfig:
         priority=priority,
         top_k=int(_get(parser, "prepare", "top_k", default="256")),
         ratios=ratios,
-        list_encoding=list_encoding,
         resample=resample,
         model=model,
         ssl_enabled=ssl_enabled,
@@ -234,6 +236,13 @@ def load_config(path: Path) -> PipelineConfig:
         summary_top_k=int(_get(parser, "explain", "top_k", default="15")),
         explain_max_rows=int(_get(parser, "explain", "max_rows", default="0")),
     )
+    for section in parser.sections():
+        if section == "model":  # its keys are model params, checked above
+            continue
+        for key in parser.options(section):
+            if (section, key) not in parser.read_keys:
+                log.warning("%s: [%s] %s is not an option; ignoring it", path, section, key)
+    return config
 
 
 def _data_path_text(path: Path) -> str:
@@ -256,7 +265,6 @@ def effective_config_text(config: PipelineConfig, output_dir: bool = True) -> st
         "prepare.priority": ",".join(config.priority),
         "prepare.top_k": config.top_k,
         "prepare.ratios": ",".join(repr(r) for r in config.ratios),
-        "prepare.list_encoding": config.list_encoding,
         "resample.strategy": config.resample.strategy,
         "resample.target_ratio": config.resample.target_ratio,
         "resample.k_smote": config.resample.k_smote,

@@ -273,8 +273,6 @@ def group_rows(matrix: FeatureMatrix, groups: SpeciesGroupMap) -> dict[str, np.n
 
 # --- aggregation views -----------------------------------------------------------
 
-SCOPES = ("ae_term", "ingredient", "all")
-
 _SCOPE_FIELDS = {"ae_term": "ae_terms", "ingredient": "ingredients"}
 
 
@@ -297,11 +295,9 @@ class ShapRanking:
 
 
 def _scope_columns(matrix: FeatureMatrix, scope: str) -> list[int]:
-    if scope == "all":
-        return list(range(matrix.n_cols))
     field = _SCOPE_FIELDS.get(scope)
     if field is None:
-        raise ExplainError(f"unknown scope {scope!r} (expected one of {SCOPES})")
+        raise ExplainError(f"unknown scope {scope!r} (expected one of {tuple(_SCOPE_FIELDS)})")
     from .prepare import OTHER_TOKEN
 
     cols = [

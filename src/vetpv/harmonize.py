@@ -43,17 +43,16 @@ class MergeError(ValueError):
 
 @dataclass
 class VeddraMap:
-    """Term-code-or-name lookup onto (HLT, SOC); names matched case-insensitively."""
+    """Term-code-or-name lookup onto the HLT; names matched case-insensitively.
+    Columns of the TSV after the HLT (the SOC) are not read."""
 
     to_hlt: dict[str, str]
-    soc_of: dict[str, str]
     hlt_names: set[str]
 
     @classmethod
     def load(cls, path: Path | None = None) -> "VeddraMap":
         path = path or _DATA_DIR / "veddra.tsv"
         to_hlt: dict[str, str] = {}
-        soc_of: dict[str, str] = {}
         hlt_names: set[str] = set()
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
@@ -69,9 +68,7 @@ class VeddraMap:
                     raise OntologyError(f"{path}:{lineno}: empty HLT for term {term!r}")
                 to_hlt[term.lower()] = hlt
                 hlt_names.add(hlt.lower())
-                if len(cells) > 2 and cells[2].strip():
-                    soc_of[hlt.lower()] = cells[2].strip()
-        return cls(to_hlt=to_hlt, soc_of=soc_of, hlt_names=hlt_names)
+        return cls(to_hlt=to_hlt, hlt_names=hlt_names)
 
 
 def map_veddra(term: AERow, table: VeddraMap) -> str:
@@ -147,7 +144,6 @@ class MergeStats:
     under_specified_codes: int = 0
     invalid_codes: int = 0
     missing_outcome: int = 0
-    extra_outcomes: int = 0
 
 
 def _sum_descriptors(descriptor_rows: list[ChemDescriptors]) -> ChemDescriptors:
@@ -168,7 +164,7 @@ def merge_reports(
 
     List fields keep source order and duplicates. The descriptor mapping is
     keyed by lower-cased ingredient name. Reports with no parseable outcome
-    row fall back to Unknown; extra outcome rows beyond the first are counted.
+    row fall back to Unknown; outcome rows beyond the first are ignored.
     Duplicate report keys in the main table are a hard error.
     """
     keys = [row.key for row in tables.main]
@@ -202,7 +198,6 @@ def merge_reports(
             outcome = Outcome.UNKNOWN
         else:
             outcome = outcome_rows[0].medical_status
-            stats.extra_outcomes += max(0, len(outcome_rows) - 1)
 
         ingredients, subgroups, routes, forms = [], [], [], []
         descriptor_rows = []

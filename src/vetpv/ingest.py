@@ -137,7 +137,7 @@ class ChemDescriptors:
 class RawTables:
     """The four relational tables of one parsed corpus, keyed by report id.
 
-    Treated as immutable after construction; safe to share across threads.
+    The parser fills the lists; no later stage modifies them.
     """
 
     main: list[MainRow] = field(default_factory=list)

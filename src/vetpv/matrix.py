@@ -18,8 +18,6 @@ DEATH = 0
 RECOVERED = 1
 CLASS_NAMES = ("Death", "Recovered")
 
-MATRIX_FORMAT_VERSION = 1
-
 
 class MatrixError(ValueError):
     pass
@@ -31,15 +29,13 @@ class ColumnMeta:
 
     kind is one of "numeric", "encoded_categorical", "multi_hot".
     category_map (encoded_categorical only) is a bijection name -> code with
-    code 0 reserved for UNKNOWN. source_vocabulary (multi_hot only) is the
-    fitted vocabulary of the originating list field. source_field names the
-    report field this column was derived from.
+    code 0 reserved for UNKNOWN. source_field names the report field this
+    column was derived from.
     """
 
     name: str
     kind: str
     category_map: dict[str, int] | None = None
-    source_vocabulary: tuple[str, ...] | None = None
     source_field: str | None = None
 
     def __post_init__(self):

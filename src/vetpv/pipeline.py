@@ -182,7 +182,6 @@ def _columns_to_json(columns: list[ColumnMeta]) -> str:
                 "name": c.name,
                 "kind": c.kind,
                 "category_map": c.category_map,
-                "source_vocabulary": list(c.source_vocabulary) if c.source_vocabulary else None,
                 "source_field": c.source_field,
             }
             for c in columns
@@ -197,7 +196,6 @@ def _columns_from_json(text: str) -> list[ColumnMeta]:
             name=c["name"],
             kind=c["kind"],
             category_map=c["category_map"],
-            source_vocabulary=tuple(c["source_vocabulary"]) if c["source_vocabulary"] else None,
             source_field=c["source_field"],
         )
         for c in json.loads(text)
@@ -215,12 +213,21 @@ def load_tables(store: ArtifactStore):
 SPLIT_NAMES = ("train", "validation", "test", "unlabeled")
 
 
-def load_split(store: ArtifactStore) -> dict[str, FeatureMatrix]:
-    columns = _columns_from_json(store.get_text("columns"))
-    return {
-        name: matrix_mod.from_csv(store.get_text(f"matrix_{name}"), columns)
-        for name in SPLIT_NAMES
-    }
+class SplitMatrices(dict):
+    """The split's matrices by name, each parsed from its artifact on first
+    lookup, so a stage pays only for the matrices it reads."""
+
+    def __init__(self, store: ArtifactStore):
+        super().__init__()
+        self.store = store
+        self.columns = _columns_from_json(store.get_text("columns"))
+
+    def __missing__(self, name: str) -> FeatureMatrix:
+        if name not in SPLIT_NAMES:
+            raise KeyError(name)
+        text = self.store.get_text(f"matrix_{name}")
+        matrix = self[name] = matrix_mod.from_csv(text, self.columns)
+        return matrix
 
 
 def load_resampled(store: ArtifactStore) -> FeatureMatrix:
@@ -233,7 +240,7 @@ LOADERS = {
     "ingest": load_tables,
     "harmonize": lambda store: harmonize.merged_from_csv(store.get_text("merged")),
     "prepare": lambda store: harmonize.merged_from_csv(store.get_text("cleaned")),
-    "split": load_split,
+    "split": SplitMatrices,
     "resample": load_resampled,
     "train": lambda store: parse_model(store.get_text("model")),
     "ssl": lambda store: parse_model(store.get_text("model_ssl")),
@@ -337,14 +344,14 @@ def stage_split(config: PipelineConfig, store: ArtifactStore, outputs: StageOutp
     test_reports = [r for r, a in zip(labeled, assignment) if a == 2]
 
     imputer = prepare.fit_imputer(train_reports)
-    spec = prepare.EncodingSpec(top_k=config.top_k, list_encoding=config.list_encoding)
-    encoder = prepare.fit_encoder(prepare.apply_imputer(imputer, train_reports), spec)
+    imputed_train = prepare.apply_imputer(imputer, train_reports)
+    encoder = prepare.fit_encoder(imputed_train, config.top_k)
     store.put_text("encoder", encoder.to_json(), "json")
 
     def transform(rows, require_labels):
         return encoder.transform(prepare.apply_imputer(imputer, rows), require_labels)
 
-    train = transform(train_reports, True)
+    train = encoder.transform(imputed_train, True)
     pruned_train, dropped = prepare.prune_correlated(
         train, config.correlation_threshold, config.priority
     )

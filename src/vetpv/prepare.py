@@ -23,7 +23,7 @@ DAYS_PER_YEAR = 365.25
 POUND_TO_KG_NUM = 45359237.0
 POUND_TO_KG_DEN = 1e8
 
-ENCODER_FORMAT_VERSION = 1
+ENCODER_FORMAT_VERSION = 2
 
 LACK_OF_EFFICACY_HLT = "lack of efficacy"
 
@@ -185,8 +185,8 @@ def apply_imputer(stats: ImputerStats, reports) -> list[MergedReport]:
 def filter_rows(reports) -> tuple[list[MergedReport], dict[str, int]]:
     """Drop euthanized rows and lack-of-efficacy reports; fold sequela recoveries.
 
-    Date/year information never becomes a feature: the default encoding spec
-    below simply has no column for it.
+    Date/year information never becomes a feature: the encoded fields below
+    have no column for it.
     """
     counts = {"euthanized": 0, "lack_of_efficacy": 0, "relabeled_sequela": 0}
     kept: list[MergedReport] = []
@@ -213,51 +213,23 @@ MULTI_HOT_FIELDS = ("ae_terms", "ingredients", "atcvet_subgroups", "routes", "do
 OTHER_TOKEN = "OTHER"
 
 
-@dataclass(frozen=True)
-class EncodingSpec:
-    numeric: tuple[str, ...] = NUMERIC_FIELDS
-    categorical: tuple[str, ...] = CATEGORICAL_FIELDS
-    multi_hot: tuple[str, ...] = MULTI_HOT_FIELDS
-    top_k: int = 256
-    # "multi_hot" expands list fields to per-term indicators; "label" encodes
-    # the backslash-joined concatenation as a single categorical code.
-    list_encoding: str = "multi_hot"
-
-
 def _field_value(report: MergedReport, name: str):
     if name in ChemDescriptors.FIELDS:
         return getattr(report.descriptors, name)
     return getattr(report, name)
 
 
-def _check_fields(spec: EncodingSpec):
-    probe = MergedReport(
-        key="", species="", breed=None, gender=None, age_value=None, age_unit=None,
-        weight_value=None, weight_unit=None, outcome=Outcome.UNKNOWN, ae_terms=[],
-        ingredients=[], atcvet_subgroups=[], routes=[], dosage_forms=[],
-        descriptors=ChemDescriptors(),
-    )
-    for name in (*spec.numeric, *spec.categorical, *spec.multi_hot):
-        try:
-            _field_value(probe, name)
-        except AttributeError:
-            raise PrepareError(f"encoding spec names unknown column {name!r}") from None
-
-
 @dataclass
 class FittedEncoder:
-    spec: EncodingSpec
+    top_k: int
     category_maps: dict[str, dict[str, int]]
     vocabularies: dict[str, tuple[str, ...]]
     columns: list[ColumnMeta] = field(init=False)
 
     def __post_init__(self):
-        self.columns = self._build_columns()
-
-    def _build_columns(self) -> list[ColumnMeta]:
-        columns = [ColumnMeta(name=n, kind="numeric", source_field=n) for n in self.spec.numeric]
-        for name in self.spec.categorical:
-            columns.append(
+        self.columns = [ColumnMeta(name=n, kind="numeric", source_field=n) for n in NUMERIC_FIELDS]
+        for name in CATEGORICAL_FIELDS:
+            self.columns.append(
                 ColumnMeta(
                     name=name,
                     kind="encoded_categorical",
@@ -265,69 +237,41 @@ class FittedEncoder:
                     source_field=name,
                 )
             )
-        if self.spec.list_encoding == "label":
-            for name in self.spec.multi_hot:
-                columns.append(
-                    ColumnMeta(
-                        name=name,
-                        kind="encoded_categorical",
-                        category_map=self.category_maps[name],
-                        source_field=name,
-                    )
+        for name in MULTI_HOT_FIELDS:
+            for token in (*self.vocabularies[name], OTHER_TOKEN):
+                self.columns.append(
+                    ColumnMeta(name=f"{name}={token}", kind="multi_hot", source_field=name)
                 )
-        else:
-            for name in self.spec.multi_hot:
-                vocab = self.vocabularies[name]
-                for token in (*vocab, OTHER_TOKEN):
-                    columns.append(
-                        ColumnMeta(
-                            name=f"{name}={token}",
-                            kind="multi_hot",
-                            source_vocabulary=vocab,
-                            source_field=name,
-                        )
-                    )
-        return columns
 
     def transform(self, reports, require_labels: bool = True) -> FeatureMatrix:
         n = len(reports)
         values = np.zeros((n, len(self.columns)), dtype=np.float64)
         col = 0
-        for name in self.spec.numeric:
+        for name in NUMERIC_FIELDS:
             for i, r in enumerate(reports):
                 value = _field_value(r, name)
                 values[i, col] = 0.0 if value is None else float(value)
             col += 1
-        for name in self.spec.categorical:
+        for name in CATEGORICAL_FIELDS:
             cmap = self.category_maps[name]
             for i, r in enumerate(reports):
                 value = _field_value(r, name)
                 values[i, col] = cmap.get(value, 0) if value is not None else 0
             col += 1
-        if self.spec.list_encoding == "label":
-            from .harmonize import LIST_SEPARATOR
-
-            for name in self.spec.multi_hot:
-                cmap = self.category_maps[name]
-                for i, r in enumerate(reports):
-                    joined = LIST_SEPARATOR.join(_field_value(r, name))
-                    values[i, col] = cmap.get(joined, 0)
-                col += 1
-        else:
-            for name in self.spec.multi_hot:
-                vocab = self.vocabularies[name]
-                index = {token: j for j, token in enumerate(vocab)}
-                width = len(vocab) + 1
-                for i, r in enumerate(reports):
-                    other = 0.0
-                    for token in _field_value(r, name):
-                        j = index.get(token)
-                        if j is None:
-                            other = 1.0
-                        else:
-                            values[i, col + j] = 1.0
-                    values[i, col + width - 1] = other
-                col += width
+        for name in MULTI_HOT_FIELDS:
+            vocab = self.vocabularies[name]
+            index = {token: j for j, token in enumerate(vocab)}
+            width = len(vocab) + 1
+            for i, r in enumerate(reports):
+                other = 0.0
+                for token in _field_value(r, name):
+                    j = index.get(token)
+                    if j is None:
+                        other = 1.0
+                    else:
+                        values[i, col + j] = 1.0
+                values[i, col + width - 1] = other
+            col += width
 
         labels = None
         if require_labels:
@@ -353,11 +297,10 @@ class FittedEncoder:
             {
                 "version": ENCODER_FORMAT_VERSION,
                 "spec": {
-                    "numeric": list(self.spec.numeric),
-                    "categorical": list(self.spec.categorical),
-                    "multi_hot": list(self.spec.multi_hot),
-                    "top_k": self.spec.top_k,
-                    "list_encoding": self.spec.list_encoding,
+                    "numeric": list(NUMERIC_FIELDS),
+                    "categorical": list(CATEGORICAL_FIELDS),
+                    "multi_hot": list(MULTI_HOT_FIELDS),
+                    "top_k": self.top_k,
                 },
                 "category_maps": self.category_maps,
                 "vocabularies": {k: list(v) for k, v in self.vocabularies.items()},
@@ -365,32 +308,13 @@ class FittedEncoder:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "FittedEncoder":
-        payload = json.loads(text)
-        if payload.get("version") != ENCODER_FORMAT_VERSION:
-            raise PrepareError(f"unsupported encoder version {payload.get('version')!r}")
-        spec = EncodingSpec(
-            numeric=tuple(payload["spec"]["numeric"]),
-            categorical=tuple(payload["spec"]["categorical"]),
-            multi_hot=tuple(payload["spec"]["multi_hot"]),
-            top_k=payload["spec"]["top_k"],
-            list_encoding=payload["spec"]["list_encoding"],
-        )
-        return cls(
-            spec=spec,
-            category_maps=payload["category_maps"],
-            vocabularies={k: tuple(v) for k, v in payload["vocabularies"].items()},
-        )
 
-
-def fit_encoder(fit_on, spec: EncodingSpec = EncodingSpec()) -> FittedEncoder:
+def fit_encoder(fit_on, top_k: int) -> FittedEncoder:
     """Fit category maps (first-appearance codes, 0 reserved for UNKNOWN) and
     top-K multi-hot vocabularies (by descending training frequency, ties by
     name) on the given rows."""
-    _check_fields(spec)
     category_maps: dict[str, dict[str, int]] = {}
-    for name in spec.categorical:
+    for name in CATEGORICAL_FIELDS:
         cmap: dict[str, int] = {}
         for r in fit_on:
             value = _field_value(r, name)
@@ -398,25 +322,12 @@ def fit_encoder(fit_on, spec: EncodingSpec = EncodingSpec()) -> FittedEncoder:
                 cmap[value] = len(cmap) + 1
         category_maps[name] = cmap
     vocabularies: dict[str, tuple[str, ...]] = {}
-    if spec.list_encoding == "label":
-        from .harmonize import LIST_SEPARATOR
-
-        for name in spec.multi_hot:
-            cmap = {}
-            for r in fit_on:
-                joined = LIST_SEPARATOR.join(_field_value(r, name))
-                if joined not in cmap:
-                    cmap[joined] = len(cmap) + 1
-            category_maps[name] = cmap
-            vocabularies[name] = ()
-    else:
-        for name in spec.multi_hot:
-            counts = Counter()
-            for r in fit_on:
-                counts.update(_field_value(r, name))
-            ranked = sorted(counts, key=lambda t: (-counts[t], t))[: spec.top_k]
-            vocabularies[name] = tuple(ranked)
-    return FittedEncoder(spec=spec, category_maps=category_maps, vocabularies=vocabularies)
+    for name in MULTI_HOT_FIELDS:
+        counts = Counter()
+        for r in fit_on:
+            counts.update(_field_value(r, name))
+        vocabularies[name] = tuple(sorted(counts, key=lambda t: (-counts[t], t))[:top_k])
+    return FittedEncoder(top_k=top_k, category_maps=category_maps, vocabularies=vocabularies)
 
 
 # --- correlation pruning -----------------------------------------------------

@@ -66,7 +66,7 @@ class TestRun:
 
         _, out = finished_run
         store = pipeline.ArtifactStore(out)
-        resampled, train = pipeline.load_resampled(store), pipeline.load_split(store)["train"]
+        resampled, train = pipeline.load_resampled(store), pipeline.SplitMatrices(store)["train"]
         assert resampled.n_rows > 0
         assert np.array_equal(resampled.values, train.values)
         assert np.array_equal(resampled.labels, train.labels)
@@ -166,6 +166,73 @@ class TestValidation:
             load_config(config)
 
 
+class TestUnreadKeys:
+    def test_unread_key_warns_once(self, small_corpus, tmp_path, caplog):
+        config = tmp_path / "threads.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = out\n"
+            "[run]\nseed = 1\nthreads = 1\n"
+        )
+        with caplog.at_level("WARNING"):
+            load_config(config)
+        assert len(caplog.records) == 1
+        assert "[run] threads" in caplog.records[0].getMessage()
+
+    def test_quickstart_template_is_read_whole(self, tmp_path, caplog):
+        import importlib.util
+
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
+        spec = importlib.util.spec_from_file_location("make_synthetic_corpus", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        (tmp_path / "quarters").mkdir()
+        config = tmp_path / "pipeline.ini"
+        config.write_text(module.CONFIG_TEMPLATE.format(seed=1))
+        with caplog.at_level("WARNING"):
+            load_config(config)
+        assert caplog.records == []
+
+
+class TestPseudoWeight:
+    def ini(self, small_corpus, tmp_path, model, weight):
+        config = tmp_path / f"weight-{weight}.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {tmp_path / 'out'}\n"
+            f"[run]\nseed = 1\n[model]\nkind = {model}\n[ssl]\npseudo_weight = {weight}\n"
+        )
+        return config
+
+    def test_gbdt_refit_weighs_pseudo_rows(self, small_corpus, tmp_path, separable_matrix):
+        from vetpv.matrix import CLASS_NAMES, FeatureMatrix
+        from vetpv.models import fit_model, serialize_model
+        from vetpv.ssl import ssl_train
+
+        labeled = separable_matrix.take_rows(np.arange(180))
+        rest = separable_matrix.take_rows(np.arange(180, separable_matrix.n_rows))
+        unlabeled = FeatureMatrix(values=rest.values, columns=rest.columns, keys=rest.keys)
+        model = "gbdt\nn_rounds = 8\nmax_depth = 2"
+        plans = {w: load_config(self.ini(small_corpus, tmp_path, model, w)).ssl for w in (1.0, 0.5)}
+        assert plans[0.5].pseudo_weight == 0.5
+        models = {w: ssl_train(labeled, unlabeled, plan) for w, plan in plans.items()}
+        _, provenance, _ = models[0.5]
+        take = [unlabeled.keys.index(p["key"]) for p in provenance]
+        pool = labeled.append_rows(
+            unlabeled.values[take],
+            [p["key"] for p in provenance],
+            [CLASS_NAMES.index(p["pseudo_label"]) for p in provenance],
+        )
+        weights = np.concatenate([np.ones(labeled.n_rows), np.full(len(take), 0.5)])
+        direct = fit_model(plans[0.5].base_model, pool, sample_weight=weights)
+        assert serialize_model(models[0.5][0]) == serialize_model(direct)
+        assert serialize_model(models[0.5][0]) != serialize_model(models[1.0][0])
+
+    def test_forest_with_pseudo_weight_fails_at_load(self, small_corpus, tmp_path, capsys):
+        config = self.ini(small_corpus, tmp_path, "forest", 0.5)
+        assert run_cli("run", "--config", str(config)) == EXIT_CONFIG
+        assert "pseudo_weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSubcommands:
     def test_ssl_without_train_names_missing_artifact(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
@@ -214,6 +281,22 @@ class TestSubcommands:
         assert run_cli("evaluate", "--config", str(config)) == 0
         rows = csv.DictReader(io.StringIO(pipeline.ArtifactStore(out).get_text("metrics")))
         assert {row["variant"] for row in rows} == {"supervised"}
+
+    def test_evaluate_parses_only_the_matrices_it_scores(self, finished_run, tmp_path, monkeypatch):
+        from vetpv import matrix
+
+        run_config, run_out = finished_run
+        out = Path(shutil.copytree(run_out, tmp_path / "out"))
+        config = tmp_path / "evaluate.ini"
+        config.write_text(run_config.read_text().replace(
+            "input_dir = quarters", f"input_dir = {run_config.parent / 'quarters'}"
+        ).replace(f"output_dir = {run_out}", f"output_dir = {out}"))
+        assert load_config(config).ssl_enabled  # two models, each scored on two matrices
+        parsed = []
+        from_csv = matrix.from_csv
+        monkeypatch.setattr(matrix, "from_csv", lambda *a: parsed.append(a) or from_csv(*a))
+        assert run_cli("evaluate", "--config", str(config)) == 0
+        assert len(parsed) == 2  # validation and test, once each
 
     def test_single_tree_model_trains(self, small_corpus, tmp_path):
         out = tmp_path / "tree"

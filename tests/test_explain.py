@@ -179,16 +179,11 @@ def grouped_matrix():
             category_map={"Dog": 1, "Cattle": 2, "Chicken": 3},
             source_field="species",
         ),
-        ColumnMeta(name="ae_terms=Heart disorders", kind="multi_hot",
-                   source_vocabulary=("Heart disorders", "Rash"), source_field="ae_terms"),
-        ColumnMeta(name="ae_terms=Rash", kind="multi_hot",
-                   source_vocabulary=("Heart disorders", "Rash"), source_field="ae_terms"),
-        ColumnMeta(name="ae_terms=OTHER", kind="multi_hot",
-                   source_vocabulary=("Heart disorders", "Rash"), source_field="ae_terms"),
-        ColumnMeta(name="ingredients=DrugX", kind="multi_hot",
-                   source_vocabulary=("DrugX",), source_field="ingredients"),
-        ColumnMeta(name="ingredients=OTHER", kind="multi_hot",
-                   source_vocabulary=("DrugX",), source_field="ingredients"),
+        ColumnMeta(name="ae_terms=Heart disorders", kind="multi_hot", source_field="ae_terms"),
+        ColumnMeta(name="ae_terms=Rash", kind="multi_hot", source_field="ae_terms"),
+        ColumnMeta(name="ae_terms=OTHER", kind="multi_hot", source_field="ae_terms"),
+        ColumnMeta(name="ingredients=DrugX", kind="multi_hot", source_field="ingredients"),
+        ColumnMeta(name="ingredients=OTHER", kind="multi_hot", source_field="ingredients"),
     ]
     values = np.array(
         [

@@ -7,8 +7,6 @@ from vetpv.harmonize import MergedReport
 from vetpv.ingest import AgeUnit, ChemDescriptors, Outcome, WeightUnit
 from vetpv.matrix import DEATH, RECOVERED, from_arrays
 from vetpv.prepare import (
-    EncodingSpec,
-    FittedEncoder,
     PrepareError,
     UnitError,
     filter_rows,
@@ -167,14 +165,6 @@ class TestFilter:
         assert counts["lack_of_efficacy"] == 1
 
 
-SMALL_SPEC = EncodingSpec(
-    numeric=("age_years",),
-    categorical=("species",),
-    multi_hot=("ae_terms",),
-    top_k=3,
-)
-
-
 class TestEncode:
     def test_category_codes_fit_in_appearance_order(self):
         fit_rows = [
@@ -182,7 +172,7 @@ class TestEncode:
             make_report(key="2", species="B"),
             make_report(key="3", species="A"),
         ]
-        encoder = fit_encoder(fit_rows, SMALL_SPEC)
+        encoder = fit_encoder(fit_rows, top_k=3)
         assert encoder.category_maps["species"] == {"A": 1, "B": 2}
         matrix = encoder.transform([make_report(key="4", species="C")], require_labels=False)
         col = matrix.column_index("species")
@@ -193,7 +183,7 @@ class TestEncode:
             make_report(key="1", ae_terms=["X", "Y"]),
             make_report(key="2", ae_terms=["X", "Z"]),
         ]
-        encoder = fit_encoder(fit_rows, SMALL_SPEC)
+        encoder = fit_encoder(fit_rows, top_k=3)
         assert encoder.vocabularies["ae_terms"] == ("X", "Y", "Z")
         matrix = encoder.transform([make_report(key="3", ae_terms=["X", "Y"])], require_labels=False)
         names = matrix.column_names()
@@ -208,38 +198,18 @@ class TestEncode:
     def test_vocabulary_is_top_k_by_frequency(self):
         fit_rows = [make_report(key=str(i), ae_terms=["common"]) for i in range(5)]
         fit_rows += [make_report(key="r1", ae_terms=["rare1"]), make_report(key="r2", ae_terms=["rare2"])]
-        spec = EncodingSpec(numeric=(), categorical=(), multi_hot=("ae_terms",), top_k=2)
-        encoder = fit_encoder(fit_rows, spec)
+        encoder = fit_encoder(fit_rows, top_k=2)
         assert encoder.vocabularies["ae_terms"] == ("common", "rare1")  # tie by name
 
     def test_same_fit_applied_twice_identical(self):
         rows = [make_report(key=str(i), ae_terms=["X"], age_value=i, age_unit=AgeUnit.YEAR) for i in range(4)]
-        encoder = fit_encoder(rows, SMALL_SPEC)
+        encoder = fit_encoder(rows, top_k=3)
         a = encoder.transform(rows, require_labels=False)
         b = encoder.transform(rows, require_labels=False)
         assert np.array_equal(a.values, b.values)
 
-    def test_label_encoding_mode_codes_joined_lists(self):
-        spec = EncodingSpec(numeric=(), categorical=(), multi_hot=("ae_terms",), list_encoding="label")
-        rows = [make_report(key="1", ae_terms=["A", "B"]), make_report(key="2", ae_terms=["A"])]
-        encoder = fit_encoder(rows, spec)
-        assert encoder.category_maps["ae_terms"] == {"A\\B": 1, "A": 2}
-
-    def test_unknown_column_in_spec_errors(self):
-        with pytest.raises(PrepareError):
-            fit_encoder([], EncodingSpec(numeric=("nope",), categorical=(), multi_hot=()))
-
-    def test_encoder_json_roundtrip(self):
-        rows = [make_report(key="1", species="A", ae_terms=["X"])]
-        encoder = fit_encoder(rows, SMALL_SPEC)
-        clone = FittedEncoder.from_json(encoder.to_json())
-        assert clone.to_json() == encoder.to_json()
-        got = clone.transform(rows, require_labels=False)
-        want = encoder.transform(rows, require_labels=False)
-        assert np.array_equal(got.values, want.values)
-
     def test_labels_require_definitive_outcomes(self):
-        encoder = fit_encoder([make_report(key="1")], SMALL_SPEC)
+        encoder = fit_encoder([make_report(key="1")], top_k=3)
         with pytest.raises(PrepareError):
             encoder.transform([make_report(key="2", outcome=Outcome.ONGOING)], require_labels=True)
         got = encoder.transform(

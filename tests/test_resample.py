@@ -173,7 +173,7 @@ def test_categorical_dimensions_round_to_valid_codes():
     columns = [
         ColumnMeta(name="num", kind="numeric"),
         ColumnMeta(name="cat", kind="encoded_categorical", category_map={"a": 1, "b": 2}),
-        ColumnMeta(name="ind", kind="multi_hot", source_vocabulary=("x",), source_field="f"),
+        ColumnMeta(name="ind", kind="multi_hot", source_field="f"),
     ]
     matrix = FeatureMatrix(
         values=np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0]]),
