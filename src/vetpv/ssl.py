@@ -60,9 +60,8 @@ def make_checkpoints(model, max_checkpoints: int = 50) -> CheckpointSeries:
 
 
 def staged_probabilities(series: CheckpointSeries, rows: np.ndarray) -> np.ndarray:
-    """(T, n) matrix of Death probability per checkpoint, computed in one pass."""
-    if not isinstance(series.model, TreeEnsemble):
-        raise SslError(f"unsupported model type {type(series.model).__name__}")
+    """(T, n) matrix of Death probability per checkpoint, computed in one
+    pass; series.model is a TreeEnsemble, as make_checkpoints checks."""
     return 1.0 - series.model.staged_proba(rows, list(series.checkpoints))
 
 

@@ -388,9 +388,3 @@ def write_corpus(
     manifest["reports_per_file"] = per_quarter
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
-
-
-def fixture_document(n_reports: int = 1000, seed: int = 777) -> tuple[str, dict]:
-    """Single-document fixture with its independently tallied manifest."""
-    records, manifest = generate_records(n_reports, seed)
-    return json.dumps({"results": records}, indent=1, sort_keys=True), manifest

@@ -4,14 +4,24 @@ grown in pre-order and used as they are by prediction, attribution and
 serialization, and the one tree model: `TreeEnsemble`.
 
 Each fit codes its matrix once (`rank_bins`: one bin per distinct value of a
-column). `grow_trees` grows one tree, or a forest's trees in lockstep: each
-step takes the next node of every unfinished tree and `find_splits` searches
-them all at once, with one `np.bincount` per summed statistic over the nodes'
-rows and candidate columns. The candidates are exactly the exact-greedy
-midpoints between neighbouring distinct values; where a midpoint rounds onto
-the lower value (adjacent floats) the upper value is used, so no child is
-empty. Gains within TIE_RTOL of a node's best are ties, whatever order the
-sums were taken in, and go to the lowest feature, then the lowest threshold.
+column) and holds its columns in two blocks for the histograms: a column
+with two values as the list of rows at its upper value (sparse), a column
+with more as column-major bins (dense). A node's histogram over its
+candidate columns is then one `np.bincount` per summed statistic over its
+rows' dense bins and sparse entries, and a sparse column's lower bin is the
+node's total minus its upper bin (XGBoost's sparsity-aware search, Chen &
+Guestrin 2016). `best_splits` scans the histograms of many nodes ("jobs") at
+once. The candidates are exactly the exact-greedy midpoints between
+neighbouring distinct values; where a midpoint rounds onto the lower value
+(adjacent floats) the upper value is used, so no child is empty.
+
+`grow_trees` grows trees that search every column level by level, all of a
+level's nodes in one search, and takes the larger child's histogram as its
+parent's minus its sibling's (LightGBM's subtraction, Ke et al. 2017). A
+forest's nodes draw their own columns, so its trees grow in lockstep, one
+node per tree and step. Gains within TIE_RTOL of a node's best are ties,
+whatever order the sums were taken in, and go to the lowest feature, then
+the lowest threshold.
 """
 
 from __future__ import annotations
@@ -20,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TIE_RTOL = 1e-10  # summation order moves a gain by up to about 4e-13 of itself
-SEARCH_ELEMENTS = 1 << 18  # codes one find_splits call gathers; bounds its memory
+# Summation order, a lower bin taken as total minus upper and a histogram
+# taken as parent minus sibling move a gain by up to about 1e-13 of itself.
+TIE_RTOL = 1e-10
+SEARCH_ELEMENTS = 1 << 18  # histogram entries plus bins of one search; bounds its memory
 
 
 class FitError(ValueError):
@@ -58,14 +70,33 @@ class TreeParams:
 
 
 class Bins:
-    """Bin codes of a training matrix: codes[i, f] is the bin of X[i, f].
+    """Bin codes of a training matrix: codes[i, f] is the bin of X[i, f],
+    stored column by column.
 
-    Feature f owns bins start[f] to start[f + 1] - 1, one per distinct value
-    in ascending order: bin start[f] + b holds the value values[f][b].
+    Feature f owns the width[f] bins start[f] to start[f + 1] - 1, one per
+    distinct value in ascending order: bin start[f] + b holds values[f][b].
+    A search over every column numbers the bins of each node on an axis of
+    split_bins compact bins, the columns with a split in order (constant
+    columns have none); compact[b] is bin b's place there. For that search
+    the columns are held in two blocks as compact bins: a two-valued column
+    is sparse, and row i's upper bins are upper[indptr[i]:indptr[i + 1]];
+    a column of more values is dense, and dense_codes[c] are the bins of
+    the c-th, row by row.
     """
 
     def __init__(self, codes: np.ndarray, start: np.ndarray, values: list):
         self.codes, self.start, self.values = codes, start, values
+        self.width = np.diff(start)
+        split = self.width > 1
+        self.split_bins = int(self.width[split].sum())
+        self.compact = np.arange(start[-1]) - np.repeat(np.cumsum(~split) - ~split, self.width)
+        two, self.dense = np.flatnonzero(self.width == 2), np.flatnonzero(self.width > 2)
+        self.lower = self.compact[start[two]]  # each sparse column's lower bin
+        upper = codes[:, two] == self.start[two] + 1
+        self.indptr = np.concatenate(([0], np.cumsum(upper.sum(axis=1))))
+        self.upper = self.lower[np.nonzero(upper)[1]] + 1
+        self.dense_codes = self.compact[codes.T[self.dense]]
+        self.row_cost = len(self.dense) + len(self.upper) / len(codes)  # histogram entries per row
 
     def threshold(self, f: int, lo: int, hi: int) -> float:
         """Threshold of the split that sends bins <= lo left and bins >= hi right."""
@@ -78,93 +109,161 @@ def rank_bins(X: np.ndarray) -> Bins:
     """One bin per distinct value of each column (the np.unique inverse)."""
     columns = [np.unique(X[:, f], return_inverse=True) for f in range(X.shape[1])]
     start = np.cumsum([0] + [len(values) for values, _ in columns])
-    codes = np.empty(X.shape, dtype=np.int32)
+    codes = np.empty(X.shape, dtype=np.int32, order="F")
     for f, (_, inverse) in enumerate(columns):
         codes[:, f] = inverse + start[f]
     return Bins(codes, start, [values for values, _ in columns])
+
+
+class Layout:
+    """Where jobs' candidate columns lie on one compact bin axis.
+
+    Segment i is column feature[i] of job job[i], jobs in order: it owns
+    compact bins seg_start[i] to seg_start[i + 1] - 1, its column's bins in
+    order, so compact bin b is bin b - shift[i] of bins. Job j owns
+    job_start[j] to job_start[j + 1] - 1. features is a (jobs, k) array of
+    each job's ascending candidate columns, or None for every column with a
+    split: then job j owns split_bins bins from j * split_bins, numbered as
+    bins.compact numbers them.
+    """
+
+    def __init__(self, bins: Bins, n_jobs: int, features=None):
+        self.features = features
+        if features is None:
+            features = np.tile(np.flatnonzero(bins.width > 1), (n_jobs, 1))
+        self.feature = features.ravel()
+        self.job = np.repeat(np.arange(n_jobs), features.shape[1])
+        self.seg_start = np.concatenate(([0], np.cumsum(bins.width[self.feature])))
+        self.shift = self.seg_start[:-1] - bins.start[self.feature]
+        self.job_start = self.seg_start[np.arange(n_jobs + 1) * features.shape[1]]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i] to starts[i] + lengths[i] - 1."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def node_totals(stats: np.ndarray, rows: list) -> np.ndarray:
+    """(s + 1, jobs) sums of each job's rows: its row count, then each stat."""
+    total = np.empty((len(stats) + 1, len(rows)))
+    for j, r in enumerate(rows):
+        total[0, j] = len(r)
+        total[1:, j] = stats[:, r].sum(axis=1)
+    return total
+
+
+def histograms(bins: Bins, rows: list, layout: Layout, stats: np.ndarray,
+               total: np.ndarray) -> np.ndarray:
+    """(s + 1, compact bins) sums of each job's rows over layout's bins: row
+    counts, then each row of stats; total is node_totals(stats, rows).
+
+    One bincount per statistic takes every job's entries: over every column,
+    its rows' dense bins (one contiguous take per dense column) and sparse
+    entries, and a sparse column's lower bin is then its job's total minus
+    its upper bin; over drawn columns, a contiguous take per (job, column).
+    Within a bin the rows are summed in their order in the job, so a job's
+    sums do not depend on the jobs beside it.
+    """
+    sizes = np.array([len(r) for r in rows])
+    every = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    if layout.features is None:
+        base = np.repeat(np.arange(len(rows)) * bins.split_bins, sizes)
+        lengths = np.diff(bins.indptr)[every]
+        index = np.concatenate(((np.take(bins.dense_codes, every, axis=1) + base).ravel(),
+                                bins.upper[_ranges(bins.indptr[every], lengths)]
+                                + np.repeat(base, lengths)))
+
+        def spread(weights):
+            return np.concatenate((np.tile(weights, len(bins.dense)), np.repeat(weights, lengths)))
+    else:
+        k = layout.features.shape[1]
+        index = (np.take(bins.codes.T, np.repeat(layout.features * len(bins.codes), sizes, axis=0)
+                         + every[:, None])
+                 + np.repeat(layout.shift.reshape(-1, k), sizes, axis=0)).ravel()
+
+        def spread(weights):
+            return np.repeat(weights, k)
+    n_bins = layout.seg_start[-1]
+    hist = np.empty((len(stats) + 1, n_bins))
+    hist[0] = np.bincount(index, minlength=n_bins)
+    for s, stat in enumerate(stats, start=1):
+        hist[s] = np.bincount(index, spread(stat[every]), n_bins)
+    if layout.features is None:
+        lower = (np.arange(len(rows)) * bins.split_bins)[:, None] + bins.lower
+        hist[:, lower] = total[:, :, None] - hist[:, lower + 1]
+    return hist
+
+
+def best_splits(bins: Bins, layout: Layout, hist: np.ndarray, total: np.ndarray, score) -> list:
+    """Best split of each job from its histogram, as (feature, lo, hi) or None.
+
+    hist and total are as histograms and node_totals give them. score(left,
+    right, total, job) maps the (s + 1, m) left and right sums of the m
+    candidate splits, row counts first, to m gains, -inf or NaN where a split
+    is not allowed; total[:, job] are the candidates' node totals. A split
+    sends bins <= lo left; hi is the next bin holding rows of the job. Only
+    positive gains count.
+    """
+    n_jobs, job = total.shape[1], layout.job
+    occupied = np.flatnonzero(hist[0])
+    sums = hist[:, occupied]
+    # Every segment holds each row of its job once, so none is empty;
+    # ends[s] is one past its last occupied bin, and the others are candidates.
+    ends = np.searchsorted(occupied, layout.seg_start[1:])
+    last = ends - 1
+    per_seg = last - np.concatenate(([0], ends[:-1]))
+    cand_seg = np.repeat(np.arange(len(ends)), per_seg)
+    cand = np.arange(len(cand_seg)) + cand_seg  # skips one last bin per earlier segment
+    if not len(cand):
+        return [None] * n_jobs
+    # Subtracting its job's total at each segment's last bin restarts the
+    # running sum at (about) zero, so one cumsum over a job's segments keeps
+    # per-segment precision; sums of integer weights stay exact. Each job's
+    # bins form a row of their own, so its running sum starts at zero.
+    sums[:, last] -= total[:, job]
+    counts = np.diff(np.searchsorted(occupied, layout.job_start))
+    width = counts.max()
+    at = np.arange(len(occupied)) + np.repeat(np.arange(n_jobs) * width - np.cumsum(counts) + counts,
+                                              counts)
+    rows = np.zeros((len(sums), n_jobs * width))
+    rows[:, at] = sums
+    running = np.take(np.cumsum(rows.reshape(len(sums), n_jobs, width), axis=2).reshape(len(sums), -1),
+                      at, axis=1)
+    opens = np.concatenate(([True], job[1:] != job[:-1]))  # a job's first segment
+    restart = np.where(opens, 0.0, np.take(running, np.concatenate(([0], last[:-1])), axis=1))
+    # np.take: a column gather that runs about 3x faster than [:, index]
+    left = np.take(running, cand, axis=1) - np.take(restart, cand_seg, axis=1)
+    cand_job = job[cand_seg]
+    gains = score(left, np.take(total, cand_job, axis=1) - left, total, cand_job)
+    bounds = np.searchsorted(cand_job, np.arange(n_jobs + 1))  # job j: bounds[j] to bounds[j + 1]
+    best = np.zeros(n_jobs)
+    some = bounds[:-1] < bounds[1:]
+    best[some] = np.fmax.reduceat(gains, bounds[:-1][some])  # NaN gains are skipped
+    floor = np.where(best > 0, best * (1 - TIE_RTOL), np.inf)
+    hit = np.flatnonzero(gains >= floor[cand_job])
+    first, stop = np.searchsorted(hit, bounds[:-1]), np.searchsorted(hit, bounds[1:])
+    found = [None] * n_jobs
+    for j in np.flatnonzero(first < stop):
+        c = hit[first[j]]
+        i, s = cand[c], cand_seg[c]
+        lo, hi = occupied[i:i + 2] - layout.shift[s]
+        found[j] = int(layout.feature[s]), int(lo), int(hi)
+    return found
 
 
 def find_splits(bins: Bins, rows: list, features, stats: np.ndarray, score) -> list:
     """Best split of each of several nodes ("jobs") as (feature, lo, hi), or None.
 
     rows[j] are job j's rows of bins.codes (at least one; repeats count as
-    rows), and
-    features a (jobs, k) array of each job's ascending candidate columns, or
-    None for every column. stats is an (s, n) array of per-row values to sum.
-    score(left, right, total, job) maps the (s + 1, m) left and right sums
-    of the m candidate splits, row counts first, to m gains, -inf or NaN
-    where a split is not allowed; total[:, job] are the candidates' node
-    totals (total has one column per job). A split sends bins <= lo
-    left; hi is the next bin holding rows of the job. Only positive gains
-    count.
-
-    Each job's candidate columns map to their own range of a compact bin
-    axis, so one bincount per statistic serves every job, and one running
-    sum restarts at each (job, column) segment. Within a bin the rows are
-    summed in job order, as in a search of the job alone; so every sum is
-    the same as alone where the sums are integers (a forest's counts),
-    while float sums of a job batched after others may differ in the last
-    bit, since its running sum restarts from their residue.
+    rows), and features a (jobs, k) array of each job's ascending candidate
+    columns, or None for every column. stats is an (s, n) array of per-row
+    values to sum; score is as in best_splits. A job's sums, and so its
+    split, do not depend on the jobs searched with it.
     """
-    sizes = [len(r) for r in rows]
-    every = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    row_stats = stats[:, every]
-    total = np.empty((len(stats) + 1, len(rows)))
-    total[0] = sizes
-    end = 0
-    for j, n in enumerate(sizes):
-        total[1:, j] = row_stats[:, end:end + n].sum(axis=1)
-        end += n
-    if features is None:
-        columns = np.tile(np.arange(len(bins.start) - 1), (len(rows), 1))
-        codes = bins.codes[every]
-    else:
-        columns = features
-        # a flat take gathers about twice as fast as codes[every[:, None], ...]
-        index = (every * bins.codes.shape[1])[:, None] + np.repeat(features, sizes, axis=0)
-        codes = np.take(bins.codes.ravel(), index)
-    # Segment s = (job, slot) owns compact bins seg_start[s] to seg_start[s + 1] - 1.
-    seg_start = np.concatenate(([0], np.cumsum(np.diff(bins.start)[columns.ravel()])))
-    shift = seg_start[:-1].reshape(columns.shape) - bins.start[columns]
-    if shift.any():
-        codes = codes + np.repeat(shift, sizes, axis=0)
-    flat, size, k = codes.ravel(), seg_start[-1], columns.shape[1]
-    hist = [np.bincount(flat, minlength=size)]
-    hist += [np.bincount(flat, np.repeat(stat, k), size) for stat in row_stats]
-    occupied = np.flatnonzero(hist[0])
-    sums = np.stack([h[occupied] for h in hist])
-    # Every segment holds each row of its job once, so none is empty;
-    # ends[s] is one past its last occupied bin, and the others are candidates.
-    ends = np.searchsorted(occupied, seg_start[1:])
-    last = ends - 1
-    per_seg = last - np.concatenate(([0], ends[:-1]))
-    cand_seg = np.repeat(np.arange(len(ends)), per_seg)
-    cand = np.arange(len(cand_seg)) + cand_seg  # skips one last bin per earlier segment
-    # Subtracting its job's total at each segment's last bin restarts the
-    # running sum at (about) zero, so one cumsum over all segments keeps
-    # per-segment precision; sums of integer weights stay exact.
-    sums[:, last] -= np.repeat(total, k, axis=1)
-    running = np.cumsum(sums, axis=1)
-    restart = np.concatenate((np.zeros((len(total), 1)), running[:, last[:-1]]), axis=1)
-    # np.take: a column gather that runs about 3x faster than [:, index]
-    left = np.take(running, cand, axis=1) - np.take(restart, cand_seg, axis=1)
-    bounds = np.concatenate(([0], np.cumsum(per_seg)))[::k]  # job j: bounds[j] to bounds[j + 1]
-    cand_job = cand_seg // k
-    gains = score(left, np.repeat(total, np.diff(bounds), axis=1) - left, total, cand_job)
-    best = np.zeros(len(rows))
-    some = bounds[:-1] < bounds[1:]
-    if some.any():
-        best[some] = np.fmax.reduceat(gains, bounds[:-1][some])  # NaN gains are skipped
-    floor = np.where(best > 0, best * (1 - TIE_RTOL), np.inf)
-    hit = np.flatnonzero(gains >= floor[cand_job])
-    first, stop = np.searchsorted(hit, bounds[:-1]), np.searchsorted(hit, bounds[1:])
-    found = [None] * len(rows)
-    for j in np.flatnonzero(first < stop):
-        c = hit[first[j]]
-        i, s = cand[c], cand_seg[c]
-        lo, hi = occupied[i:i + 2] - shift.flat[s]
-        found[j] = int(columns.flat[s]), int(lo), int(hi)
-    return found
+    layout = Layout(bins, len(rows), features)
+    total = node_totals(stats, rows)
+    return best_splits(bins, layout, histograms(bins, rows, layout, stats, total), total, score)
 
 
 def _gini(w, w1, square=np.square):
@@ -236,69 +335,158 @@ def fit_cart(
 def grow_trees(bins: Bins, stats, score, roots: list, make_node, splittable,
                draw=None) -> list[FlatTree]:
     """Grow one tree per entry of roots, the rows of bins.codes at its root
-    (repeats allowed), in lockstep; the growth shared by CART, forest and
-    boosting.
+    (repeats allowed); the growth shared by CART, forest and boosting.
 
-    Every tree grows depth-first in pre-order from its own stack:
     make_node(rows) gives a node's (value, cover), and a node is searched
-    where splittable(value, rows, depth). Each step takes the next such node
-    of every unfinished tree and searches them together with find_splits,
-    over the columns draw(t) picks for tree t (every column without draw),
-    in calls of at most SEARCH_ELEMENTS gathered codes. A tree's nodes and
-    draws come in the order they would if it grew alone, and so do its sums
-    where they are integers or it grows alone (see find_splits).
+    where splittable(value, rows, depth). Without draw every node searches
+    every column, and the trees grow level by level (_grow_levels). A
+    forest's tree t searches the columns draw(t) picks at each node, and the
+    trees grow in lockstep (_grow_lockstep), so each tree's nodes and draws
+    come in the order they would if it grew alone. Either way a search
+    takes at most about SEARCH_ELEMENTS histogram entries and bins, and a
+    tree's arrays come out in pre-order.
     """
-    nodes = [[] for _ in roots]  # per tree: [left, right, feature, threshold, value, cover]
+    nodes = [[] for _ in roots]  # per tree, in the order made: [left, right, feature, threshold, value, cover]
+    if draw is None:
+        _grow_levels(bins, stats, score, roots, make_node, splittable, nodes)
+    else:
+        _grow_lockstep(bins, stats, score, roots, make_node, splittable, draw, nodes)
+    return [_flat_tree(tree) for tree in nodes]
+
+
+def _grow_levels(bins, stats, score, roots, make_node, splittable, nodes):
+    """Search each level's nodes of every tree together, in as few calls of
+    best_splits as SEARCH_ELEMENTS allows.
+
+    Where both children of a split are searched, the one with more rows
+    takes its histogram as its parent's minus its sibling's, if that is
+    cheaper than building it: when its rows hold more histogram entries
+    than there are bins. It is searched in the same call as its sibling.
+    """
+    width = bins.split_bins
+    level = []  # units of jobs (tree, node, rows, depth, parent histogram or None)
+    for t, rows in enumerate(roots):
+        node = _add_node(nodes[t], None, make_node(rows))
+        if splittable(node[4], rows, 0):
+            level.append([(t, node, rows, 0, None)])
+
+    def cost(unit):
+        return sum(width + (0 if job[4] is not None else len(job[2]) * bins.row_cost)
+                   for job in unit)
+
+    while level:
+        ahead = []
+        for units in _batches(level, cost):
+            batch = [job for unit in units for job in unit]
+            total = node_totals(stats, [job[2] for job in batch])
+            built = [i for i, job in enumerate(batch) if job[4] is None]
+            hist = histograms(bins, [batch[i][2] for i in built], Layout(bins, len(built)),
+                              stats, total[:, built]).reshape(len(total), len(built), width)
+            if len(built) < len(batch):
+                into = np.empty((len(total), len(batch), width))
+                into[:, built] = hist
+                for i, job in enumerate(batch):
+                    if job[4] is not None:  # its sibling is the job before it
+                        into[:, i] = job[4] - into[:, i - 1]
+                hist = into
+            found = best_splits(bins, Layout(bins, len(batch)), hist.reshape(len(total), -1),
+                                total, score)
+            for i, ((t, node, rows, depth, _), best) in enumerate(zip(batch, found)):
+                if best is None:
+                    continue
+                children = []
+                for side, part in enumerate(_split(bins, node, rows, best)):
+                    child = _add_node(nodes[t], (node, side), make_node(part))
+                    if splittable(child[4], part, depth + 1):
+                        children.append((t, child, part, depth + 1, None))
+                if len(children) == 2 and max(len(children[0][2]), len(children[1][2])) * bins.row_cost > width:
+                    small, large = sorted(children, key=lambda job: len(job[2]))
+                    ahead.append([small, (*large[:4], hist[:, i].copy())])
+                else:
+                    ahead += [[child] for child in children]
+        level = ahead
+
+
+def _grow_lockstep(bins, stats, score, roots, make_node, splittable, draw, nodes):
+    """Every tree grows depth-first in pre-order from its own stack. Each
+    step takes the next splittable node of every unfinished tree and
+    searches them together with find_splits, over the columns draw(t) picks
+    for tree t."""
     stacks = [[(rows, 0, None)] for rows in roots]
-    width = len(bins.start) - 1
+
+    def cost(job):
+        return len(job[2]) * len(job[4])
+
     while True:
         jobs = []  # (tree, node, rows, depth, columns)
         for t, stack in enumerate(stacks):
             while stack:
                 rows, depth, parent = stack.pop()
-                value, cover = make_node(rows)
-                if parent is not None:
-                    parent[0][parent[1]] = len(nodes[t])
-                node = [-1, -1, -1, 0.0, value, cover]
-                nodes[t].append(node)
-                if splittable(value, rows, depth):
-                    jobs.append((t, node, rows, depth, None if draw is None else draw(t)))
+                node = _add_node(nodes[t], parent, make_node(rows))
+                if splittable(node[4], rows, depth):
+                    jobs.append((t, node, rows, depth, draw(t)))
                     break
         if not jobs:
-            break
-        k = width if draw is None else len(jobs[0][4])
-        for batch in _batches(jobs, k):
-            features = None if draw is None else np.array([job[4] for job in batch])
+            return
+        for batch in _batches(jobs, cost):
+            features = np.array([job[4] for job in batch])
             found = find_splits(bins, [job[2] for job in batch], features, stats, score)
             for (t, node, rows, depth, _), best in zip(batch, found):
-                if best is None:
-                    continue
-                f, lo, hi = best
-                node[2:5] = f, bins.threshold(f, lo, hi), 0.0
-                go_left = bins.codes[rows, f] <= lo
-                stacks[t].append((rows[~go_left], depth + 1, (node, 1)))
-                stacks[t].append((rows[go_left], depth + 1, (node, 0)))
-    return [_flat_tree(tree) for tree in nodes]
+                if best is not None:
+                    left, right = _split(bins, node, rows, best)
+                    stacks[t].append((right, depth + 1, (node, 1)))
+                    stacks[t].append((left, depth + 1, (node, 0)))
 
 
-def _batches(jobs: list, k: int):
-    """Consecutive runs of jobs gathering at most SEARCH_ELEMENTS codes
-    (k per row); a larger job runs alone."""
+def _add_node(nodes: list, parent, made) -> list:
+    """Append a leaf of (value, cover) made to a tree, as child parent[1]
+    (0 left, 1 right) of node parent[0] if there is a parent."""
+    node = [-1, -1, -1, 0.0, *made]
+    if parent is not None:
+        parent[0][parent[1]] = len(nodes)
+    nodes.append(node)
+    return node
+
+
+def _split(bins: Bins, node: list, rows: np.ndarray, best) -> tuple:
+    """Make node a split on best = (feature, lo, hi); its rows going left and right."""
+    f, lo, hi = best
+    node[2:5] = f, bins.threshold(f, lo, hi), 0.0
+    go_left = bins.codes[rows, f] <= lo
+    return rows[go_left], rows[~go_left]
+
+
+def _batches(units: list, cost):
+    """Consecutive runs of units costing at most SEARCH_ELEMENTS together;
+    a costlier unit runs alone."""
     batch, elements = [], 0
-    for job in jobs:
-        size = len(job[2]) * k
+    for unit in units:
+        size = cost(unit)
         if batch and elements + size > SEARCH_ELEMENTS:
             yield batch
             batch, elements = [], 0
-        batch.append(job)
+        batch.append(unit)
         elements += size
     yield batch
 
 
 def _flat_tree(nodes: list) -> FlatTree:
-    left, right, feature, threshold, value, cover = zip(*nodes)
+    """The tree of nodes, whose children are numbered in the order made,
+    renumbered in pre-order."""
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if nodes[i][0] != -1:
+            stack += [nodes[i][1], nodes[i][0]]
+    number = np.empty(len(nodes), dtype=np.int32)
+    number[order] = np.arange(len(order))
+    left, right, feature, threshold, value, cover = zip(*(nodes[i] for i in order))
+    left, right = np.array(left), np.array(right)
+    split = left != -1
+    left[split], right[split] = number[left[split]], number[right[split]]
     return FlatTree(
-        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+        left.astype(np.int32), right.astype(np.int32),
         np.array(feature, dtype=np.int32), np.array(threshold, dtype=np.float64),
         np.array(value, dtype=np.float64), np.array(cover, dtype=np.float64),
     )

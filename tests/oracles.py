@@ -46,6 +46,48 @@ def brute_force_best_split(X: np.ndarray, y: np.ndarray):
     return best
 
 
+def dense_histogram(X: np.ndarray, rows: np.ndarray, stats: np.ndarray) -> list:
+    """Per column of X, an (s + 1, v) array over the column's v distinct
+    values in X, ascending: how many of rows hold each value, then the sum
+    of each row of stats over them. One plain bincount per column."""
+    out = []
+    for f in range(X.shape[1]):
+        values = np.unique(X[:, f])
+        which = np.searchsorted(values, X[rows, f])
+        out.append(np.array([np.bincount(which, minlength=len(values))]
+                            + [np.bincount(which, stat[rows], len(values)) for stat in stats]))
+    return out
+
+
+def grow_node_by_node(search, route, make_node, splittable, rows):
+    """One tree grown depth-first, one node per search: the reference for
+    level-wise growth.
+
+    search(rows) gives a node's best split or None, and route(rows, split)
+    its (left rows, right rows, feature, threshold). Returns the nodes in
+    pre-order as [left, right, feature, threshold, value, cover] records,
+    value 0 at a split.
+    """
+    nodes = []
+
+    def grow(rows, depth):
+        value, cover = make_node(rows)
+        node = [-1, -1, -1, 0.0, value, cover]
+        nodes.append(node)
+        split = search(rows) if splittable(value, rows, depth) else None
+        if split is None:
+            return
+        left, right, feature, threshold = route(rows, split)
+        node[2:5] = feature, threshold, 0.0
+        node[0] = len(nodes)
+        grow(left, depth + 1)
+        node[1] = len(nodes)
+        grow(right, depth + 1)
+
+    grow(rows, 0)
+    return nodes
+
+
 def brute_force_enn(values: np.ndarray, labels: np.ndarray, k: int, majority_only: bool):
     """O(n^2) Wilson editor over z-scored columns; returns the keep mask.
 

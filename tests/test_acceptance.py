@@ -6,6 +6,7 @@ noisy-rule signal) is generated once per session from a fixed seed.
 """
 
 import itertools
+import logging
 import math
 import shutil
 import time
@@ -40,7 +41,6 @@ output_dir = out
 
 [run]
 seed = 20240801
-threads = 1
 
 [model]
 kind = gbdt
@@ -268,8 +268,10 @@ def test_criterion_6_metrics_worked_values():
     ok(6, "metrics match hand-computed values on 20 confusion matrices")
 
 
-def test_criterion_7_end_to_end_desk_run(corpus, tmp_path):
-    config = load_config(corpus / "pipeline.ini")
+def test_criterion_7_end_to_end_desk_run(corpus, tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="vetpv.config"):
+        config = load_config(corpus / "pipeline.ini")
+    assert not [r for r in caplog.records if "is not an option" in r.getMessage()]
     out = tmp_path / "out"
     config = replace(config, output_dir=out)
 

@@ -4,6 +4,7 @@ import hashlib
 
 from hypothesis import given, strategies as st
 
+from documents import fixture_document
 from vetpv.bulkio import (
     escape_field,
     export_bulk_string,
@@ -21,7 +22,6 @@ from vetpv.ingest import (
     WeightUnit,
     parse_quarter,
 )
-from vetpv.synth import fixture_document
 
 
 def test_absent_field_renders_null_marker():

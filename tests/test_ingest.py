@@ -4,6 +4,7 @@ import urllib.error
 
 import pytest
 
+from documents import fixture_document
 from vetpv.ingest import (
     ChemDescriptors,
     DescriptorError,
@@ -16,7 +17,6 @@ from vetpv.ingest import (
     parse_quarter,
     read_quarter_file,
 )
-from vetpv.synth import fixture_document
 
 
 def report(key="R1", species="Dog", reactions=1, drugs=1, outcomes=1, **overrides):
