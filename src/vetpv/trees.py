@@ -220,7 +220,7 @@ def best_splits(bins: Bins, layout: Layout, hist: np.ndarray, total: np.ndarray,
     """
     n_jobs, job = total.shape[1], layout.job
     occupied = np.flatnonzero(hist[0])
-    sums = hist[:, occupied]
+    sums = np.take(hist, occupied, axis=1)
     # Every segment holds each row of its job once, so none is empty;
     # ends[s] is one past its last occupied bin, and the others are candidates.
     ends = np.searchsorted(occupied, layout.seg_start[1:])
@@ -233,19 +233,12 @@ def best_splits(bins: Bins, layout: Layout, hist: np.ndarray, total: np.ndarray,
     # Subtracting its job's total at each segment's last bin restarts the
     # running sum at (about) zero, so one cumsum over a job's segments keeps
     # per-segment precision; sums of integer weights stay exact. Each job's
-    # bins form a row of their own, so its running sum starts at zero.
+    # running sum starts at zero.
     sums[:, last] -= total[:, job]
-    if n_jobs == 1:
-        running = np.cumsum(sums, axis=1)
-    else:
-        counts = np.diff(np.searchsorted(occupied, layout.job_start))
-        width = counts.max()
-        at = np.arange(len(occupied)) + np.repeat(np.arange(n_jobs) * width - np.cumsum(counts)
-                                                  + counts, counts)
-        rows = np.zeros((len(sums), n_jobs * width))
-        rows[:, at] = sums
-        running = np.cumsum(rows.reshape(len(sums), n_jobs, width), axis=2)
-        running = np.take(running.reshape(len(sums), -1), at, axis=1)
+    running = np.empty_like(sums)
+    edges = np.searchsorted(occupied, layout.job_start).tolist()
+    for a, b in zip(edges[:-1], edges[1:]):
+        np.cumsum(sums[:, a:b], axis=1, out=running[:, a:b])
     opens = np.concatenate(([True], job[1:] != job[:-1]))  # a job's first segment
     restart = np.where(opens, 0.0, np.take(running, np.concatenate(([0], last[:-1])), axis=1))
     # np.take: a column gather that runs about 3x faster than [:, index]
