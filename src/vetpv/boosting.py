@@ -2,7 +2,7 @@
 
 Per round a regression tree is fitted to gradients g = p - y and hessians
 h = p (1 - p) by the tree growth CART and the forest use (`trees.grow_trees`,
-one tree at a time, so every sum keeps its order) with gain 0.5 *
+level by level, with histogram subtraction) with gain 0.5 *
 [G_L^2/(H_L+l) + G_R^2/(H_R+l) - G^2/(H+l)]; leaves are -sum(g)/(sum(h)+l).
 The raw margin base_score + eta * sum(trees) is the log-odds of Recovered.
 """

@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Sums taken in another order, a lower bin taken as total minus upper and a
-# histogram taken as parent minus sibling move gains only in the last bits:
-# on GBDT fits of the benchmark's train matrices and 30 random weighted ones,
-# subtraction moved a gain by at most 6.6e-13 of its node's best gain (946
-# nodes), and all rounding together by 5.5e-12 against exact per-bin sums.
+# histogram taken as parent minus sibling move gains only in the last bits.
+# Over GBDT fits on the gbdt-2k and forest-5k train matrices and 30 random
+# weighted ones, subtraction moved a gain by at most 6.6e-13 of its node's
+# best gain (946 nodes), and all rounding together by 5.5e-12 against
+# exactly rounded per-bin sums.
 TIE_RTOL = 1e-10
 SEARCH_ELEMENTS = 1 << 18  # histogram entries (plus bins) of one search; bounds its memory
 
@@ -355,7 +356,7 @@ def grow_trees(bins: Bins, stats, score, roots: list, make_node, splittable,
     takes at most about SEARCH_ELEMENTS histogram entries and bins, and a
     tree's arrays come out in pre-order.
     """
-    nodes = [[] for _ in roots]  # per tree, in the order made: [left, right, feature, threshold, value, cover]
+    nodes = [[] for _ in roots]  # per tree as made: [left, right, feature, threshold, value, cover]
     if draw is None:
         _grow_levels(bins, stats, score, roots, make_node, splittable, nodes)
     else:
@@ -408,11 +409,12 @@ def _grow_levels(bins, stats, score, roots, make_node, splittable, nodes):
                     child = _add_node(nodes[t], (node, side), make_node(part))
                     if splittable(child[4], part, depth + 1):
                         children.append((t, child, part, depth + 1, None))
-                if len(children) == 2 and max(len(children[0][2]), len(children[1][2])) * bins.row_cost > width:
+                if len(children) == 2:
                     small, large = sorted(children, key=lambda job: len(job[2]))
-                    ahead.append([small, (*large[:4], hist[:, i].copy())])
-                else:
-                    ahead += [[child] for child in children]
+                    if len(large[2]) * bins.row_cost > width:
+                        ahead.append([small, (*large[:4], hist[:, i].copy())])
+                        continue
+                ahead += [[child] for child in children]
         level = ahead
 
 

@@ -81,7 +81,8 @@ def assert_every_column_matches(bins, X, hist, rows, stats):
     """hist is one job's every-column histogram."""
     for f, want in enumerate(dense_histogram(X, rows, stats)):
         if bins.width[f] > 1:
-            assert_matches(hist[:, bins.compact[bins.start[f]:bins.start[f + 1]]], want, rows, stats)
+            own = bins.compact[bins.start[f]:bins.start[f + 1]]
+            assert_matches(hist[:, own], want, rows, stats)
 
 
 class TestHistograms:
@@ -108,7 +109,8 @@ class TestHistograms:
         hist = histograms(bins, jobs, layout, stats, node_totals(stats, jobs))
         for s, (j, f) in enumerate(zip(layout.job, layout.feature)):
             want = dense_histogram(X, jobs[j], stats)[f]
-            assert_matches(hist[:, layout.seg_start[s]:layout.seg_start[s + 1]], want, jobs[j], stats)
+            own = hist[:, layout.seg_start[s]:layout.seg_start[s + 1]]
+            assert_matches(own, want, jobs[j], stats)
 
     @given(engine_cases(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -118,13 +120,15 @@ class TestHistograms:
         parent = some_rows(data.draw, len(X))
         if len(parent) < 2:
             return
-        left = np.asarray(data.draw(st.lists(st.booleans(), min_size=len(parent),
-                                             max_size=len(parent))))
-        if left.all() or not left.any():
-            left[0] = not left[0]
-        built, taken = parent[left], parent[~left]
-        larger = node_histogram(bins, parent, stats) - node_histogram(bins, built, stats)
-        assert_every_column_matches(bins, X, larger, taken, stats)
+        drawn = np.asarray(data.draw(st.lists(st.booleans(), min_size=len(parent),
+                                              max_size=len(parent))))
+        if drawn.all() or not drawn.any():
+            drawn[0] = not drawn[0]
+        first = np.arange(len(parent)) == 0  # a single-row child, built and then taken
+        for left in (drawn, first, ~first):
+            built, taken = parent[left], parent[~left]
+            larger = node_histogram(bins, parent, stats) - node_histogram(bins, built, stats)
+            assert_every_column_matches(bins, X, larger, taken, stats)
 
     @given(engine_cases(), st.data(), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -139,6 +143,36 @@ class TestHistograms:
             one = Layout(bins, 1, None if features is None else features[j:j + 1])
             alone = histograms(bins, [rows], one, stats, node_totals(stats, [rows]))
             assert np.array_equal(together[:, layout.job_start[j]:layout.job_start[j + 1]], alone)
+
+
+    @given(engine_cases(), st.data(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_a_job_scans_the_same_alone(self, case, data, drawn):
+        X, _, w, g = case
+        bins, stats, d = rank_bins(X), np.array([w, g]), X.shape[1]
+        jobs = [some_rows(data.draw, len(X)) for _ in range(data.draw(st.integers(2, 4)))]
+        features = np.array([np.arange(d)[:max(1, d // 2)] for _ in jobs]) if drawn else None
+        scored = []
+
+        def scan(rows, columns):
+            """The (left, right, job) sums a search scores, or None without candidates."""
+            scored.clear()
+            find_splits(bins, rows, columns, stats, score)
+            return scored[0] if scored else None
+
+        def score(left, right, total, job):
+            scored.append((left, right, job))
+            return gain_score(0.0, 1.0)(left, right, total, job)
+
+        together = scan(jobs, features)
+        for j, rows in enumerate(jobs):
+            alone = scan([rows], None if features is None else features[j:j + 1])
+            if alone is None:
+                assert together is None or not (together[2] == j).any()
+                continue
+            mine = together[2] == j
+            assert np.array_equal(together[0][:, mine], alone[0])
+            assert np.array_equal(together[1][:, mine], alone[1])
 
 
 def route_by(bins):
