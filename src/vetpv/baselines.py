@@ -7,6 +7,8 @@ unpenalized). Each step solves the Newton system (IRLS) and halves the step
 until the Armijo condition holds on the loss; the fit stops at gradient norm
 1e-6 or after 10,000 steps, warning (but still returning the model) if the
 tolerance was not reached.
+
+KNN finds each row's neighbours with resample.k_nearest, in blocks of rows.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
+from .resample import k_nearest
 from .trees import FitError, sigmoid
 
 log = logging.getLogger(__name__)
@@ -159,17 +162,19 @@ class KnnModel:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.X.shape[1]:
             raise FitError(f"expected {self.X.shape[1]} features, got {X.shape[1]}")
-        out = np.empty((len(X), 2))
-        for i, row in enumerate(X):
-            deltas = self.X - row
-            dist = np.sqrt(np.sum(deltas * deltas, axis=1))
-            order = np.lexsort((np.arange(len(dist)), dist))[: self.k]
-            votes = 1.0 / np.maximum(dist[order], 1e-12)
-            w1 = float(votes[self.y[order] == 1].sum())
-            total = float(votes.sum())
-            out[i, 1] = w1 / total
-            out[i, 0] = 1.0 - out[i, 1]
-        return out
+        nearest, dist = k_nearest(self.X, X, min(self.k, len(self.X)))
+        votes = 1.0 / np.maximum(dist, 1e-12)
+        is_one = self.y[nearest] == 1
+        # each row's class-1 votes moved to its front in order, so a row with
+        # c of them sums its first c entries as votes[is_one].sum() would
+        front = np.take_along_axis(votes, np.argsort(~is_one, axis=1, kind="stable"), axis=1)
+        counts = is_one.sum(axis=1)
+        w1 = np.zeros(len(X))
+        for c in np.unique(counts[counts > 0]):
+            rows = counts == c
+            w1[rows] = front[rows, :c].sum(axis=1)
+        p1 = w1 / votes.sum(axis=1)
+        return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] > 0.5).astype(np.int8)

@@ -5,6 +5,19 @@ Neighbor searches run in a standardized distance space built from the numeric
 columns (z-scores fitted on the input matrix); indicator and categorical
 columns do not contribute to distances but are interpolated and then rounded
 back to valid values when synthesizing rows.
+
+`k_nearest` is the one exact nearest-neighbour kernel, shared by SMOTE, ENN
+and the kNN baseline. It takes queries in blocks whose distance array holds
+at most BLOCK_ELEMENTS float64 values, selects each query's k-th distance
+with `np.partition` and sorts only the candidates at or below it by
+(distance, row index). Its distances are bit-identical to the per-query
+`np.sqrt(np.sum(deltas * deltas, axis=1))` of a plain scan, so every tie
+resolves as that scan's full sort would: below 8 columns numpy sums left to
+right, which the kernel reproduces by adding squared deltas column by
+column; from 8 columns numpy sums pairwise, which the kernel reproduces by
+reducing a (block, points, columns) array along its last axis. The square
+root is taken before selecting, because two different squared distances
+can round to one root and must then tie.
 """
 
 from __future__ import annotations
@@ -99,31 +112,81 @@ def _distance_space(matrix: FeatureMatrix) -> np.ndarray:
     return (space - mean) / std
 
 
-def _k_nearest(space: np.ndarray, query: int, candidates: np.ndarray, k: int) -> np.ndarray:
-    """Indices (into candidates) of the k nearest rows, ties broken by index."""
-    deltas = space[candidates] - space[query]
-    dist = np.sqrt(np.sum(deltas * deltas, axis=1))
-    order = np.lexsort((candidates, dist))
-    return candidates[order[:k]]
+BLOCK_ELEMENTS = 1 << 16  # float64 values in one block's distance array
+_PAIRWISE_COLUMNS = 8  # from this many columns np.sum adds pairwise
 
 
-def _round_non_numeric(matrix: FeatureMatrix, row: np.ndarray) -> np.ndarray:
-    """Round interpolated indicator/categorical dimensions to valid values."""
-    for j, meta in enumerate(matrix.columns):
-        if meta.kind == "multi_hot":
-            row[j] = 1.0 if row[j] >= 0.5 else 0.0
-        elif meta.kind == "encoded_categorical":
-            max_code = max(meta.category_map.values()) if meta.category_map else 0
-            row[j] = min(max(float(np.floor(row[j] + 0.5)), 0.0), float(max_code))
-    return row
+def _distances(points: np.ndarray, columns: np.ndarray | None, queries: np.ndarray) -> np.ndarray:
+    """(queries, points) Euclidean distances, each bit-identical to
+    np.sqrt(np.sum((points - q) ** 2, axis=1)) for its query q. columns is
+    points.T made contiguous where points has fewer than 8 columns, else None."""
+    if columns is not None:
+        total = np.square(columns[0] - queries[:, 0, None])
+        for j in range(1, len(columns)):
+            delta = columns[j] - queries[:, j, None]
+            total += np.square(delta, out=delta)
+    else:
+        deltas = points - queries[:, None, :]
+        total = np.sum(np.square(deltas, out=deltas), axis=2)
+    return np.sqrt(total, out=total)
+
+
+def _select(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k smallest entries, ordered by (distance, column index)."""
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    # not `<=`: where kth is NaN (NaN sorts last) every entry is a candidate,
+    # so each row always has at least k
+    rows, cols = np.nonzero(~(dist > kth[:, None]))
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    counts = np.bincount(rows, minlength=len(dist))
+    first = np.cumsum(counts) - counts
+    take = order[first[:, None] + np.arange(k)]
+    return cols[take], dist[rows[take], cols[take]]
+
+
+def k_nearest(
+    points: np.ndarray, queries: np.ndarray, k: int, exclude: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's k nearest rows of points as (indices, distances), both
+    (queries, k) and ordered by (distance, row index). exclude[i], if given,
+    is a row query i may not pick (itself)."""
+    n, d = points.shape
+    available = n if exclude is None else n - 1
+    if not 1 <= k <= available:
+        raise ResampleError(f"cannot take {k} nearest of {available} rows")
+    columns = np.ascontiguousarray(points.T) if 0 < d < _PAIRWISE_COLUMNS else None
+    step = max(1, BLOCK_ELEMENTS // (n if columns is not None else n * max(d, 1)))
+    indices = np.empty((len(queries), k), dtype=np.intp)
+    distances = np.empty((len(queries), k))
+    for start in range(0, len(queries), step):
+        block = slice(start, start + step)
+        dist = _distances(points, columns, queries[block])
+        if exclude is not None:
+            dist[np.arange(len(dist)), exclude[block]] = np.inf
+        indices[block], distances[block] = _select(dist, k)
+    return indices, distances
 
 
 def interpolate_rows(
-    matrix: FeatureMatrix, x_i: np.ndarray, x_nn: np.ndarray, lam: float
+    matrix: FeatureMatrix, origin: np.ndarray, partner: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
-    """One synthetic row x_i + lam * (x_nn - x_i) with non-numeric rounding."""
-    row = x_i + lam * (x_nn - x_i)
-    return _round_non_numeric(matrix, row)
+    """Synthetic rows x_i + lam * (x_nn - x_i) for the rows x_i = origin and
+    x_nn = partner of matrix, with indicator columns rounded to 0/1 and
+    categorical columns to a valid code. Built column by column, so no
+    temporary is larger than one column."""
+    rows = np.empty((len(origin), matrix.n_cols))
+    for j, meta in enumerate(matrix.columns):
+        x_i = matrix.values[origin, j]
+        column = matrix.values[partner, j] - x_i
+        column *= lam
+        column += x_i
+        if meta.kind == "multi_hot":
+            column = column >= 0.5
+        elif meta.kind == "encoded_categorical":
+            max_code = max(meta.category_map.values()) if meta.category_map else 0
+            column = np.clip(np.floor(column + 0.5), 0.0, float(max_code))
+        rows[:, j] = column
+    return rows
 
 
 def smote(matrix: FeatureMatrix, plan: ResamplePlan) -> FeatureMatrix:
@@ -138,22 +201,21 @@ def smote(matrix: FeatureMatrix, plan: ResamplePlan) -> FeatureMatrix:
     n_new = target - len(min_idx)
     if n_new <= 0:
         return matrix
-    space = _distance_space(matrix)
+    space = _distance_space(matrix)[min_idx]
+    positions, _ = k_nearest(space, space, plan.k_smote, exclude=np.arange(len(min_idx)))
+    neighbors = min_idx[positions]
     # one RNG stream per synthetic row, so generation order cannot matter
     streams = np.random.SeedSequence(plan.seed).spawn(n_new)
-    neighbor_cache: dict[int, np.ndarray] = {}
-    new_values = np.empty((n_new, matrix.n_cols), dtype=np.float64)
-    for s in range(n_new):
-        rng = np.random.default_rng(streams[s])
-        i = int(rng.choice(min_idx))
-        neighbors = neighbor_cache.get(i)
-        if neighbors is None:
-            others = min_idx[min_idx != i]
-            neighbors = _k_nearest(space, i, others, plan.k_smote)
-            neighbor_cache[i] = neighbors
-        nn = int(rng.choice(neighbors))
-        lam = float(rng.uniform(0.0, 1.0))
-        new_values[s] = interpolate_rows(matrix, matrix.values[i], matrix.values[nn], lam)
+    origin = np.empty(n_new, dtype=np.intp)
+    partner = np.empty(n_new, dtype=np.intp)
+    lam = np.empty(n_new)
+    for s, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        i = rng.choice(len(min_idx))  # the position rng.choice(min_idx) would draw
+        origin[s] = min_idx[i]
+        partner[s] = rng.choice(neighbors[i])
+        lam[s] = rng.uniform(0.0, 1.0)
+    new_values = interpolate_rows(matrix, origin, partner, lam)
     keys = [f"synthetic-{s}" for s in range(n_new)]
     labels = np.full(n_new, minority, dtype=np.int8)
     return matrix.append_rows(new_values, keys, labels)
@@ -174,16 +236,11 @@ def enn(matrix: FeatureMatrix, plan: ResamplePlan) -> FeatureMatrix:
     _, majority, _, _ = _class_split(matrix)
     space = _distance_space(matrix)
     labels = matrix.labels
-    everyone = np.arange(n)
+    edited = np.arange(n) if plan.enn_mode == "all" else np.flatnonzero(labels == majority)
+    neighbors, _ = k_nearest(space, space[edited], plan.k_enn, exclude=edited)
+    disagree = np.sum(labels[neighbors] != labels[edited, None], axis=1)
     keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if plan.enn_mode == "majority_only" and labels[i] != majority:
-            continue
-        others = everyone[everyone != i]
-        neighbors = _k_nearest(space, i, others, plan.k_enn)
-        disagree = int(np.sum(labels[neighbors] != labels[i]))
-        if disagree > plan.k_enn - disagree:
-            keep[i] = False
+    keep[edited[disagree > plan.k_enn - disagree]] = False
     return matrix.take_rows(np.flatnonzero(keep))
 
 

@@ -118,6 +118,41 @@ def brute_force_enn(values: np.ndarray, labels: np.ndarray, k: int, majority_onl
     return keep
 
 
+def brute_force_k_nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude=None):
+    """Each query's k nearest points, one query at a time: the plain distance
+    formula to every point, a full sort by (distance, row index), the
+    excluded row (exclude[i] for query i) dropped, the first k kept.
+
+    Returns (indices, distances), both (queries, k).
+    """
+    indices = np.empty((len(queries), k), dtype=np.intp)
+    distances = np.empty((len(queries), k))
+    for i, query in enumerate(queries):
+        deltas = points - query
+        dist = np.sqrt(np.sum(deltas * deltas, axis=1))
+        order = [j for j in np.lexsort((np.arange(len(points)), dist))
+                 if exclude is None or j != exclude[i]][:k]
+        indices[i] = order
+        distances[i] = dist[order]
+    return indices, distances
+
+
+def brute_force_knn_proba(X: np.ndarray, y: np.ndarray, k: int, queries: np.ndarray):
+    """Inverse-distance-weighted kNN vote, one query at a time: the k nearest
+    training rows by (distance, row index), all of them when k exceeds the
+    training set, each vote 1 / max(distance, 1e-12). Returns (queries, 2)
+    probabilities of class 0 and class 1."""
+    out = np.empty((len(queries), 2))
+    for i, query in enumerate(queries):
+        deltas = X - query
+        dist = np.sqrt(np.sum(deltas * deltas, axis=1))
+        order = np.lexsort((np.arange(len(dist)), dist))[:k]
+        votes = 1.0 / np.maximum(dist[order], 1e-12)
+        out[i, 1] = float(votes[y[order] == 1].sum()) / float(votes.sum())
+        out[i, 0] = 1.0 - out[i, 1]
+    return out
+
+
 def subset_expectation(flat, x, subset: frozenset, node: int = 0) -> float:
     """E[f(x_S)] under cover-proportional descent for features outside S."""
     if flat.children_left[node] == -1:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_enn
-from vetpv.matrix import DEATH, RECOVERED, from_arrays
+from oracles import brute_force_enn, brute_force_k_nearest
+from vetpv.matrix import DEATH, RECOVERED, ColumnMeta, FeatureMatrix, from_arrays
 from vetpv.resample import (
     ResampleError,
     ResamplePlan,
@@ -62,14 +62,14 @@ class TestSmote:
     def test_interpolation_formula(self):
         matrix = from_arrays(np.array([[0.0, 0.0], [2.0, 2.0]]),
                              np.array([DEATH, DEATH], dtype=np.int8))
-        row = interpolate_rows(matrix, matrix.values[0], matrix.values[1], 0.25)
-        assert np.allclose(row, [0.5, 0.5])
+        rows = interpolate_rows(matrix, np.array([0, 1]), np.array([1, 0]), np.array([0.25, 0.5]))
+        assert np.allclose(rows, [[0.5, 0.5], [1.0, 1.0]])
 
     def test_lambda_zero_returns_origin(self):
         matrix = from_arrays(np.array([[1.0, 3.0], [2.0, 2.0]]),
                              np.array([DEATH, DEATH], dtype=np.int8))
-        row = interpolate_rows(matrix, matrix.values[0], matrix.values[1], 0.0)
-        assert np.array_equal(row, matrix.values[0])
+        rows = interpolate_rows(matrix, np.array([0]), np.array([1]), np.array([0.0]))
+        assert np.array_equal(rows, matrix.values[[0]])
 
     def test_synthetic_points_inside_minority_bounding_box(self):
         matrix = imbalanced_matrix(n_minority=20, n_majority=60, seed=4)
@@ -90,6 +90,52 @@ class TestSmote:
         matrix = imbalanced_matrix(n_minority=12, n_majority=40, seed=6)
         plan = ResamplePlan(strategy="smote", seed=13)
         assert np.array_equal(smote(matrix, plan).values, smote(matrix, plan).values)
+
+
+def mixed_matrix(gen, n_minority, n_majority, d, duplicates):
+    """d numeric columns (one constant), a categorical and two indicator
+    columns; with duplicates, every numeric row is repeated."""
+    n = n_minority + n_majority
+    numeric = np.vstack([gen.normal(1.0, 1.0, (n_minority, d)), gen.normal(-1.0, 1.0, (n_majority, d))])
+    if duplicates:
+        numeric = numeric[np.repeat(np.arange(0, n, 3), 3)[:n]]
+    numeric[:, -1] = 4.0
+    values = np.column_stack([numeric, gen.integers(0, 4, n), gen.random((n, 2)) < 0.3])
+    columns = ([ColumnMeta(name=f"n{j}", kind="numeric") for j in range(d)]
+               + [ColumnMeta(name="cat", kind="encoded_categorical", category_map={"a": 1, "b": 3})]
+               + [ColumnMeta(name=f"h{j}", kind="multi_hot", source_field="f") for j in range(2)])
+    labels = np.array([DEATH] * n_minority + [RECOVERED] * n_majority, dtype=np.int8)
+    return FeatureMatrix(values, columns, [f"r{i}" for i in range(n)], labels)
+
+
+def z_scored(values):
+    std = values.std(axis=0)
+    std[std == 0] = 1.0
+    return (values - values.mean(axis=0)) / std
+
+
+@pytest.mark.parametrize("d, duplicates", [(3, False), (3, True), (7, True), (9, False)])
+def test_smote_replays_brute_force_neighbour_lists(d, duplicates):
+    """Each synthetic row equals the one a per-row SMOTE makes from the
+    oracle's neighbour lists: the same stream picks a row, then a neighbour
+    by its position in the (distance, index)-ordered list, then lambda."""
+    matrix = mixed_matrix(np.random.default_rng(d), 40, 100, d, duplicates)
+    plan = ResamplePlan(strategy="smote", seed=17, k_smote=5)
+    out = smote(matrix, plan)
+    min_idx = np.flatnonzero(matrix.labels == DEATH)
+    space = z_scored(matrix.values[:, :d])[min_idx]
+    nearest, _ = brute_force_k_nearest(space, space, 5, exclude=np.arange(len(min_idx)))
+    neighbours = {int(i): min_idx[row] for i, row in zip(min_idx, nearest)}
+    streams = np.random.SeedSequence(17).spawn(out.n_rows - matrix.n_rows)
+    for s, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        i = int(rng.choice(min_idx))
+        nn = int(rng.choice(neighbours[i]))
+        lam = float(rng.uniform(0.0, 1.0))
+        row = matrix.values[i] + lam * (matrix.values[nn] - matrix.values[i])
+        row[d] = min(max(float(np.floor(row[d] + 0.5)), 0.0), 3.0)
+        row[d + 1:] = [1.0 if v >= 0.5 else 0.0 for v in row[d + 1:]]
+        assert np.array_equal(out.values[matrix.n_rows + s].view(np.uint64), row.view(np.uint64))
 
 
 class TestEnn:
@@ -122,6 +168,24 @@ class TestEnn:
             got = enn(matrix, plan)
             keep = brute_force_enn(X, y, k=3, majority_only=(mode == "majority_only"))
             assert got.keys == [matrix.keys[i] for i in np.flatnonzero(keep)]
+
+    @pytest.mark.parametrize("mode", ["majority_only", "all"])
+    @pytest.mark.parametrize("d, duplicates", [(2, True), (7, True), (8, False), (12, True)])
+    def test_adversarial_spaces_match_brute_force_oracle(self, mode, d, duplicates):
+        matrix = mixed_matrix(np.random.default_rng(d), 60, 140, d, duplicates)
+        plan = ResamplePlan(strategy="smote_enn", k_enn=3, enn_mode=mode)
+        keep = brute_force_enn(matrix.values[:, :d], matrix.labels, 3, mode == "majority_only")
+        assert enn(matrix, plan).keys == [matrix.keys[i] for i in np.flatnonzero(keep)]
+
+    @pytest.mark.parametrize("mode", ["majority_only", "all"])
+    def test_no_numeric_column_edits_over_every_column(self, mode, rng):
+        values = (rng.random((150, 10)) < 0.3).astype(float)  # 10 columns: the pairwise sum
+        labels = (rng.random(150) < 0.7).astype(np.int8)
+        columns = [ColumnMeta(name=f"h{j}", kind="multi_hot", source_field="f") for j in range(10)]
+        matrix = FeatureMatrix(values, columns, [f"r{i}" for i in range(150)], labels)
+        plan = ResamplePlan(strategy="smote_enn", k_enn=5, enn_mode=mode)
+        keep = brute_force_enn(values, labels, 5, mode == "majority_only")
+        assert enn(matrix, plan).keys == [matrix.keys[i] for i in np.flatnonzero(keep)]
 
     def test_majority_only_mode_never_touches_minority(self):
         matrix = imbalanced_matrix(n_minority=10, n_majority=30, seed=8)
@@ -168,8 +232,6 @@ def test_plan_validation():
 
 
 def test_categorical_dimensions_round_to_valid_codes():
-    from vetpv.matrix import ColumnMeta, FeatureMatrix
-
     columns = [
         ColumnMeta(name="num", kind="numeric"),
         ColumnMeta(name="cat", kind="encoded_categorical", category_map={"a": 1, "b": 2}),
@@ -181,7 +243,8 @@ def test_categorical_dimensions_round_to_valid_codes():
         keys=["a", "b"],
         labels=np.array([DEATH, DEATH], dtype=np.int8),
     )
-    row = interpolate_rows(matrix, matrix.values[0], matrix.values[1], 0.6)
-    assert row[0] == pytest.approx(0.6)   # numeric stays interpolated
-    assert row[1] in (1.0, 2.0)           # categorical snaps to a valid code
-    assert row[2] in (0.0, 1.0)           # indicator snaps to 0/1
+    lam = np.array([0.0, 0.2, 0.6, 1.0])
+    rows = interpolate_rows(matrix, np.zeros(4, dtype=int), np.ones(4, dtype=int), lam)
+    assert np.allclose(rows[:, 0], lam)                     # numeric stays interpolated
+    assert np.array_equal(rows[:, 1], [1.0, 1.0, 2.0, 2.0])  # categorical snaps to a valid code
+    assert np.array_equal(rows[:, 2], [0.0, 0.0, 1.0, 1.0])  # indicator snaps to 0/1
