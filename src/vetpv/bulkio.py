@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import re
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .ingest import (
@@ -73,47 +76,60 @@ def escape_field(text: str) -> str:
     )
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_PAIR = re.compile(r"\\(.)", flags=re.S)
+
+
+def _unescape_pair(match) -> str:
+    ch = match.group(1)
+    return _UNESCAPES.get(ch, ch)
+
+
 def unescape_field(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo escape_field. An unknown escape \\q gives q; a trailing lone
+    backslash is kept."""
+    if "\\" not in text:
+        return text
+    return _ESCAPE_PAIR.sub(_unescape_pair, text)
 
 
-def _encode_value(value, kind) -> str:
-    if value is None:
-        return NULL
+def _decoder(kind):
+    """The decoder of one column: bulk cells -> values, None for NULL.
+    Cells without a backslash skip unescape_field, as it would return
+    them unchanged."""
+    if kind is str:
+        return lambda cells: [
+            c if "\\" not in c else None if c == NULL else unescape_field(c) for c in cells
+        ]
     if kind is float:
-        return escape_field(repr(float(value)))
+        return lambda cells: [
+            float(c) if "\\" not in c else None if c == NULL else float(unescape_field(c))
+            for c in cells
+        ]
     if kind is int:
-        return str(int(value))
+        return lambda cells: [None if c == NULL else int(c) for c in cells]
     if kind is dt.date:
-        return value.isoformat()
-    if isinstance(value, (AgeUnit, WeightUnit, VeddraLevel, Outcome)):
-        return value.value
-    return escape_field(value)
+        return lambda cells: [None if c == NULL else dt.date.fromisoformat(c) for c in cells]
+    members = {member.value: member for member in kind}
+    # kind(c) only raises: it names the enum and the bad value
+    return lambda cells: [
+        None if c == NULL else members[c] if c in members else kind(c) for c in cells
+    ]
 
 
-def _decode_value(text: str, kind):
-    if text == NULL:
-        return None
+def _encoder(kind):
+    """The encoder of one column: values -> bulk cells, NULL for None.
+    A float's repr never holds a backslash, tab, CR or LF, so it is not
+    escaped."""
+    if kind is str:
+        return lambda values: [NULL if v is None else escape_field(v) for v in values]
     if kind is float:
-        return float(unescape_field(text))
+        return lambda values: [NULL if v is None else repr(float(v)) for v in values]
     if kind is int:
-        return int(text)
+        return lambda values: [NULL if v is None else str(int(v)) for v in values]
     if kind is dt.date:
-        return dt.date.fromisoformat(text)
-    if kind in (AgeUnit, WeightUnit, VeddraLevel, Outcome):
-        return kind(text)
-    return unescape_field(text)
+        return lambda values: [NULL if v is None else v.isoformat() for v in values]
+    return lambda values: [NULL if v is None else v.value for v in values]
 
 
 def export_csv(tables: RawTables, directory) -> dict[str, int]:
@@ -149,28 +165,32 @@ def export_bulk_string(tables: RawTables) -> dict[str, str]:
     """The bulk-load text of each table, keyed by table name."""
     texts = {}
     for name in TABLE_NAMES:
-        columns = _COLUMNS[name]
-        lines = ["\t".join([_encode_value(getattr(row, cname), kind) for cname, kind in columns])
-                 for row in getattr(tables, name)]
+        rows = getattr(tables, name)
+        columns = [_encoder(kind)(map(attrgetter(cname), rows)) for cname, kind in _COLUMNS[name]]
+        lines = list(map("\t".join, zip(*columns)))
         texts[name] = "\n".join(lines) + "\n" if lines else ""
     return texts
 
 
 def _parse_table(table_name: str, text: str) -> list:
     columns = _COLUMNS[table_name]
-    row_type = _ROW_TYPES[table_name]
-    rows = []
-    for line in text.split("\n"):
-        if line == "":
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(columns):
+    # the lines stay alive until the rows are built: freeing them before
+    # raised the peak RSS of a 5k-report SMOTE+ENN prepare by about 1 MB
+    lines = [line for line in text.split("\n") if line != ""]
+    cells = [line.split("\t") for line in lines]
+    for row in cells:
+        if len(row) != len(columns):
             raise ValueError(
-                f"{table_name}: expected {len(columns)} fields, got {len(cells)}"
+                f"{table_name}: expected {len(columns)} fields, got {len(row)}"
             )
-        kwargs = {name: _decode_value(cell, kind) for (name, kind), cell in zip(columns, cells)}
-        rows.append(row_type(**kwargs))
-    return rows
+    decoded = {
+        cname: _decoder(kind)(column) for (cname, kind), column in zip(columns, zip(*cells))
+    }
+    if not decoded:
+        return []
+    row_type = _ROW_TYPES[table_name]
+    # by field name: a table's columns need not be in its row type's field order
+    return list(map(row_type, *[decoded[f.name] for f in fields(row_type)]))
 
 
 def import_bulk_string(texts: dict[str, str]) -> RawTables:

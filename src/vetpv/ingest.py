@@ -224,14 +224,18 @@ def _parse_date(value) -> dt.date | None:
     return None
 
 
+_MEMBERS_BY_LOWER_VALUE = {
+    enum_cls: {member.value.lower(): member for member in enum_cls}
+    for enum_cls in (AgeUnit, WeightUnit, VeddraLevel, Outcome)
+}
+
+
 def _parse_enum(enum_cls, value):
+    """The member whose value matches value case-insensitively, else None."""
     text = _as_optional_str(value)
     if text is None:
         return None
-    for member in enum_cls:
-        if member.value.lower() == text.lower():
-            return member
-    return None
+    return _MEMBERS_BY_LOWER_VALUE[enum_cls].get(text.lower())
 
 
 def _measurement(entry: dict, enum_cls, what: str, key: str, stats: ParseStats):

@@ -160,34 +160,46 @@ def to_csv(matrix: FeatureMatrix) -> str:
     """Serialize with full float precision; round-trips through from_csv."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = ["key", "label"] + matrix.column_names()
-    writer.writerow(header)
-    labels = matrix.labels
-    for i in range(matrix.n_rows):
-        label = "" if labels is None else str(int(labels[i]))
-        writer.writerow([matrix.keys[i], label] + [repr(float(v)) for v in matrix.values[i]])
+    writer.writerow(["key", "label"] + matrix.column_names())
+    labels = [""] * matrix.n_rows if matrix.labels is None else map(str, matrix.labels.tolist())
+    # one row at a time: a whole-matrix tolist() would hold every value as
+    # a Python float at once
+    writer.writerows(
+        [key, label, *map(repr, row.tolist())]
+        for key, label, row in zip(matrix.keys, labels, matrix.values)
+    )
     return buf.getvalue()
 
 
+def _text_stream(data: bytes):
+    # decodes a chunk at a time; io.StringIO(text) would hold the whole
+    # text at four bytes per character while it is read
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
 def from_csv(text: str, columns: list[ColumnMeta]) -> FeatureMatrix:
-    reader = csv.reader(io.StringIO(text))
+    data = text.encode("utf-8")
+    reader = csv.reader(_text_stream(data))
     header = next(reader)
     expected = ["key", "label"] + [c.name for c in columns]
     if header != expected:
         raise MatrixError("matrix CSV header does not match column metadata")
-    keys, labels, rows = [], [], []
-    labeled = None
+    header_lines = reader.line_num  # as loadtxt counts them: the same stream type
+    keys, label_cells = [], []
     for row in reader:
         keys.append(row[0])
-        if labeled is None:
-            labeled = row[1] != ""
-        if labeled:
-            labels.append(int(row[1]))
-        rows.append([float(v) for v in row[2:]])
-    values = np.asarray(rows, dtype=np.float64).reshape(len(keys), len(columns))
+        label_cells.append(row[1])
+    d = len(columns)
+    if keys:
+        # comments=None: a key that starts with "#" must keep its row
+        values = np.loadtxt(_text_stream(data), delimiter=",", quotechar='"', comments=None,
+                            skiprows=header_lines, usecols=range(2, 2 + d), ndmin=2)
+    else:
+        values = np.empty((0, d))  # loadtxt warns on input with no rows
+    labeled = bool(label_cells) and label_cells[0] != ""
     return FeatureMatrix(
         values=values,
         columns=columns,
         keys=keys,
-        labels=np.asarray(labels, dtype=np.int8) if labeled else None,
+        labels=np.array([int(c) for c in label_cells], dtype=np.int8) if labeled else None,
     )

@@ -129,7 +129,10 @@ class ArtifactStore:
             raise MissingArtifactError(
                 f"missing prerequisite artifact {name!r} (expected {self.out_dir / (filename or name + '-*')})"
             )
-        return (self.out_dir / filename).read_text(encoding="utf-8")
+        # newline="" returns the stored bytes' text: universal newlines
+        # would turn a CR inside a quoted CSV field into LF
+        with open(self.out_dir / filename, encoding="utf-8", newline="") as fh:
+            return fh.read()
 
 
 @dataclass

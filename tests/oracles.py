@@ -7,6 +7,7 @@ implementation paths it validates beyond plain data containers.
 
 from __future__ import annotations
 
+import datetime as dt
 import itertools
 import math
 
@@ -324,3 +325,37 @@ def gradient_descent_logistic(X, y, loss_grad, step_size=1.0, l2=1e-4, tol=1e-6,
         weights -= step_size * grad_w
         bias -= step_size * grad_b
     return weights, bias, mean, std, grad_norm
+
+
+def unescape_bulk_field(text: str) -> str:
+    """Undo the bulk-text escapes one character at a time: \\\\, \\t, \\n and
+    \\r map to their characters, any other escaped character to itself, and a
+    trailing lone backslash is kept."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def decode_bulk_value(text: str, kind):
+    """One bulk-text cell of a column of the given kind, by a type dispatch
+    per cell; \\N is an absent value."""
+    if text == "\\N":
+        return None
+    if kind is float:
+        return float(unescape_bulk_field(text))
+    if kind is int:
+        return int(text)
+    if kind is dt.date:
+        return dt.date.fromisoformat(text)
+    if kind is str:
+        return unescape_bulk_field(text)
+    return kind(text)

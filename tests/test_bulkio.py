@@ -2,10 +2,14 @@ import csv
 import datetime as dt
 import hashlib
 
+import pytest
 from hypothesis import given, strategies as st
 
 from documents import fixture_document
+from oracles import decode_bulk_value, unescape_bulk_field
+from vetpv import bulkio
 from vetpv.bulkio import (
+    NULL,
     escape_field,
     export_bulk_string,
     export_csv,
@@ -19,9 +23,44 @@ from vetpv.ingest import (
     Outcome,
     OutcomeRow,
     RawTables,
+    VeddraLevel,
     WeightUnit,
     parse_quarter,
 )
+
+COLUMN_KINDS = (str, float, int, dt.date, AgeUnit, WeightUnit, VeddraLevel, Outcome)
+
+# backslash runs, known and unknown escapes, \N as NULL and as escaped text
+escape_heavy_text = st.text(
+    alphabet=st.sampled_from(["\\", "N", "t", "n", "r", "q", "a", "1", " ", "\t", "\n", "\r"])
+)
+
+
+def bulk_cells(kind):
+    """Adversarial cells for a column of kind: valid encodings of the kind,
+    NULL and NULL-like text, and backslash-heavy text, each possibly with
+    a trailing lone backslash."""
+    if kind is str:
+        valid = st.text().map(escape_field)
+    elif kind is float:
+        valid = st.floats().map(repr)
+    elif kind is int:
+        valid = st.integers().map(str)
+    elif kind is dt.date:
+        valid = st.dates().map(dt.date.isoformat)
+    else:
+        valid = st.sampled_from([member.value for member in kind])
+    cell = st.one_of(valid, st.sampled_from([NULL, "\\\\N", "N", "\\", ""]), escape_heavy_text)
+    return st.tuples(cell, st.booleans()).map(lambda pair: pair[0] + "\\" * pair[1])
+
+
+def decode_outcome(decode):
+    """(type, repr) of the decoded value, or the exception type raised."""
+    try:
+        value = decode()
+    except ValueError as exc:
+        return type(exc)
+    return type(value), repr(value)
 
 
 def test_absent_field_renders_null_marker():
@@ -43,6 +82,35 @@ def test_escape_roundtrip_any_text(text):
     assert unescape_field(escape_field(text)) == text
     escaped = escape_field(text)
     assert "\t" not in escaped and "\n" not in escaped and "\r" not in escaped
+
+
+@given(escape_heavy_text)
+def test_unescape_matches_per_character_oracle(text):
+    assert unescape_field(text) == unescape_bulk_field(text)
+
+
+@pytest.mark.parametrize("kind", COLUMN_KINDS, ids=lambda kind: kind.__name__)
+@given(data=st.data())
+def test_column_decoder_matches_per_value_oracle(kind, data):
+    cells = data.draw(st.lists(bulk_cells(kind), max_size=8))
+    decode = bulkio._decoder(kind)
+    for cell in cells:
+        assert decode_outcome(lambda: decode([cell])[0]) == decode_outcome(
+            lambda: decode_bulk_value(cell, kind)
+        ), cell
+    expected = [decode_outcome(lambda: decode_bulk_value(cell, kind)) for cell in cells]
+    if all(isinstance(outcome, tuple) for outcome in expected):
+        assert [decode_outcome(lambda: value) for value in decode(cells)] == expected
+
+
+def test_column_kinds_cover_every_bulk_column():
+    assert {kind for columns in bulkio._COLUMNS.values() for _, kind in columns} == set(COLUMN_KINDS)
+
+
+@pytest.mark.parametrize("kind", COLUMN_KINDS, ids=lambda kind: kind.__name__)
+def test_absent_value_round_trips_in_every_column_kind(kind):
+    assert bulkio._encoder(kind)([None]) == [NULL]
+    assert bulkio._decoder(kind)([NULL]) == [None]
 
 
 def test_fixture_roundtrip_exact():

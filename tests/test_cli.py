@@ -263,6 +263,28 @@ class TestSubcommands:
         _, run_out = finished_run
         assert (out / "manifest.tsv").read_bytes() == (run_out / "manifest.tsv").read_bytes()
 
+    def test_stagewise_chain_matches_run_with_cr_in_report_ids(self, small_corpus, tmp_path):
+        # a CR inside a quoted CSV key must survive the artifact reads of the chain
+        quarters = Path(shutil.copytree(small_corpus / "quarters", tmp_path / "quarters"))
+        plain = quarters / "corpus-q1.json"
+        document = json.loads(plain.read_text(encoding="utf-8"))
+        for record in document["results"]:
+            record["unique_aer_id_number"] = record["unique_aer_id_number"].replace("-", "-\r")
+        plain.write_text(json.dumps(document), encoding="utf-8")
+        template = (small_corpus / "pipeline.ini").read_text().replace(
+            "input_dir = quarters", f"input_dir = {quarters}"
+        )
+        outs = {}
+        for name, commands in (("run", ("run",)),
+                               ("chain", ("ingest", "prepare", "train", "ssl", "evaluate", "explain"))):
+            outs[name] = tmp_path / name
+            config = tmp_path / f"{name}.ini"
+            config.write_text(template.replace("output_dir = out", f"output_dir = {outs[name]}"))
+            for cmd in commands:
+                assert run_cli(cmd, "--config", str(config)) == 0, cmd
+        assert b"-\r" in next(outs["run"].glob("matrix_train-*.csv")).read_bytes()
+        assert (outs["chain"] / "manifest.tsv").read_bytes() == (outs["run"] / "manifest.tsv").read_bytes()
+
     def test_evaluate_scores_ssl_model_only_when_ssl_enabled(self, finished_run, tmp_path):
         import csv
         import io
@@ -428,6 +450,8 @@ class TestArtifactStore:
         chunked = store.put_text("metrics", iter(["f1\n", "", "0.9\n"]), "csv")
         assert chunked == whole
         assert store.get_text("metrics") == "f1\n0.9\n"
+        store.put_text("metrics", 'key\r\n"k\r1"\r\n', "csv")
+        assert store.get_text("metrics") == 'key\r\n"k\r1"\r\n'
 
     def test_malformed_manifest_line_is_named(self, tmp_path):
         from vetpv import pipeline
