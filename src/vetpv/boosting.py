@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import (FitError, FlatTree, TreeEnsemble, checked_matrix, grow_trees, node_square,
-                    rank_bins, sigmoid)
+from .trees import (FitError, FlatTree, TreeEnsemble, checked_matrix, checked_weights, grow_trees,
+                    node_square, rank_bins, sigmoid)
 # perfbench/spans.py wraps these names in traced runs
 from .trees import TreeEnsemble as GradientBoostedModel, apply_tree  # noqa: F401
 
@@ -75,9 +75,7 @@ def fit_gbdt(
     X = checked_matrix(matrix.values, 1)
     y = matrix.labels.astype(np.float64)
     n = len(y)
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != (n,):
-        raise FitError("sample_weight must align with rows")
+    w = checked_weights(sample_weight, n)
 
     prevalence = float(np.clip((w * y).sum() / w.sum(), PREVALENCE_CLIP, 1 - PREVALENCE_CLIP))
     base_score = float(np.log(prevalence / (1.0 - prevalence)))

@@ -290,7 +290,7 @@ class ShapRanking:
     group: str
     entries: list[RankingEntry]  # sorted descending by mean_signed_shap
 
-    def top_bottom(self, n: int = 10) -> tuple[list[RankingEntry], list[RankingEntry]]:
+    def top_bottom(self, n: int) -> tuple[list[RankingEntry], list[RankingEntry]]:
         return self.entries[:n], self.entries[-n:][::-1]
 
 
@@ -372,7 +372,7 @@ def shap_summary(
     phi: np.ndarray,
     matrix: FeatureMatrix,
     rows: np.ndarray,
-    top_k: int = 15,
+    top_k: int,
 ) -> list[tuple[str, list[tuple[str, float, float]]]]:
     """Beeswarm-style points for the top_k features by mean |phi| in a group.
 
@@ -417,7 +417,7 @@ def shap_values_csv(phi: np.ndarray, base: float, matrix: FeatureMatrix) -> Iter
         yield text([key, name, repr(value), base_text] for name, value in zip(names, row.tolist()))
 
 
-def rankings_csv(scopes: dict[str, dict[str, ShapRanking]], top_n: int = 10) -> str:
+def rankings_csv(scopes: dict[str, dict[str, ShapRanking]], top_n: int) -> str:
     """One CSV of every scope's rankings (aggregate_shap results by scope), in
     scope order and then by group."""
     buf = io.StringIO()

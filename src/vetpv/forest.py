@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import FitError, TreeEnsemble, TreeParams, checked_matrix, grow_cart, rank_bins
+from .trees import (FitError, TreeEnsemble, TreeParams, checked_matrix, checked_weights, grow_cart,
+                    rank_bins)
 # perfbench/spans.py wraps these names in traced runs
 from .trees import TreeEnsemble as RandomForestModel, apply_tree, fit_cart  # noqa: F401
 
@@ -26,7 +27,11 @@ class ForestParams:
     bootstrap: bool = True
 
 
-def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> TreeEnsemble:
+def fit_forest(
+    matrix: FeatureMatrix,
+    params: ForestParams = ForestParams(),
+    sample_weight: np.ndarray | None = None,
+) -> TreeEnsemble:
     if params.n_trees < 1:
         raise FitError(f"n_trees must be >= 1, got {params.n_trees}")
     if matrix.labels is None:
@@ -34,17 +39,19 @@ def fit_forest(matrix: FeatureMatrix, params: ForestParams = ForestParams()) -> 
     X = checked_matrix(matrix.values, params.min_leaf)
     y = matrix.labels
     n, d = X.shape
+    w = checked_weights(sample_weight, n)
     m = params.features_per_split
     if m is None:
         m = max(1, int(round(math.sqrt(d))))
     streams = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     rngs = [np.random.default_rng(stream) for stream in streams]
-    # Bootstraps are row indices into the one coding; repeats count as rows.
+    # Bootstraps are row indices into the one coding; a repeat counts as a
+    # row, so a row's weight counts once per draw.
     roots = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
 
     def draw(t):
         return np.sort(rngs[t].choice(d, size=m, replace=False))
 
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
-    trees = grow_cart(rank_bins(X), y, np.ones(n), tree_params, roots, None if m >= d else draw)
+    trees = grow_cart(rank_bins(X), y, w, tree_params, roots, None if m >= d else draw)
     return TreeEnsemble("forest", trees, matrix.column_names())

@@ -17,6 +17,7 @@ import numpy as np
 DEATH = 0
 RECOVERED = 1
 CLASS_NAMES = ("Death", "Recovered")
+SPLIT_NAMES = ("train", "validation", "test", "unlabeled")  # the split stage's matrices
 
 
 class MatrixError(ValueError):

@@ -62,6 +62,8 @@ def default_members(seed: int) -> list[ModelSpec]:
 
 
 def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
+    if sample_weight is not None and spec.kind not in TREE_KINDS:
+        raise FitError(f"{spec.kind} fitting does not support sample weights")
     params = dict(spec.params)
     if spec.kind not in PARAMS:  # ensembles
         seed = params.pop("seed", 0)
@@ -78,10 +80,8 @@ def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
         return TreeEnsemble("tree", [tree], matrix.column_names())
     if spec.kind == "gbdt":
         return fit_gbdt(matrix, kind_params, sample_weight=sample_weight)
-    if sample_weight is not None:
-        raise FitError(f"{spec.kind} fitting does not support sample weights")
     if spec.kind == "forest":
-        return fit_forest(matrix, kind_params)
+        return fit_forest(matrix, kind_params, sample_weight=sample_weight)
     if spec.kind == "logistic":
         return fit_logistic(matrix, kind_params)
     return fit_knn(matrix, kind_params)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bulkio, explain, harmonize, ingest, matrix as matrix_mod, metrics, prepare, ssl
 from .config import PipelineConfig, config_hash, effective_config_text
-from .matrix import DEATH, RECOVERED, ColumnMeta, FeatureMatrix
+from .matrix import DEATH, RECOVERED, SPLIT_NAMES, ColumnMeta, FeatureMatrix
 from .models import fit_model, parse_model, serialize_model
 from .resample import apply_plan
 
@@ -213,9 +213,6 @@ def load_tables(store: ArtifactStore):
     return bulkio.import_bulk_string(texts)
 
 
-SPLIT_NAMES = ("train", "validation", "test", "unlabeled")
-
-
 class SplitMatrices(dict):
     """The split's matrices by name, each parsed from its artifact on first
     lookup, so a stage pays only for the matrices it reads."""
@@ -341,14 +338,14 @@ def stage_split(config: PipelineConfig, store: ArtifactStore, outputs: StageOutp
         [DEATH if r.outcome is ingest.Outcome.DIED else RECOVERED for r in labeled],
         dtype=np.int8,
     )
-    assignment = prepare.stratified_assignment(outcome_labels, config.ratios, config.seed)
+    assignment = prepare.stratified_assignment(outcome_labels, config.prepare.ratios, config.seed)
     train_reports = [r for r, a in zip(labeled, assignment) if a == 0]
     val_reports = [r for r, a in zip(labeled, assignment) if a == 1]
     test_reports = [r for r, a in zip(labeled, assignment) if a == 2]
 
     imputer = prepare.fit_imputer(train_reports)
     imputed_train = prepare.apply_imputer(imputer, train_reports)
-    encoder = prepare.fit_encoder(imputed_train, config.top_k)
+    encoder = prepare.fit_encoder(imputed_train, config.prepare.top_k)
     store.put_text("encoder", encoder.to_json(), "json")
 
     def transform(rows, require_labels):
@@ -356,7 +353,7 @@ def stage_split(config: PipelineConfig, store: ArtifactStore, outputs: StageOutp
 
     train = encoder.transform(imputed_train, True)
     pruned_train, dropped = prepare.prune_correlated(
-        train, config.correlation_threshold, config.priority
+        train, config.prepare.correlation_threshold, config.prepare.priority
     )
     drop_names = [d.name for d in dropped]
     matrices = {
@@ -437,7 +434,7 @@ _METRIC_COLUMNS = (
 def stage_evaluate(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
     matrices = outputs["split"]
     models = {"supervised": outputs["train"]}
-    if config.ssl_enabled:
+    if config.ssl.enabled:
         models["ssl"] = outputs["ssl"]
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -460,11 +457,11 @@ def stage_evaluate(config: PipelineConfig, store: ArtifactStore, outputs: StageO
 
 
 def stage_explain(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
-    dataset = outputs["split"][config.explain_dataset]
-    model = outputs["ssl" if config.explain_model == "ssl" else "train"]
+    dataset = outputs["split"][config.explain.dataset]
+    model = outputs["ssl" if config.explain.model == "ssl" else "train"]
     rows_in = dataset.n_rows
-    if config.explain_max_rows and dataset.n_rows > config.explain_max_rows:
-        dataset = dataset.take_rows(np.arange(config.explain_max_rows))
+    if config.explain.max_rows and dataset.n_rows > config.explain.max_rows:
+        dataset = dataset.take_rows(np.arange(config.explain.max_rows))
     groups = explain.SpeciesGroupMap.load(config.species_groups)
     phi = explain.tree_shap_batch(model, dataset.values)
     base = explain.base_value(model)
@@ -481,10 +478,10 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, outputs: StageOu
         scope: explain.aggregate_shap(phi, dataset, by_group, scope)
         for scope in ("ae_term", "ingredient")
     }
-    store.put_text("rankings", explain.rankings_csv(rankings, config.top_n), "csv")
+    store.put_text("rankings", explain.rankings_csv(rankings, config.explain.top_n), "csv")
 
     summaries = {
-        group: explain.shap_summary(phi, dataset, rows, config.summary_top_k)
+        group: explain.shap_summary(phi, dataset, rows, config.explain.top_k)
         for group, rows in by_group.items()
         if len(rows)
     }
@@ -530,7 +527,7 @@ def run(config: PipelineConfig, echo=print) -> RunReport:
     """Execute every enabled stage in order, persisting artifacts and the run report."""
     echo("effective configuration:")
     echo(effective_config_text(config))
-    enabled = {"ssl": config.ssl_enabled, "explain": config.explain_enabled}
+    enabled = {"ssl": config.ssl.enabled, "explain": config.explain.enabled}
     names = [name for name in STAGES if enabled.get(name, True)]
     report, _ = run_stages(config, ArtifactStore(config.output_dir), names, echo)
     _replace_file(config.output_dir / "run_report.json", [report.to_json()])

@@ -343,8 +343,8 @@ class DroppedColumn:
 
 def prune_correlated(
     matrix: FeatureMatrix,
-    threshold: float = 0.95,
-    priority: tuple[str, ...] = ("molecular_weight",),
+    threshold: float,
+    priority: tuple[str, ...],
 ) -> tuple[FeatureMatrix, list[DroppedColumn]]:
     """Drop one column of every numeric pair with |Pearson r| >= threshold.
 

@@ -50,7 +50,9 @@ class ResamplePlan:
         if not (0 < self.target_ratio <= 1):
             raise ResampleError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
         if self.k_smote < 1 or self.k_enn < 1:
-            raise ResampleError("k values must be >= 1")
+            raise ResampleError(
+                f"k_smote and k_enn must be >= 1, got {self.k_smote} and {self.k_enn}"
+            )
         if self.enn_mode not in ("majority_only", "all"):
             raise ResampleError(f"unknown enn_mode {self.enn_mode!r}")
 

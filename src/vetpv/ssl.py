@@ -42,17 +42,19 @@ class CheckpointSeries:
             raise SslError("checkpoints start at prefix length 1")
 
 
-def evenly_spaced_checkpoints(total: int, max_checkpoints: int = 50) -> tuple[int, ...]:
+def evenly_spaced_checkpoints(total: int, max_checkpoints: int) -> tuple[int, ...]:
     """Up to max_checkpoints prefix lengths in 1..total, always including total."""
     if total < 1:
         raise SslError("model has no trees to checkpoint")
     if total <= max_checkpoints:
         return tuple(range(1, total + 1))
+    if max_checkpoints == 1:
+        return (total,)
     points = np.linspace(1, total, max_checkpoints)
     return tuple(sorted(set(int(round(p)) for p in points)))
 
 
-def make_checkpoints(model, max_checkpoints: int = 50) -> CheckpointSeries:
+def make_checkpoints(model, max_checkpoints: int) -> CheckpointSeries:
     """Checkpoints of a tree model; a single tree has only the degenerate T=1 series."""
     if not isinstance(model, TreeEnsemble):
         raise SslError(f"checkpointing supports tree models, not {type(model).__name__}")
@@ -107,16 +109,21 @@ def compute_aum(staged: np.ndarray, keys: list[str]) -> list[AumRecord]:
 
 @dataclass(frozen=True)
 class SslPlan:
+    enabled: bool = True
     keep_fraction: float = 0.3
     rounds: int = 1
     base_model: ModelSpec = field(default_factory=lambda: ModelSpec("gbdt"))
     max_checkpoints: int = 50
-    pseudo_weight: float = 1.0
+    pseudo_weight: float = 1.0  # sample weight of each pseudo-labeled row in a refit
     allow_any_fraction: bool = False
 
     def __post_init__(self):
         if self.rounds < 1:
             raise SslError(f"rounds must be >= 1, got {self.rounds}")
+        if self.max_checkpoints < 1:
+            raise SslError(f"max_checkpoints must be >= 1, got {self.max_checkpoints}")
+        if not (0 < self.pseudo_weight < np.inf):
+            raise SslError(f"pseudo_weight must be positive and finite, got {self.pseudo_weight}")
         if not self.allow_any_fraction and not (0.2 <= self.keep_fraction <= 0.8):
             raise SslError(
                 f"keep_fraction {self.keep_fraction} outside the supported sweep "
@@ -164,17 +171,13 @@ def ssl_train(
     if unlabeled.column_names() != labeled.column_names():
         raise SslError("labeled and unlabeled matrices must share the same columns")
 
-    def refit(pool, pool_weights):
-        weights = None if plan.pseudo_weight == 1.0 else pool_weights
-        return fit_model(plan.base_model, pool, sample_weight=weights)
-
     pool = labeled
     pool_weights = np.ones(pool.n_rows)
     remaining = unlabeled
     provenance: list[dict] = []
     rounds_run = 0
     if model is None:
-        model = refit(pool, pool_weights)
+        model = fit_model(plan.base_model, pool, sample_weight=pool_weights)
     if unlabeled.n_rows == 0:
         log.warning("unlabeled pool is empty; returning the supervised model")
     for round_id in range(1, plan.rounds + 1):
@@ -207,7 +210,7 @@ def ssl_train(
                     "round": round_id,
                 }
             )
-        model = refit(pool, pool_weights)
+        model = fit_model(plan.base_model, pool, sample_weight=pool_weights)
     summary = {
         "rounds_run": rounds_run,
         "pseudo_rows": len(provenance),

@@ -312,6 +312,21 @@ def checked_matrix(X, min_leaf: int) -> np.ndarray:
     return X
 
 
+def checked_weights(sample_weight, n: int) -> np.ndarray:
+    """Sample weights as float64 (ones when None), after the checks every fit
+    makes of weights given from outside."""
+    if sample_weight is None:
+        return np.ones(n)
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != (n,):
+        raise FitError(f"sample_weight must have shape ({n},), got {w.shape}")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise FitError("sample weights must be finite and non-negative")
+    if not w.sum() > 0:
+        raise FitError("sample weights sum to 0")
+    return w
+
+
 def grow_cart(bins: Bins, y, w, params: TreeParams, roots: list, draw=None) -> list[FlatTree]:
     """Classification trees on bins from the given roots (see grow_trees);
     each stops at max_depth, min_leaf or purity."""
@@ -338,7 +353,7 @@ def fit_cart(
     """Grow a classification tree over every column of X."""
     X = checked_matrix(X, params.min_leaf)
     y = np.asarray(y)
-    w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    w = checked_weights(sample_weight, len(X))
     return grow_cart(rank_bins(X), y, w, params, [np.arange(len(X))])[0]
 
 

@@ -165,6 +165,43 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(config)
 
+    @pytest.mark.parametrize("section, options", [
+        ("prepare", {"top_k": "-1"}),
+        ("prepare", {"train_ratio": "1.2", "validation_ratio": "-0.1", "test_ratio": "-0.1"}),
+        ("explain", {"max_rows": "-1"}),
+        ("explain", {"top_n": "0"}),
+        ("explain", {"enabled": "yes"}),
+        ("explain", {"dataset": "foo"}),
+        ("ssl", {"enabled": "yes"}),
+        ("ssl", {"max_checkpoints": "0"}),
+        ("resample", {"k_smote": "abc"}),
+    ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
+            "ssl.enabled", "max_checkpoints", "k_smote"])
+    def test_bad_value_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
+        config = tmp_path / "bad.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {tmp_path / 'out'}\n"
+            f"[run]\nseed = 1\n[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+        )
+        assert run_cli("run", "--config", str(config)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"invalid [{section}]" in err and next(iter(options)) in err, err
+        assert not (tmp_path / "out").exists()
+
+
+def quickstart_ini(directory: Path, seed: int) -> Path:
+    """The quickstart pipeline.ini in directory, with an empty quarters/."""
+    import importlib.util
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (directory / "quarters").mkdir()
+    config = directory / "pipeline.ini"
+    config.write_text(module.CONFIG_TEMPLATE.format(seed=seed))
+    return config
+
 
 class TestUnreadKeys:
     def test_unread_key_warns_once(self, small_corpus, tmp_path, caplog):
@@ -179,17 +216,33 @@ class TestUnreadKeys:
         assert "[run] threads" in caplog.records[0].getMessage()
 
     def test_quickstart_template_is_read_whole(self, tmp_path, caplog):
-        import importlib.util
-
-        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
-        spec = importlib.util.spec_from_file_location("make_synthetic_corpus", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        (tmp_path / "quarters").mkdir()
-        config = tmp_path / "pipeline.ini"
-        config.write_text(module.CONFIG_TEMPLATE.format(seed=1))
+        config = quickstart_ini(tmp_path, seed=1)
         with caplog.at_level("WARNING"):
             load_config(config)
+        assert caplog.records == []
+
+    def test_benchmark_configs_load_without_warning(self, tmp_path, caplog, monkeypatch):
+        """perfbench/workloads.py renders each workload's ini from the quickstart's,
+        so a new check that rejects one shows up here, not first in the benchmark."""
+        import importlib.util
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        script = root / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", script)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        quarters = tmp_path / "quarters"
+        quarters.mkdir()
+        for workload in workloads.WORKLOADS:
+            for size in workloads.SIZES:
+                config = tmp_path / f"{workload.name}-{size}.ini"
+                config.write_text(workloads.render_ini(
+                    root, workload, size, workloads.DEFAULT_SEED, quarters, tmp_path / "out"
+                ))
+                with caplog.at_level("WARNING"):
+                    load_config(config)
         assert caplog.records == []
 
 
@@ -202,7 +255,7 @@ class TestPseudoWeight:
         )
         return config
 
-    def test_gbdt_refit_weighs_pseudo_rows(self, small_corpus, tmp_path, separable_matrix):
+    def refit_weighs_pseudo_rows(self, model, small_corpus, tmp_path, separable_matrix):
         from vetpv.matrix import CLASS_NAMES, FeatureMatrix
         from vetpv.models import fit_model, serialize_model
         from vetpv.ssl import ssl_train
@@ -210,7 +263,6 @@ class TestPseudoWeight:
         labeled = separable_matrix.take_rows(np.arange(180))
         rest = separable_matrix.take_rows(np.arange(180, separable_matrix.n_rows))
         unlabeled = FeatureMatrix(values=rest.values, columns=rest.columns, keys=rest.keys)
-        model = "gbdt\nn_rounds = 8\nmax_depth = 2"
         plans = {w: load_config(self.ini(small_corpus, tmp_path, model, w)).ssl for w in (1.0, 0.5)}
         assert plans[0.5].pseudo_weight == 0.5
         models = {w: ssl_train(labeled, unlabeled, plan) for w, plan in plans.items()}
@@ -226,11 +278,13 @@ class TestPseudoWeight:
         assert serialize_model(models[0.5][0]) == serialize_model(direct)
         assert serialize_model(models[0.5][0]) != serialize_model(models[1.0][0])
 
-    def test_forest_with_pseudo_weight_fails_at_load(self, small_corpus, tmp_path, capsys):
-        config = self.ini(small_corpus, tmp_path, "forest", 0.5)
-        assert run_cli("run", "--config", str(config)) == EXIT_CONFIG
-        assert "pseudo_weight" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_gbdt_refit_weighs_pseudo_rows(self, small_corpus, tmp_path, separable_matrix):
+        model = "gbdt\nn_rounds = 8\nmax_depth = 2"
+        self.refit_weighs_pseudo_rows(model, small_corpus, tmp_path, separable_matrix)
+
+    def test_forest_refit_weighs_pseudo_rows(self, small_corpus, tmp_path, separable_matrix):
+        model = "forest\nn_trees = 8\nmax_depth = 3"
+        self.refit_weighs_pseudo_rows(model, small_corpus, tmp_path, separable_matrix)
 
 
 class TestSubcommands:
@@ -298,7 +352,7 @@ class TestSubcommands:
             "input_dir = quarters", f"input_dir = {run_config.parent / 'quarters'}"
         ).replace(f"output_dir = {run_out}", f"output_dir = {out}")
         config.write_text(text.replace("[ssl]\nenabled = true", "[ssl]\nenabled = false"))
-        assert not load_config(config).ssl_enabled
+        assert not load_config(config).ssl.enabled
         assert pipeline.ArtifactStore(out).get_text("model_ssl")  # left over from the ssl run
         assert run_cli("evaluate", "--config", str(config)) == 0
         rows = csv.DictReader(io.StringIO(pipeline.ArtifactStore(out).get_text("metrics")))
@@ -313,7 +367,7 @@ class TestSubcommands:
         config.write_text(run_config.read_text().replace(
             "input_dir = quarters", f"input_dir = {run_config.parent / 'quarters'}"
         ).replace(f"output_dir = {run_out}", f"output_dir = {out}"))
-        assert load_config(config).ssl_enabled  # two models, each scored on two matrices
+        assert load_config(config).ssl.enabled  # two models, each scored on two matrices
         parsed = []
         from_csv = matrix.from_csv
         monkeypatch.setattr(matrix, "from_csv", lambda *a: parsed.append(a) or from_csv(*a))
@@ -461,6 +515,46 @@ class TestArtifactStore:
             pipeline.ArtifactStore(tmp_path)
 
 
+# effective_config.txt of the quickstart ini (scripts/make_synthetic_corpus.py)
+# in {root}; a change to the settings schema shows up here as a diff
+QUICKSTART_EFFECTIVE_CONFIG = """\
+explain.dataset = test
+explain.enabled = True
+explain.max_rows = 0
+explain.model = supervised
+explain.top_k = 15
+explain.top_n = 10
+model.kind = gbdt
+model.learning_rate = 0.1
+model.max_depth = 4
+model.n_rounds = 120
+paths.descriptors = bundled:descriptors.tsv
+paths.input_dir = {root}/quarters
+paths.output_dir = {root}/out
+paths.species_groups = bundled:species_groups.tsv
+paths.veddra = bundled:veddra.tsv
+prepare.correlation_threshold = 0.95
+prepare.priority = molecular_weight
+prepare.test_ratio = 0.1
+prepare.top_k = 256
+prepare.train_ratio = 0.8
+prepare.validation_ratio = 0.1
+resample.enn_mode = majority_only
+resample.k_enn = 3
+resample.k_smote = 5
+resample.seed = 20240801
+resample.strategy = none
+resample.target_ratio = 1.0
+run.seed = 20240801
+ssl.allow_any_fraction = False
+ssl.enabled = True
+ssl.keep_fraction = 0.3
+ssl.max_checkpoints = 50
+ssl.pseudo_weight = 1.0
+ssl.rounds = 1
+"""
+
+
 class TestEffectiveConfig:
     def test_bundled_data_paths_do_not_depend_on_install_location(self, tmp_path):
         import vetpv
@@ -478,6 +572,14 @@ class TestEffectiveConfig:
         config.write_text(ini.replace("[run]", "species_groups = species_groups.tsv\n[run]"))
         text = effective_config_text(load_config(config))
         assert f"paths.species_groups = {groups}\n" in text
+
+    def test_quickstart_effective_config_is_pinned(self, tmp_path, monkeypatch):
+        from vetpv.config import OUTPUT_DIR_ENV, effective_config_text
+
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        root = tmp_path.resolve()
+        text = effective_config_text(load_config(quickstart_ini(root, seed=20240801)))
+        assert text == QUICKSTART_EFFECTIVE_CONFIG.format(root=root)
 
     def test_output_dir_does_not_change_the_hash(self, tmp_path):
         from vetpv.config import config_hash, effective_config_text

@@ -292,7 +292,7 @@ class TestAggregation:
         )
         config = load_config(small_corpus / "pipeline.ini")
         outputs = pipeline.StageOutputs(pipeline.ArtifactStore(tmp_path))
-        outputs["split"] = {config.explain_dataset: matrix}
+        outputs["split"] = {config.explain.dataset: matrix}
         outputs["train"] = single_tree_model(stump, n_features=matrix.n_cols)
         with caplog.at_level("WARNING"):
             pipeline.stage_explain(config, outputs.store, outputs)
@@ -392,7 +392,7 @@ class TestLocalAccuracyGate:
         config = load_config(small_corpus / "pipeline.ini")
         store = pipeline.ArtifactStore(tmp_path)
         outputs = pipeline.StageOutputs(store)
-        outputs["split"] = {config.explain_dataset: from_arrays(self.X, np.array([0, 1]))}
+        outputs["split"] = {config.explain.dataset: from_arrays(self.X, np.array([0, 1]))}
         outputs["train"] = nan_leaf
         with pytest.raises(pipeline.StageError, match="nan"):
             pipeline.stage_explain(config, store, outputs)

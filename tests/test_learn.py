@@ -58,6 +58,26 @@ def test_fitted_trees_are_in_pre_order(spec, separable_matrix):
             assert tree.children_right[i] > i
 
 
+@pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("weights, message", [
+    (np.ones(3), "shape"),
+    (np.full(240, -1.0), "non-negative"),
+    (np.full(240, np.nan), "finite"),
+    (np.r_[np.inf, np.ones(239)], "finite"),
+    (np.zeros(240), "sum to 0"),
+], ids=["shape", "negative", "nan", "inf", "zero"])
+def test_bad_sample_weights_rejected(spec, weights, message, separable_matrix):
+    assert separable_matrix.n_rows == 240
+    with pytest.raises(FitError, match=message):
+        fit_model(spec, separable_matrix, sample_weight=weights)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "knn", "vote"])
+def test_kinds_without_weights_reject_them(kind, separable_matrix):
+    with pytest.raises(FitError, match="does not support sample weights"):
+        fit_model(ModelSpec(kind), separable_matrix, sample_weight=np.ones(separable_matrix.n_rows))
+
+
 class InputChecks:
     """The input checks of a CART-based learner; fit(X, y, min_leaf) fits it."""
 
@@ -156,6 +176,18 @@ class TestForest(InputChecks):
             forest.predict_proba(separable_matrix.values),
             tree.predict_proba(separable_matrix.values),
         )
+
+    def test_bootstrap_draws_count_their_row_weight(self, separable_matrix):
+        # every node's cover sums its rows' weights once per bootstrap draw, so
+        # doubling every weight doubles the covers and changes nothing else
+        params = ForestParams(n_trees=4, max_depth=4, seed=3)
+        plain = fit_forest(separable_matrix, params)
+        doubled = fit_forest(separable_matrix, params, np.full(separable_matrix.n_rows, 2.0))
+        for a, b in zip(plain.trees, doubled.trees):
+            assert a.cover[0] == separable_matrix.n_rows  # n draws with repeats
+            assert np.array_equal(b.cover, 2 * a.cover)
+            for name in ("children_left", "feature", "threshold", "value"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_same_seed_reproduces_forest(self, separable_matrix):
         params = ForestParams(n_trees=8, max_depth=4, seed=42)

@@ -237,7 +237,7 @@ class TestPrune:
         matrix = numeric_matrix(
             np.column_stack([x + 0.001, x]), ["exact_mass", "molecular_weight"]
         )
-        pruned, dropped = prune_correlated(matrix, threshold=0.95)
+        pruned, dropped = prune_correlated(matrix, threshold=0.95, priority=("molecular_weight",))
         assert pruned.column_names() == ["molecular_weight"]
         assert dropped[0].name == "exact_mass"
 
@@ -268,16 +268,16 @@ class TestPrune:
     def test_threshold_validation(self):
         matrix = numeric_matrix(np.ones((3, 2)), ["a", "b"])
         with pytest.raises(PrepareError):
-            prune_correlated(matrix, threshold=0.0)
+            prune_correlated(matrix, threshold=0.0, priority=())
         with pytest.raises(PrepareError):
-            prune_correlated(matrix, threshold=1.5)
+            prune_correlated(matrix, threshold=1.5, priority=())
 
     def test_never_drops_priority_when_partner_can_go(self):
         x = np.arange(20.0)
         matrix = numeric_matrix(
             np.column_stack([x, x * 1.0001, 3 * x]), ["molecular_weight", "m2", "m3"]
         )
-        pruned, _ = prune_correlated(matrix, threshold=0.95)
+        pruned, _ = prune_correlated(matrix, threshold=0.95, priority=("molecular_weight",))
         assert "molecular_weight" in pruned.column_names()
 
 

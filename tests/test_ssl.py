@@ -55,14 +55,14 @@ class TestStagedProbabilities:
 
     def test_single_tree_has_one_checkpoint(self, labeled):
         model = fit_model(ModelSpec("tree", {"max_depth": 3}), labeled)
-        series = make_checkpoints(model)
+        series = make_checkpoints(model, 50)
         assert series.checkpoints == (1,)
         staged = staged_probabilities(series, labeled.values)
         assert np.array_equal(staged, model.predict_proba(labeled.values)[:, 0][None])
 
     def test_forest_prefix_equals_full_forest_at_final_checkpoint(self, labeled):
         model = fit_forest(labeled, ForestParams(n_trees=9, max_depth=3, seed=4))
-        series = make_checkpoints(model)
+        series = make_checkpoints(model, 50)
         staged = staged_probabilities(series, labeled.values)
         assert series.checkpoints[-1] == 9
         assert np.allclose(staged[-1], model.predict_proba(labeled.values)[:, 0])
@@ -78,6 +78,9 @@ class TestStagedProbabilities:
         assert points[-1] == 500
         assert points[0] >= 1
         assert list(points) == sorted(set(points))
+
+    def test_one_checkpoint_is_the_whole_model(self):
+        assert evenly_spaced_checkpoints(500, max_checkpoints=1) == (500,)
 
 
 class TestComputeAum:
