@@ -5,8 +5,9 @@ every referenced path must exist at validation time. Each of [prepare],
 [resample], [ssl] and [explain] is one frozen dataclass whose fields with a
 plain default are the section's keys: a key present in the file is parsed as
 the type of that default (a bool as true or false, a tuple as a
-comma-separated list), and the dataclass checks the values. A key that
-nothing reads is logged as a warning, except in [model], where it is an
+comma-separated list), and the dataclass checks the values. [model] keys are
+parsed the same way against the params dataclass of the model kind. A key
+that nothing reads is logged as a warning, except in [model], where it is an
 error. The effective configuration is dumped (sorted) at the start of a run
 and hashed into the run report so reruns can be compared.
 """
@@ -21,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .matrix import SPLIT_NAMES
-from .models import MODEL_KINDS, TREE_KINDS, ModelSpec, param_names
+from .models import MODEL_KINDS, PARAMS, TREE_KINDS, ModelSpec, param_names
 from .resample import ResamplePlan
 from .ssl import SslPlan
 from .trees import FitError
@@ -143,6 +144,27 @@ def _read_section(parser: configparser.ConfigParser, section: str, cls, **given)
         raise ConfigError(f"invalid [{section}] section: {exc}") from None
 
 
+def _model_params(parser: configparser.ConfigParser, kind: str) -> dict:
+    """The [model] keys other than kind. For a single-learner kind each key
+    of its params class is parsed as the type of that field's default (a
+    None default, ForestParams.features_per_split, takes an int); vote and
+    stack keys, and keys no params class has, are typed by _coerce."""
+    defaults = _ini_keys(PARAMS[kind]) if kind in PARAMS else {}
+    params = {}
+    for key, value in parser.items("model") if parser.has_section("model") else ():
+        if key == "kind":
+            continue
+        if key not in defaults:
+            params[key] = _coerce(value)
+            continue
+        default = 0 if defaults[key] is None else defaults[key]
+        try:
+            params[key] = _parse(value.strip(), default)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [model] {key}: {exc}") from None
+    return params
+
+
 def _coerce(value: str):
     text = value.strip()
     lowered = text.lower()
@@ -197,12 +219,7 @@ def load_config(path: Path) -> PipelineConfig:
     model_kind = parser.get("model", "kind", fallback="gbdt").strip()
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r} (expected one of {MODEL_KINDS})")
-    model_params = {}
-    if parser.has_section("model"):
-        for key, value in parser.items("model"):
-            if key == "kind":
-                continue
-            model_params[key] = _coerce(value)
+    model_params = _model_params(parser, model_kind)
     if "seed" in param_names(model_kind):
         model_params.setdefault("seed", seed)
     try:

@@ -3,28 +3,23 @@
 Adverse-event terms are lifted to high-level terms using a bundled snapshot
 table; drug codes are truncated to the chemical-subgroup level of the
 five-level veterinary ATC grammar; the four relational tables collapse into
-one row per report with list fields kept in source order and numeric
-descriptors summed across active ingredients.
+one column-oriented `Reports` table with list fields kept in source order and
+numeric descriptors summed across active ingredients.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
+from operator import attrgetter
 from pathlib import Path
 
-from .ingest import (
-    AERow,
-    AgeUnit,
-    ChemDescriptors,
-    Outcome,
-    RawTables,
-    VeddraLevel,
-    WeightUnit,
-)
+import numpy as np
+
+from .ingest import AERow, AgeUnit, ChemDescriptors, Outcome, RawTables, VeddraLevel, WeightUnit
+from .matrix import FloatText, csv_cells, csv_lines
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -115,27 +110,107 @@ def map_atcvet(code: str) -> str:
     return code
 
 
-@dataclass
-class MergedReport:
-    """One row per report after joining the four tables."""
+OUTCOMES = tuple(Outcome)
+AGE_UNITS = tuple(AgeUnit)
+WEIGHT_UNITS = tuple(WeightUnit)
+OUTCOME_CODE = {o: i for i, o in enumerate(OUTCOMES)}
+_ENUMS = {"age_unit": AGE_UNITS, "weight_unit": WEIGHT_UNITS, "outcome": OUTCOMES}
 
-    key: str
-    species: str
-    breed: str | None
-    gender: str | None
-    age_value: float | None
-    age_unit: AgeUnit | None
-    weight_value: float | None
-    weight_unit: WeightUnit | None
-    outcome: Outcome
-    ae_terms: list[str]
-    ingredients: list[str]
-    atcvet_subgroups: list[str]
-    routes: list[str]
-    dosage_forms: list[str]
-    descriptors: ChemDescriptors
-    age_years: float | None = None
-    weight_kg: float | None = None
+# float columns, each stored as values (0.0 where absent) plus a presence mask
+NUMBER_FIELDS = ("age_value", "weight_value", "age_years", "weight_kg", *ChemDescriptors.FIELDS)
+LIST_FIELDS = ("ae_terms", "ingredients", "atcvet_subgroups", "routes", "dosage_forms")
+
+
+def _pick(values, rows) -> list:
+    return list(map(values.__getitem__, rows))
+
+
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+@dataclass(frozen=True)
+class Terms:
+    """One list field of n reports: report i holds the tokens
+    vocab[codes[offsets[i]:offsets[i + 1]]], in source order. The vocabulary
+    holds each token once and may hold tokens no report uses."""
+
+    offsets: np.ndarray  # int64, n + 1 entries
+    codes: np.ndarray  # intp
+    vocab: tuple[str, ...]
+
+    @classmethod
+    def group(cls, rows: np.ndarray, codes, n: int, vocab) -> "Terms":
+        """From each token's report row and code, tokens in source order."""
+        codes = np.asarray(codes, np.intp)[np.argsort(rows, kind="stable")]
+        return cls(_offsets(np.bincount(rows, minlength=n)), codes, tuple(vocab))
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def rows(self) -> np.ndarray:
+        """The report row of every token."""
+        return np.repeat(np.arange(len(self.offsets) - 1), self.lengths())
+
+    def take(self, rows) -> "Terms":
+        lengths = self.lengths()[rows]
+        offsets = _offsets(lengths)
+        starts = np.repeat(self.offsets[:-1][rows] - offsets[:-1], lengths)
+        return Terms(offsets, self.codes[starts + np.arange(offsets[-1])], self.vocab)
+
+    def lists(self) -> list[list[str]]:
+        tokens, bounds = _pick(self.vocab, self.codes.tolist()), self.offsets.tolist()
+        return [tokens[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@dataclass
+class Reports:
+    """The merged reports, one entry per report in every column.
+
+    Strings are lists (None where absent), enum fields int8 codes into
+    OUTCOMES, AGE_UNITS and WEIGHT_UNITS (-1 where absent), NUMBER_FIELDS
+    float64 arrays with presence masks, and LIST_FIELDS Terms. `cells`
+    caches the merged-CSV cells of columns already written, by column name.
+    """
+
+    key: list[str]
+    species: list[str]
+    breed: list[str | None]
+    gender: list[str | None]
+    outcome: np.ndarray
+    age_unit: np.ndarray
+    weight_unit: np.ndarray
+    numbers: dict[str, np.ndarray]
+    present: dict[str, np.ndarray]
+    lists: dict[str, Terms]
+    cells: dict[str, list[str]] = field(default_factory=dict, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def take(self, rows) -> "Reports":
+        rows = np.asarray(rows, np.intp)
+        index = rows.tolist()
+        return Reports(
+            *(_pick(getattr(self, name), index) for name in ("key", "species", "breed", "gender")),
+            *(getattr(self, name)[rows] for name in ("outcome", "age_unit", "weight_unit")),
+            numbers={k: v[rows] for k, v in self.numbers.items()},
+            present={k: v[rows] for k, v in self.present.items()},
+            lists={k: v.take(rows) for k, v in self.lists.items()},
+            cells={k: _pick(v, index) for k, v in self.cells.items()},
+        )
+
+    def update(self, **columns) -> "Reports":
+        """A copy with the named columns replaced, a number field by a
+        (values, present) pair; their cached cells are dropped."""
+        numbers, present, lists, fields = dict(self.numbers), dict(self.present), dict(self.lists), {}
+        for name, column in columns.items():
+            if name in numbers:
+                numbers[name], present[name] = column
+            else:
+                (lists if name in lists else fields)[name] = column
+        cells = {k: v for k, v in self.cells.items() if k not in columns}
+        return replace(self, **fields, numbers=numbers, present=present, lists=lists, cells=cells)
 
 
 @dataclass
@@ -146,191 +221,147 @@ class MergeStats:
     missing_outcome: int = 0
 
 
-def _sum_descriptors(descriptor_rows: list[ChemDescriptors]) -> ChemDescriptors:
-    """Per-field sum over ingredients that carry the field; all-absent stays absent."""
-    sums: dict[str, float | None] = {}
-    for fname in ChemDescriptors.FIELDS:
-        present = [getattr(d, fname) for d in descriptor_rows if getattr(d, fname) is not None]
-        sums[fname] = sum(present) if present else None
-    return ChemDescriptors(**sums)
+def _children(rows: list, index: dict[str, int]) -> tuple[np.ndarray, list]:
+    """Each child row's report row, and the rows, without keys absent from main."""
+    at = np.array(list(map(index.get, map(attrgetter("key"), rows), repeat(-1))), np.intp)
+    if (at < 0).any():
+        rows, at = list(compress(rows, at >= 0)), at[at >= 0]
+    return at, rows
+
+
+def _terms(values: list, at: np.ndarray, n: int, keep=None) -> Terms:
+    """The values (the truthy ones unless keep is given) grouped by report row."""
+    keep = np.fromiter(map(bool, values), bool, len(values)) if keep is None else keep
+    values = list(compress(values, keep))
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return Terms.group(at[keep], list(map(index.__getitem__, values)), n, index)
+
+
+def _optional_floats(values: list) -> tuple[np.ndarray, np.ndarray]:
+    column = np.array(values, dtype=object)
+    present = np.not_equal(column, None)
+    column[~present] = 0.0
+    return column.astype(np.float64), present.astype(bool)
 
 
 def merge_reports(
     tables: RawTables,
     veddra: VeddraMap,
     descriptors: dict[str, ChemDescriptors],
-) -> tuple[list[MergedReport], MergeStats]:
-    """Join the four tables into one MergedReport per main row, in main order.
+) -> tuple[Reports, MergeStats]:
+    """Join the four tables into one report per main row, in main order.
 
     List fields keep source order and duplicates. The descriptor mapping is
-    keyed by lower-cased ingredient name. Reports with no parseable outcome
-    row fall back to Unknown; outcome rows beyond the first are ignored.
-    Duplicate report keys in the main table are a hard error.
+    keyed by lower-cased ingredient name, and each report's descriptors are
+    summed over its ingredients in source order, per field over the
+    ingredients that carry it. Reports with no parseable outcome row fall
+    back to Unknown; outcome rows beyond the first are ignored. Duplicate
+    report keys in the main table are a hard error. VeddraMap, ATCvet and
+    descriptor lookups run once per distinct value.
     """
     keys = [row.key for row in tables.main]
-    duplicates = sorted({k for k, n in Counter(keys).items() if n > 1})
-    if duplicates:
+    index = {k: i for i, k in enumerate(keys)}
+    if len(index) != len(keys):
+        duplicates = sorted(k for k, count in Counter(keys).items() if count > 1)
         raise MergeError(f"duplicate report keys in main table: {duplicates}")
-
-    events_by_key: dict[str, list[AERow]] = {}
-    for row in tables.events:
-        events_by_key.setdefault(row.key, []).append(row)
-    outcomes_by_key: dict[str, list] = {}
-    for row in tables.outcomes:
-        outcomes_by_key.setdefault(row.key, []).append(row)
-    drugs_by_key: dict[str, list] = {}
-    for row in tables.drugs:
-        drugs_by_key.setdefault(row.key, []).append(row)
-
+    n, main = len(keys), tables.main
     stats = MergeStats()
-    merged: list[MergedReport] = []
-    for main in tables.main:
-        ae_terms = []
-        for event in events_by_key.get(main.key, []):
-            hlt = map_veddra(event, veddra)
-            if hlt.startswith(UNMAPPED_PREFIX):
-                stats.unmapped_terms[hlt[len(UNMAPPED_PREFIX):]] += 1
-            ae_terms.append(hlt)
 
-        outcome_rows = outcomes_by_key.get(main.key, [])
-        if not outcome_rows:
-            stats.missing_outcome += 1
-            outcome = Outcome.UNKNOWN
+    at, events = _children(tables.events, index)
+    # an event's HLT depends on its name, on whether its level is HLT and on
+    # its code only when the table knows the code
+    codes = [e.term_code for e in events]
+    known = {c: c if c and c.lower() in veddra.to_hlt else None for c in set(codes)}
+    terms = list(zip([e.term_name for e in events], map(known.__getitem__, codes),
+                     [e.veddra_level is VeddraLevel.HLT for e in events]))
+    hlt_of = {t: map_veddra(AERow("", t[0], t[1], VeddraLevel.HLT if t[2] else None), veddra)
+              for t in dict.fromkeys(terms)}
+    ae_terms = _terms(_pick(hlt_of, terms), at, n, np.ones(len(events), bool))
+    counts = np.bincount(ae_terms.codes, minlength=len(ae_terms.vocab)).tolist()
+    for hlt, count in zip(ae_terms.vocab, counts):
+        if hlt.startswith(UNMAPPED_PREFIX):
+            stats.unmapped_terms[hlt[len(UNMAPPED_PREFIX):]] += count
+
+    at_outcome, outcomes = _children(tables.outcomes, index)
+    status = np.array(_pick(OUTCOME_CODE, map(attrgetter("medical_status"), outcomes)), np.int8)
+    reported, first = np.unique(at_outcome, return_index=True)
+    outcome = np.full(n, OUTCOME_CODE[Outcome.UNKNOWN], np.int8)
+    outcome[reported] = status[first]
+    stats.missing_outcome = n - len(reported)
+
+    at, drugs = _children(tables.drugs, index)
+    ingredients = _terms([d.ingredient_name for d in drugs], at, n, np.ones(len(drugs), bool))
+    atc = [d.atcvet_code for d in drugs]
+    subgroup_of = {}
+    for code, count in Counter(filter(None, atc)).items():
+        try:
+            subgroup_of[code] = map_atcvet(code)
+        except OntologyError:
+            stats.invalid_codes += count
         else:
-            outcome = outcome_rows[0].medical_status
+            stats.under_specified_codes += count * (len(subgroup_of[code]) < CHEMICAL_SUBGROUP_LEN)
 
-        ingredients, subgroups, routes, forms = [], [], [], []
-        descriptor_rows = []
-        for drug in drugs_by_key.get(main.key, []):
-            ingredients.append(drug.ingredient_name)
-            if drug.route:
-                routes.append(drug.route)
-            if drug.dosage_form:
-                forms.append(drug.dosage_form)
-            if drug.atcvet_code:
-                try:
-                    subgroup = map_atcvet(drug.atcvet_code)
-                except OntologyError:
-                    stats.invalid_codes += 1
-                else:
-                    if len(subgroup) < CHEMICAL_SUBGROUP_LEN:
-                        stats.under_specified_codes += 1
-                    subgroups.append(subgroup)
-            found = descriptors.get(drug.ingredient_name.strip().lower())
-            if found is not None:
-                descriptor_rows.append(found)
+    # descriptor sums: one ordered add per present value, in report-then-source order
+    width = len(ChemDescriptors.FIELDS)
+    table = [descriptors.get(name.strip().lower()) or ChemDescriptors() for name in ingredients.vocab]
+    found, has = _optional_floats([getattr(d, f) for d in table for f in ChemDescriptors.FIELDS])
+    drug, column = np.nonzero(has.reshape(-1, width)[ingredients.codes])
+    report = at[np.argsort(at, kind="stable")][drug]
+    sums, carried = np.zeros((n, width)), np.zeros((n, width), bool)
+    with np.errstate(over="ignore"):  # as in Python's float sum, overflow gives inf
+        np.add.at(sums, (report, column), found.reshape(-1, width)[ingredients.codes[drug], column])
+    carried[report, column] = True
 
-        merged.append(
-            MergedReport(
-                key=main.key,
-                species=main.species,
-                breed=main.breed,
-                gender=main.gender,
-                age_value=main.age_value,
-                age_unit=main.age_unit,
-                weight_value=main.weight_value,
-                weight_unit=main.weight_unit,
-                outcome=outcome,
-                ae_terms=ae_terms,
-                ingredients=ingredients,
-                atcvet_subgroups=subgroups,
-                routes=routes,
-                dosage_forms=forms,
-                descriptors=_sum_descriptors(descriptor_rows),
-            )
-        )
-    return merged, stats
+    numbers, present = {}, {}
+    for name in ("age_value", "weight_value"):
+        numbers[name], present[name] = _optional_floats([getattr(m, name) for m in main])
+    for name in ("age_years", "weight_kg"):
+        numbers[name], present[name] = np.zeros(n), np.zeros(n, bool)
+    for j, name in enumerate(ChemDescriptors.FIELDS):
+        numbers[name], present[name] = sums[:, j], carried[:, j]
+    units = {name: np.array(list(map({u: i for i, u in enumerate(members)}.get,
+                                     map(attrgetter(name), main), repeat(-1))), np.int8)
+             for name, members in (("age_unit", AGE_UNITS), ("weight_unit", WEIGHT_UNITS))}
+    lists = {
+        "ae_terms": ae_terms,
+        "ingredients": ingredients,
+        "atcvet_subgroups": _terms([subgroup_of.get(code) if code else None for code in atc], at, n),
+        "routes": _terms([d.route for d in drugs], at, n),
+        "dosage_forms": _terms([d.dosage_form for d in drugs], at, n),
+    }
+    reports = Reports(key=keys, species=[m.species for m in main], breed=[m.breed for m in main],
+                      gender=[m.gender for m in main], outcome=outcome, numbers=numbers,
+                      present=present, lists=lists, **units)
+    return reports, stats
 
 
-_MERGED_CSV_COLUMNS = (
-    "key",
-    "species",
-    "breed",
-    "gender",
-    "age_value",
-    "age_unit",
-    "weight_value",
-    "weight_unit",
-    "age_years",
-    "weight_kg",
-    "outcome",
-    "ae_terms",
-    "ingredients",
-    "atcvet_subgroups",
-    "routes",
-    "dosage_forms",
-    *ChemDescriptors.FIELDS,
-)
+_MERGED_CSV_COLUMNS = ("key", "species", "breed", "gender", "age_value", "age_unit", "weight_value",
+                       "weight_unit", "age_years", "weight_kg", "outcome", *LIST_FIELDS,
+                       *ChemDescriptors.FIELDS)
 
 
-def merged_to_csv(reports: list[MergedReport]) -> str:
-    """CSV export with list fields joined by the backslash separator."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_MERGED_CSV_COLUMNS)
-    for r in reports:
-        row = [
-            r.key,
-            r.species,
-            r.breed or "",
-            r.gender or "",
-            "" if r.age_value is None else repr(r.age_value),
-            r.age_unit.value if r.age_unit else "",
-            "" if r.weight_value is None else repr(r.weight_value),
-            r.weight_unit.value if r.weight_unit else "",
-            "" if r.age_years is None else repr(r.age_years),
-            "" if r.weight_kg is None else repr(r.weight_kg),
-            r.outcome.value,
-            LIST_SEPARATOR.join(r.ae_terms),
-            LIST_SEPARATOR.join(r.ingredients),
-            LIST_SEPARATOR.join(r.atcvet_subgroups),
-            LIST_SEPARATOR.join(r.routes),
-            LIST_SEPARATOR.join(r.dosage_forms),
-        ]
-        for fname in ChemDescriptors.FIELDS:
-            value = getattr(r.descriptors, fname)
-            row.append("" if value is None else repr(value))
-        writer.writerow(row)
-    return buf.getvalue()
+def _format(reports: Reports, name: str) -> list[str]:
+    """The CSV cells of one column."""
+    if name in reports.numbers:
+        values = reports.numbers[name]
+        cells = FloatText(values).cells(values)
+        return [c if p else "" for c, p in zip(cells, reports.present[name].tolist())]
+    if name in _ENUMS:
+        text = [member.value for member in _ENUMS[name]] + [""]  # code -1 is absent
+        return _pick(text, getattr(reports, name).tolist())
+    if name in reports.lists:
+        joined: dict[str, str] = {}  # one text object per distinct list
+        return csv_cells([joined.setdefault(t, t) for t in
+                          map(LIST_SEPARATOR.join, reports.lists[name].lists())])
+    return csv_cells([value or "" for value in getattr(reports, name)])
 
 
-def merged_from_csv(text: str) -> list[MergedReport]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != _MERGED_CSV_COLUMNS:
-        raise MergeError("merged CSV header does not match the expected columns")
-
-    def opt_float(cell):
-        return float(cell) if cell else None
-
-    def split_list(cell):
-        return cell.split(LIST_SEPARATOR) if cell else []
-
-    reports = []
-    for row in reader:
-        cells = dict(zip(_MERGED_CSV_COLUMNS, row))
-        descriptors = ChemDescriptors(
-            **{f: opt_float(cells[f]) for f in ChemDescriptors.FIELDS}
-        )
-        reports.append(
-            MergedReport(
-                key=cells["key"],
-                species=cells["species"],
-                breed=cells["breed"] or None,
-                gender=cells["gender"] or None,
-                age_value=opt_float(cells["age_value"]),
-                age_unit=AgeUnit(cells["age_unit"]) if cells["age_unit"] else None,
-                weight_value=opt_float(cells["weight_value"]),
-                weight_unit=WeightUnit(cells["weight_unit"]) if cells["weight_unit"] else None,
-                outcome=Outcome(cells["outcome"]),
-                ae_terms=split_list(cells["ae_terms"]),
-                ingredients=split_list(cells["ingredients"]),
-                atcvet_subgroups=split_list(cells["atcvet_subgroups"]),
-                routes=split_list(cells["routes"]),
-                dosage_forms=split_list(cells["dosage_forms"]),
-                descriptors=descriptors,
-                age_years=opt_float(cells["age_years"]),
-                weight_kg=opt_float(cells["weight_kg"]),
-            )
-        )
-    return reports
+def merged_to_csv(reports: Reports) -> str:
+    """CSV export with list fields joined by the backslash separator, built a
+    column at a time; the cells of columns in reports.cells are reused, the
+    others are formatted and cached there."""
+    for name in _MERGED_CSV_COLUMNS:
+        if name not in reports.cells:
+            reports.cells[name] = _format(reports, name)
+    lines = csv_lines([reports.cells[name] for name in _MERGED_CSV_COLUMNS])
+    return "".join([",".join(_MERGED_CSV_COLUMNS) + "\r\n", *lines])

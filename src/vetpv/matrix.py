@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,18 +158,52 @@ def from_arrays(X, y=None, names=None, keys=None) -> FeatureMatrix:
     return FeatureMatrix(values=X, columns=columns, keys=list(keys), labels=y)
 
 
+# rows formatted at a time: bounds the cells held beside the text
+CSV_BLOCK_ROWS = 256
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def csv_cells(cells: list[str]) -> list[str]:
+    """The cells as csv.writer writes them in a row of two or more fields:
+    quoted, with inner quotes doubled, when they hold a comma, a quote, CR
+    or LF. A column with none of these comes back as it is."""
+    if not _NEEDS_QUOTES.search("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+
+
+def csv_lines(columns) -> list[str]:
+    """The CSV lines of the rows that two or more columns of cells hold."""
+    return [",".join(row) + "\r\n" for row in zip(*columns)]
+
+
+class FloatText:
+    """The repr text of a column's values, formatted once per distinct bit
+    pattern: equal floats would merge -0.0 with 0.0, and NaN with nothing."""
+
+    def __init__(self, column: np.ndarray):
+        self.patterns = np.unique(column.view(np.uint64))
+        values = self.patterns.view(np.float64).tolist()
+        self.texts = np.array([repr(v) for v in values], dtype=object)
+
+    def cells(self, values: np.ndarray) -> list[str]:
+        """The text of values drawn from the column."""
+        return self.texts[np.searchsorted(self.patterns, values.view(np.uint64))].tolist()
+
+
 def to_csv(matrix: FeatureMatrix) -> str:
     """Serialize with full float precision; round-trips through from_csv."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["key", "label"] + matrix.column_names())
-    labels = [""] * matrix.n_rows if matrix.labels is None else map(str, matrix.labels.tolist())
-    # one row at a time: a whole-matrix tolist() would hold every value as
-    # a Python float at once
-    writer.writerows(
-        [key, label, *map(repr, row.tolist())]
-        for key, label, row in zip(matrix.keys, labels, matrix.values)
-    )
+    csv.writer(buf).writerow(["key", "label"] + matrix.column_names())
+    keys = csv_cells(matrix.keys)
+    labels = [""] * matrix.n_rows if matrix.labels is None else list(map(str, matrix.labels.tolist()))
+    texts = [FloatText(column) for column in matrix.values.T]
+    for start in range(0, matrix.n_rows, CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        block = np.ascontiguousarray(matrix.values[rows].T)
+        cells = [text.cells(column) for text, column in zip(texts, block)]
+        buf.write("".join(csv_lines([keys[rows], labels[rows], *cells])))
     return buf.getvalue()
 
 

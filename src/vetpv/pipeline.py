@@ -235,11 +235,10 @@ def load_resampled(store: ArtifactStore) -> FeatureMatrix:
     return matrix_mod.from_csv(store.get_text("matrix_train_resampled"), columns)
 
 
-# stage name -> its result, read back from the artifacts the stage stored
+# stage name -> its result, read back from the artifacts the stage stored;
+# harmonize and prepare run only beside split, in one `vetpv prepare`
 LOADERS = {
     "ingest": load_tables,
-    "harmonize": lambda store: harmonize.merged_from_csv(store.get_text("merged")),
-    "prepare": lambda store: harmonize.merged_from_csv(store.get_text("cleaned")),
     "split": SplitMatrices,
     "resample": load_resampled,
     "train": lambda store: parse_model(store.get_text("model")),
@@ -321,6 +320,8 @@ def stage_prepare(config: PipelineConfig, store: ArtifactStore, outputs: StageOu
     normalized, rejects = prepare.normalize_all(reports)
     cleaned, removal_counts = prepare.filter_rows(normalized)
     store.put_text("cleaned", harmonize.merged_to_csv(cleaned), "csv")
+    for table in (reports, cleaned):  # no later stage writes report text
+        table.cells.clear()
     rejects_csv = "key,reason\n" + "".join(f"{k},{r}\n" for k, r in rejects)
     store.put_text("rejects", rejects_csv, "csv")
     details = {"rejected_rows": len(rejects), **removal_counts}
@@ -330,18 +331,17 @@ def stage_prepare(config: PipelineConfig, store: ArtifactStore, outputs: StageOu
 
 def stage_split(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
     cleaned = outputs["prepare"]
-    labeled = [r for r in cleaned if r.outcome in (ingest.Outcome.DIED, ingest.Outcome.RECOVERED)]
-    unlabeled = [r for r in cleaned if r.outcome not in (ingest.Outcome.DIED, ingest.Outcome.RECOVERED)]
-    if not labeled:
+    died = cleaned.outcome == harmonize.OUTCOME_CODE[ingest.Outcome.DIED]
+    definitive = died | (cleaned.outcome == harmonize.OUTCOME_CODE[ingest.Outcome.RECOVERED])
+    labeled_rows = np.flatnonzero(definitive)
+    if not len(labeled_rows):
         raise StageError("no labeled (Died/Recovered) rows to split")
-    outcome_labels = np.array(
-        [DEATH if r.outcome is ingest.Outcome.DIED else RECOVERED for r in labeled],
-        dtype=np.int8,
-    )
+    labeled, unlabeled = cleaned.take(labeled_rows), cleaned.take(np.flatnonzero(~definitive))
+    outcome_labels = np.where(died[labeled_rows], DEATH, RECOVERED).astype(np.int8)
     assignment = prepare.stratified_assignment(outcome_labels, config.prepare.ratios, config.seed)
-    train_reports = [r for r, a in zip(labeled, assignment) if a == 0]
-    val_reports = [r for r, a in zip(labeled, assignment) if a == 1]
-    test_reports = [r for r, a in zip(labeled, assignment) if a == 2]
+    train_reports, val_reports, test_reports = (
+        labeled.take(np.flatnonzero(assignment == s)) for s in range(3)
+    )
 
     imputer = prepare.fit_imputer(train_reports)
     imputed_train = prepare.apply_imputer(imputer, train_reports)

@@ -1,5 +1,6 @@
 """Cleaning, imputation, row filtering, encoding, correlation pruning and
-stratified splitting of merged reports into model-ready matrices.
+stratified splitting of merged reports into model-ready matrices. Every step
+works a column of `harmonize.Reports` at a time.
 
 Fit/transform discipline: imputation statistics, category maps, multi-hot
 vocabularies and the pruned column set are all fitted on training rows only
@@ -9,12 +10,11 @@ and then applied frozen to validation/test/unlabeled rows.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonize import MergedReport
+from .harmonize import AGE_UNITS, OUTCOME_CODE, OUTCOMES, WEIGHT_UNITS, Reports, Terms
 from .ingest import AgeUnit, ChemDescriptors, Outcome, WeightUnit
 from .matrix import DEATH, RECOVERED, ColumnMeta, FeatureMatrix
 
@@ -32,176 +32,163 @@ class PrepareError(ValueError):
     pass
 
 
-class UnitError(PrepareError):
-    pass
-
-
 # --- unit normalization -------------------------------------------------------
 
 
-def normalize_units(report: MergedReport) -> MergedReport:
-    """Convert age to years and weight to kilograms.
-
-    Negative values are invalid and raise UnitError; callers batch-routing rows
-    should use normalize_all, which collects such rows into a rejects list.
-    """
-    age_years = None
-    if report.age_value is not None:
-        if report.age_value < 0:
-            raise UnitError(f"report {report.key}: negative age {report.age_value}")
-        unit = report.age_unit or AgeUnit.YEAR
-        if unit is AgeUnit.DAY:
-            age_years = report.age_value / DAYS_PER_YEAR
-        elif unit is AgeUnit.WEEK:
-            age_years = report.age_value * 7 / DAYS_PER_YEAR
-        elif unit is AgeUnit.MONTH:
-            age_years = report.age_value / 12
-        else:
-            age_years = report.age_value
-    weight_kg = None
-    if report.weight_value is not None:
-        if report.weight_value < 0:
-            raise UnitError(f"report {report.key}: negative weight {report.weight_value}")
-        unit = report.weight_unit or WeightUnit.KILOGRAM
-        if unit is WeightUnit.GRAM:
-            weight_kg = report.weight_value / 1000
-        elif unit is WeightUnit.POUND:
-            weight_kg = report.weight_value * POUND_TO_KG_NUM / POUND_TO_KG_DEN
-        else:
-            weight_kg = report.weight_value
-    return replace(report, age_years=age_years, weight_kg=weight_kg)
-
-
-def normalize_all(reports) -> tuple[list[MergedReport], list[tuple[str, str]]]:
-    """Normalize every report; invalid rows are routed to the rejects list."""
-    normalized, rejects = [], []
-    for report in reports:
-        try:
-            normalized.append(normalize_units(report))
-        except UnitError as exc:
-            rejects.append((report.key, str(exc)))
-    return normalized, rejects
+def normalize_all(reports: Reports) -> tuple[Reports, list[tuple[str, str]]]:
+    """Convert age to years and weight to kilograms (an absent unit means
+    years or kilograms). Rows with a negative age or weight are dropped and
+    listed as (key, reason) rejects."""
+    age, weight = reports.numbers["age_value"], reports.numbers["weight_value"]
+    has_age, has_weight = reports.present["age_value"], reports.present["weight_value"]
+    age_unit, weight_unit = reports.age_unit, reports.weight_unit
+    with np.errstate(over="ignore"):  # as in Python float arithmetic, overflow gives inf
+        years = np.select(
+            [age_unit == AGE_UNITS.index(AgeUnit.DAY), age_unit == AGE_UNITS.index(AgeUnit.WEEK),
+             age_unit == AGE_UNITS.index(AgeUnit.MONTH)],
+            [age / DAYS_PER_YEAR, age * 7 / DAYS_PER_YEAR, age / 12],
+            age,
+        )
+        kg = np.select(
+            [weight_unit == WEIGHT_UNITS.index(WeightUnit.GRAM),
+             weight_unit == WEIGHT_UNITS.index(WeightUnit.POUND)],
+            [weight / 1000, weight * POUND_TO_KG_NUM / POUND_TO_KG_DEN],
+            weight,
+        )
+    normalized = reports.update(age_years=(years, has_age), weight_kg=(kg, has_weight))
+    bad_age = has_age & (age < 0)
+    bad = bad_age | (has_weight & (weight < 0))
+    if not bad.any():
+        return normalized, []
+    rejects = []
+    for i in np.flatnonzero(bad).tolist():
+        key = reports.key[i]
+        what, value = ("age", age[i]) if bad_age[i] else ("weight", weight[i])
+        rejects.append((key, f"report {key}: negative {what} {value.item()}"))
+    return normalized.take(np.flatnonzero(~bad)), rejects
 
 
 # --- imputation ---------------------------------------------------------------
 
-_MODE_FIELDS = ("gender", "dosage_forms", "routes")
+
+def _codes(values: list) -> tuple[np.ndarray, list]:
+    """First-appearance codes of the values, and the distinct values."""
+    index: dict = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return np.array(codes, np.intp), list(index)
 
 
-def _mode(values) -> str | None:
-    counts = Counter(values)
-    if not counts:
-        return None
-    # ties broken lexicographically
-    return min(counts, key=lambda v: (-counts[v], v))
+def _means(species, names, values, present, fname):
+    """Per-species means, and the mean over every value taken species by
+    species in order of first appearance, each group in row order."""
+    groups, values = species[present], values[present]
+    if not len(values):
+        raise PrepareError(f"field {fname} is absent for all rows")
+    seen, first = np.unique(groups, return_index=True)
+    order = seen[np.argsort(first)].tolist()
+    by_species = [values[groups == s] for s in order]
+    means = {names[s]: float(np.mean(v)) for s, v in zip(order, by_species)}
+    return means, float(np.mean(np.concatenate(by_species)))
 
 
-def _single_value(report: MergedReport, fname: str):
-    value = getattr(report, fname)
-    if fname in ("dosage_forms", "routes"):
-        return value[0] if value else None
-    return value
+def _modes(species, names, codes, vocab, fname):
+    """Per-species and global modes of the coded values (-1 absent); ties go
+    to the lexicographically smallest value."""
+    present = codes >= 0
+    if not present.any():
+        raise PrepareError(f"field {fname} is absent for all rows")
+    order = sorted(range(len(vocab)), key=vocab.__getitem__)
+    rank = np.empty(len(vocab), np.intp)
+    rank[order] = np.arange(len(vocab))
+    counts = np.zeros((len(names), len(vocab)), np.int64)
+    np.add.at(counts, (species[present], rank[codes[present]]), 1)
+    best = counts.argmax(axis=1).tolist()  # the first maximum: the smallest value
+    modes = {names[s]: vocab[order[best[s]]] for s in np.flatnonzero(counts.any(axis=1)).tolist()}
+    return modes, vocab[order[int(counts.sum(axis=0).argmax())]]
 
 
-@dataclass
-class ImputerStats:
-    """Species-conditional means/modes with global fallbacks, fitted on training rows."""
-
-    age_mean: dict[str, float]
-    weight_mean: dict[str, float]
-    modes: dict[str, dict[str, str]]
-    global_age_mean: float
-    global_weight_mean: float
-    global_modes: dict[str, str]
+def _first_tokens(terms: Terms) -> np.ndarray:
+    """Each report's first token code, -1 for an empty list."""
+    first = np.full(len(terms.offsets) - 1, -1, np.intp)
+    filled = terms.lengths() > 0
+    first[filled] = terms.codes[terms.offsets[:-1][filled]]
+    return first
 
 
-def fit_imputer(reports) -> ImputerStats:
-    if any(not r.species for r in reports):
+def fit_imputer(reports: Reports) -> dict[str, tuple[dict, object]]:
+    """Per imputed field, (value by species, value over all rows), fitted on
+    training rows: means of age_years and weight_kg, modes of gender and of
+    the first dosage form and route."""
+    if not all(reports.species):
         raise PrepareError("imputation requires a species on every row")
-    ages: dict[str, list[float]] = {}
-    weights: dict[str, list[float]] = {}
-    cat_values: dict[str, dict[str, list[str]]] = {f: {} for f in _MODE_FIELDS}
-    for r in reports:
-        if r.age_years is not None:
-            ages.setdefault(r.species, []).append(r.age_years)
-        if r.weight_kg is not None:
-            weights.setdefault(r.species, []).append(r.weight_kg)
-        for fname in _MODE_FIELDS:
-            value = _single_value(r, fname)
-            if value is not None:
-                cat_values[fname].setdefault(r.species, []).append(value)
-
-    all_ages = [v for vs in ages.values() for v in vs]
-    all_weights = [v for vs in weights.values() for v in vs]
-    if not all_ages:
-        raise PrepareError("field age_years is absent for all rows")
-    if not all_weights:
-        raise PrepareError("field weight_kg is absent for all rows")
-    global_modes = {}
-    for fname in _MODE_FIELDS:
-        pooled = [v for vs in cat_values[fname].values() for v in vs]
-        if not pooled:
-            raise PrepareError(f"field {fname} is absent for all rows")
-        global_modes[fname] = _mode(pooled)
-
-    return ImputerStats(
-        age_mean={s: float(np.mean(vs)) for s, vs in ages.items()},
-        weight_mean={s: float(np.mean(vs)) for s, vs in weights.items()},
-        modes={
-            fname: {s: _mode(vs) for s, vs in by_species.items()}
-            for fname, by_species in cat_values.items()
-        },
-        global_age_mean=float(np.mean(all_ages)),
-        global_weight_mean=float(np.mean(all_weights)),
-        global_modes=global_modes,
-    )
+    species, names = _codes(reports.species)
+    stats = {name: _means(species, names, reports.numbers[name], reports.present[name], name)
+             for name in ("age_years", "weight_kg")}
+    index: dict[str, int] = {}
+    genders = [-1 if g is None else index.setdefault(g, len(index)) for g in reports.gender]
+    stats["gender"] = _modes(species, names, np.array(genders, np.intp), list(index), "gender")
+    for name in ("dosage_forms", "routes"):
+        terms = reports.lists[name]
+        stats[name] = _modes(species, names, _first_tokens(terms), terms.vocab, name)
+    return stats
 
 
-def apply_imputer(stats: ImputerStats, reports) -> list[MergedReport]:
-    out = []
-    for r in reports:
-        changes = {}
-        if r.age_years is None:
-            changes["age_years"] = stats.age_mean.get(r.species, stats.global_age_mean)
-        if r.weight_kg is None:
-            changes["weight_kg"] = stats.weight_mean.get(r.species, stats.global_weight_mean)
-        if r.gender is None:
-            changes["gender"] = stats.modes["gender"].get(
-                r.species, stats.global_modes["gender"]
-            )
-        if not r.dosage_forms:
-            changes["dosage_forms"] = [
-                stats.modes["dosage_forms"].get(r.species, stats.global_modes["dosage_forms"])
-            ]
-        if not r.routes:
-            changes["routes"] = [stats.modes["routes"].get(r.species, stats.global_modes["routes"])]
-        out.append(replace(r, **changes) if changes else r)
-    return out
+def _fill_empty(terms: Terms, tokens: np.ndarray) -> Terms:
+    """Give each empty list the one token tokens[row] names."""
+    empty = terms.lengths() == 0
+    if not empty.any():
+        return terms
+    index = {t: i for i, t in enumerate(terms.vocab)}
+    fills = [index.setdefault(t, len(index)) for t in tokens[empty].tolist()]
+    offsets = np.concatenate(([0], np.cumsum(np.maximum(terms.lengths(), 1))))
+    filled = np.zeros(offsets[-1], bool)
+    filled[offsets[:-1][empty]] = True
+    codes = np.empty(offsets[-1], np.intp)
+    codes[filled], codes[~filled] = fills, terms.codes
+    return Terms(offsets, codes, tuple(index))
+
+
+def apply_imputer(stats: dict[str, tuple[dict, object]], reports: Reports) -> Reports:
+    species, names = _codes(reports.species)
+
+    def fill(name, dtype=object):
+        """Each row's species value, or the overall one for a species not fitted."""
+        by_species, fallback = stats[name]
+        return np.array([by_species.get(s, fallback) for s in names] or [fallback], dtype)[species]
+
+    columns = {name: (np.where(reports.present[name], reports.numbers[name], fill(name, np.float64)),
+                      np.ones(len(reports), bool)) for name in ("age_years", "weight_kg")}
+    columns["gender"] = [g if g is not None else m for g, m in zip(reports.gender, fill("gender").tolist())]
+    for name in ("dosage_forms", "routes"):
+        columns[name] = _fill_empty(reports.lists[name], fill(name))
+    return reports.update(**columns)
 
 
 # --- row filtering --------------------------------------------------------------
 
 
-def filter_rows(reports) -> tuple[list[MergedReport], dict[str, int]]:
+def filter_rows(reports: Reports) -> tuple[Reports, dict[str, int]]:
     """Drop euthanized rows and lack-of-efficacy reports; fold sequela recoveries.
 
     Date/year information never becomes a feature: the encoded fields below
     have no column for it.
     """
-    counts = {"euthanized": 0, "lack_of_efficacy": 0, "relabeled_sequela": 0}
-    kept: list[MergedReport] = []
-    for r in reports:
-        if r.outcome is Outcome.EUTHANIZED:
-            counts["euthanized"] += 1
-            continue
-        if any(t.strip().lower() == LACK_OF_EFFICACY_HLT for t in r.ae_terms):
-            counts["lack_of_efficacy"] += 1
-            continue
-        if r.outcome is Outcome.RECOVERED_WITH_SEQUELA:
-            counts["relabeled_sequela"] += 1
-            r = replace(r, outcome=Outcome.RECOVERED)
-        kept.append(r)
-    return kept, counts
+    outcome = reports.outcome
+    euthanized = outcome == OUTCOME_CODE[Outcome.EUTHANIZED]
+    terms = reports.lists["ae_terms"]
+    flagged = np.array([t.strip().lower() == LACK_OF_EFFICACY_HLT for t in terms.vocab], bool)
+    lacking = np.zeros(len(reports), bool)
+    lacking[terms.rows()[flagged[terms.codes]]] = True
+    lacking &= ~euthanized
+    kept = ~(euthanized | lacking)
+    sequela = kept & (outcome == OUTCOME_CODE[Outcome.RECOVERED_WITH_SEQUELA])
+    counts = {
+        "euthanized": int(euthanized.sum()),
+        "lack_of_efficacy": int(lacking.sum()),
+        "relabeled_sequela": int(sequela.sum()),
+    }
+    relabeled = np.where(sequela, np.int8(OUTCOME_CODE[Outcome.RECOVERED]), outcome)
+    return reports.update(outcome=relabeled).take(np.flatnonzero(kept)), counts
 
 
 # --- encoding -------------------------------------------------------------------
@@ -213,12 +200,6 @@ MULTI_HOT_FIELDS = ("ae_terms", "ingredients", "atcvet_subgroups", "routes", "do
 OTHER_TOKEN = "OTHER"
 
 
-def _field_value(report: MergedReport, name: str):
-    if name in ChemDescriptors.FIELDS:
-        return getattr(report.descriptors, name)
-    return getattr(report, name)
-
-
 @dataclass
 class FittedEncoder:
     top_k: int
@@ -228,69 +209,41 @@ class FittedEncoder:
 
     def __post_init__(self):
         self.columns = [ColumnMeta(name=n, kind="numeric", source_field=n) for n in NUMERIC_FIELDS]
-        for name in CATEGORICAL_FIELDS:
-            self.columns.append(
-                ColumnMeta(
-                    name=name,
-                    kind="encoded_categorical",
-                    category_map=self.category_maps[name],
-                    source_field=name,
-                )
-            )
-        for name in MULTI_HOT_FIELDS:
-            for token in (*self.vocabularies[name], OTHER_TOKEN):
-                self.columns.append(
-                    ColumnMeta(name=f"{name}={token}", kind="multi_hot", source_field=name)
-                )
+        self.columns += [ColumnMeta(name=n, kind="encoded_categorical", source_field=n,
+                                    category_map=self.category_maps[n]) for n in CATEGORICAL_FIELDS]
+        self.columns += [ColumnMeta(name=f"{n}={token}", kind="multi_hot", source_field=n)
+                         for n in MULTI_HOT_FIELDS for token in (*self.vocabularies[n], OTHER_TOKEN)]
 
-    def transform(self, reports, require_labels: bool = True) -> FeatureMatrix:
+    def transform(self, reports: Reports, require_labels: bool = True) -> FeatureMatrix:
         n = len(reports)
         values = np.zeros((n, len(self.columns)), dtype=np.float64)
-        col = 0
-        for name in NUMERIC_FIELDS:
-            for i, r in enumerate(reports):
-                value = _field_value(r, name)
-                values[i, col] = 0.0 if value is None else float(value)
-            col += 1
+        for col, name in enumerate(NUMERIC_FIELDS):
+            values[:, col] = np.where(reports.present[name], reports.numbers[name], 0.0)
+        col = len(NUMERIC_FIELDS)
         for name in CATEGORICAL_FIELDS:
             cmap = self.category_maps[name]
-            for i, r in enumerate(reports):
-                value = _field_value(r, name)
-                values[i, col] = cmap.get(value, 0) if value is not None else 0
+            values[:, col] = [cmap.get(value, 0) for value in getattr(reports, name)]
             col += 1
         for name in MULTI_HOT_FIELDS:
             vocab = self.vocabularies[name]
             index = {token: j for j, token in enumerate(vocab)}
-            width = len(vocab) + 1
-            for i, r in enumerate(reports):
-                other = 0.0
-                for token in _field_value(r, name):
-                    j = index.get(token)
-                    if j is None:
-                        other = 1.0
-                    else:
-                        values[i, col + j] = 1.0
-                values[i, col + width - 1] = other
-            col += width
+            terms = reports.lists[name]
+            # the column of each token code: its vocabulary slot, else OTHER
+            slots = np.array([index.get(t, len(vocab)) for t in terms.vocab], np.intp)
+            values[terms.rows(), col + slots[terms.codes]] = 1.0
+            col += len(vocab) + 1
 
         labels = None
         if require_labels:
-            labels = np.empty(n, dtype=np.int8)
-            for i, r in enumerate(reports):
-                if r.outcome is Outcome.DIED:
-                    labels[i] = DEATH
-                elif r.outcome is Outcome.RECOVERED:
-                    labels[i] = RECOVERED
-                else:
-                    raise PrepareError(
-                        f"report {r.key} has non-definitive outcome {r.outcome.value}"
-                    )
-        return FeatureMatrix(
-            values=values,
-            columns=self.columns,
-            keys=[r.key for r in reports],
-            labels=labels,
-        )
+            died = reports.outcome == OUTCOME_CODE[Outcome.DIED]
+            definitive = died | (reports.outcome == OUTCOME_CODE[Outcome.RECOVERED])
+            if not definitive.all():
+                i = int(np.argmin(definitive))
+                raise PrepareError(f"report {reports.key[i]} has non-definitive outcome "
+                                   f"{OUTCOMES[reports.outcome[i]].value}")
+            labels = np.where(died, DEATH, RECOVERED).astype(np.int8)
+        return FeatureMatrix(values=values, columns=self.columns, keys=list(reports.key),
+                             labels=labels)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -309,24 +262,20 @@ class FittedEncoder:
         )
 
 
-def fit_encoder(fit_on, top_k: int) -> FittedEncoder:
+def fit_encoder(fit_on: Reports, top_k: int) -> FittedEncoder:
     """Fit category maps (first-appearance codes, 0 reserved for UNKNOWN) and
     top-K multi-hot vocabularies (by descending training frequency, ties by
     name) on the given rows."""
-    category_maps: dict[str, dict[str, int]] = {}
+    category_maps = {}
     for name in CATEGORICAL_FIELDS:
-        cmap: dict[str, int] = {}
-        for r in fit_on:
-            value = _field_value(r, name)
-            if value is not None and value not in cmap:
-                cmap[value] = len(cmap) + 1
-        category_maps[name] = cmap
-    vocabularies: dict[str, tuple[str, ...]] = {}
+        seen = dict.fromkeys(v for v in getattr(fit_on, name) if v is not None)
+        category_maps[name] = {value: code for code, value in enumerate(seen, start=1)}
+    vocabularies = {}
     for name in MULTI_HOT_FIELDS:
-        counts = Counter()
-        for r in fit_on:
-            counts.update(_field_value(r, name))
-        vocabularies[name] = tuple(sorted(counts, key=lambda t: (-counts[t], t))[:top_k])
+        terms = fit_on.lists[name]
+        counts = np.bincount(terms.codes, minlength=len(terms.vocab)).tolist()
+        ranked = sorted((-count, token) for token, count in zip(terms.vocab, counts) if count)
+        vocabularies[name] = tuple(token for _, token in ranked[:top_k])
     return FittedEncoder(top_k=top_k, category_maps=category_maps, vocabularies=vocabularies)
 
 

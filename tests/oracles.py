@@ -7,11 +7,18 @@ implementation paths it validates beyond plain data containers.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import itertools
 import math
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from vetpv.harmonize import OntologyError, map_atcvet, map_veddra
+from vetpv.ingest import ChemDescriptors, Outcome
 
 
 def gini_of(counts0: float, counts1: float) -> float:
@@ -359,3 +366,311 @@ def decode_bulk_value(text: str, kind):
     if kind is str:
         return unescape_bulk_field(text)
     return kind(text)
+
+
+# --- the per-report data path: one object per report, one operation per value ---
+
+
+@dataclass
+class MergedReport:
+    """One row per report after joining the four tables."""
+
+    key: str
+    species: str
+    breed: object
+    gender: object
+    age_value: object
+    age_unit: object
+    weight_value: object
+    weight_unit: object
+    outcome: object
+    ae_terms: list
+    ingredients: list
+    atcvet_subgroups: list
+    routes: list
+    dosage_forms: list
+    descriptors: dict  # descriptor field -> float or None
+    age_years: object = None
+    weight_kg: object = None
+
+
+def merge_per_report(tables, veddra, descriptors):
+    """Join the four tables report by report; (reports, unmapped Counter,
+    under-specified codes, invalid codes, missing outcomes). Descriptor
+    sums are Python's sum over the ingredients that carry the field."""
+    by_key = {"events": {}, "outcomes": {}, "drugs": {}}
+    for table, rows in by_key.items():
+        for row in getattr(tables, table):
+            rows.setdefault(row.key, []).append(row)
+    unmapped, under, invalid, missing = Counter(), 0, 0, 0
+    merged = []
+    for main in tables.main:
+        ae_terms = []
+        for event in by_key["events"].get(main.key, []):
+            hlt = map_veddra(event, veddra)
+            if hlt.startswith("UNMAPPED:"):
+                unmapped[hlt[len("UNMAPPED:"):]] += 1
+            ae_terms.append(hlt)
+        outcome_rows = by_key["outcomes"].get(main.key, [])
+        if not outcome_rows:
+            missing += 1
+        outcome = outcome_rows[0].medical_status if outcome_rows else Outcome.UNKNOWN
+        ingredients, subgroups, routes, forms, found = [], [], [], [], []
+        for drug in by_key["drugs"].get(main.key, []):
+            ingredients.append(drug.ingredient_name)
+            if drug.route:
+                routes.append(drug.route)
+            if drug.dosage_form:
+                forms.append(drug.dosage_form)
+            if drug.atcvet_code:
+                try:
+                    subgroup = map_atcvet(drug.atcvet_code)
+                except OntologyError:
+                    invalid += 1
+                else:
+                    under += len(subgroup) < 6
+                    subgroups.append(subgroup)
+            record = descriptors.get(drug.ingredient_name.strip().lower())
+            if record is not None:
+                found.append(record)
+        sums = {}
+        for f in ChemDescriptors.FIELDS:
+            present = [getattr(d, f) for d in found if getattr(d, f) is not None]
+            sums[f] = sum(present) if present else None
+        merged.append(MergedReport(
+            key=main.key, species=main.species, breed=main.breed, gender=main.gender,
+            age_value=main.age_value, age_unit=main.age_unit, weight_value=main.weight_value,
+            weight_unit=main.weight_unit, outcome=outcome, ae_terms=ae_terms,
+            ingredients=ingredients, atcvet_subgroups=subgroups, routes=routes,
+            dosage_forms=forms, descriptors=sums))
+    return merged, unmapped, under, invalid, missing
+
+
+def merged_csv_per_report(reports, header) -> str:
+    """The merged CSV written one value at a time."""
+    def num(v):
+        return "" if v is None else repr(v)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for r in reports:
+        writer.writerow([
+            r.key, r.species, r.breed or "", r.gender or "", num(r.age_value),
+            r.age_unit.value if r.age_unit else "", num(r.weight_value),
+            r.weight_unit.value if r.weight_unit else "", num(r.age_years), num(r.weight_kg),
+            r.outcome.value, *("\\".join(getattr(r, name)) for name in
+                               ("ae_terms", "ingredients", "atcvet_subgroups", "routes",
+                                "dosage_forms")),
+            *(num(r.descriptors.get(f)) for f in ChemDescriptors.FIELDS)])
+    return buf.getvalue()
+
+
+def merged_csv_records(text: str) -> list:
+    """The per-report records a merged CSV holds, read cell by cell."""
+    from vetpv.ingest import AgeUnit, WeightUnit
+
+    def number(cell):
+        return float(cell) if cell else None
+
+    rows = list(csv.reader(io.StringIO(text)))
+    records = []
+    for row in rows[1:]:
+        cells = dict(zip(rows[0], row))
+        records.append(MergedReport(
+            key=cells["key"], species=cells["species"], breed=cells["breed"] or None,
+            gender=cells["gender"] or None, age_value=number(cells["age_value"]),
+            age_unit=AgeUnit(cells["age_unit"]) if cells["age_unit"] else None,
+            weight_value=number(cells["weight_value"]),
+            weight_unit=WeightUnit(cells["weight_unit"]) if cells["weight_unit"] else None,
+            outcome=Outcome(cells["outcome"]),
+            **{name: cells[name].split("\\") if cells[name] else [] for name in
+               ("ae_terms", "ingredients", "atcvet_subgroups", "routes", "dosage_forms")},
+            descriptors={f: number(cells[f]) for f in ChemDescriptors.FIELDS},
+            age_years=number(cells["age_years"]), weight_kg=number(cells["weight_kg"])))
+    return records
+
+
+def normalize_per_report(reports):
+    """(normalized, rejects): age in years and weight in kg, report by report."""
+    out, rejects = [], []
+    for r in reports:
+        if r.age_value is not None and r.age_value < 0:
+            rejects.append((r.key, f"report {r.key}: negative age {r.age_value}"))
+            continue
+        if r.weight_value is not None and r.weight_value < 0:
+            rejects.append((r.key, f"report {r.key}: negative weight {r.weight_value}"))
+            continue
+        years = kg = None
+        if r.age_value is not None:
+            unit = r.age_unit.value if r.age_unit else "Year"
+            years = {"Day": lambda v: v / 365.25, "Week": lambda v: v * 7 / 365.25,
+                     "Month": lambda v: v / 12}.get(unit, lambda v: v)(r.age_value)
+        if r.weight_value is not None:
+            unit = r.weight_unit.value if r.weight_unit else "Kilogram"
+            kg = {"Gram": lambda v: v / 1000,
+                  "Pound": lambda v: v * 45359237.0 / 1e8}.get(unit, lambda v: v)(r.weight_value)
+        out.append(replace(r, age_years=years, weight_kg=kg))
+    return out, rejects
+
+
+def _mode(values):
+    counts = Counter(values)
+    return min(counts, key=lambda v: (-counts[v], v))
+
+
+def impute_per_report(train, rows):
+    """Fill rows' missing age, weight, gender, dosage form and route from the
+    per-species means and modes of train (global ones for a species train
+    lacks); np.mean over values grouped by species in first-appearance order."""
+    stats = {}
+    for name, pick in (("age_years", lambda r: r.age_years), ("weight_kg", lambda r: r.weight_kg),
+                       ("gender", lambda r: r.gender),
+                       ("dosage_forms", lambda r: r.dosage_forms[0] if r.dosage_forms else None),
+                       ("routes", lambda r: r.routes[0] if r.routes else None)):
+        groups = {}
+        for r in train:
+            if pick(r) is not None:
+                groups.setdefault(r.species, []).append(pick(r))
+        pooled = [v for vs in groups.values() for v in vs]
+        reduce = (lambda vs: float(np.mean(vs))) if name in ("age_years", "weight_kg") else _mode
+        stats[name] = ({s: reduce(vs) for s, vs in groups.items()}, reduce(pooled))
+    out = []
+    for r in rows:
+        def fill(name):
+            by_species, fallback = stats[name]
+            return by_species.get(r.species, fallback)
+        out.append(replace(
+            r,
+            age_years=fill("age_years") if r.age_years is None else r.age_years,
+            weight_kg=fill("weight_kg") if r.weight_kg is None else r.weight_kg,
+            gender=fill("gender") if r.gender is None else r.gender,
+            dosage_forms=r.dosage_forms or [fill("dosage_forms")],
+            routes=r.routes or [fill("routes")]))
+    return out
+
+
+def filter_per_report(reports):
+    """(kept, counts) with the euthanized and lack-of-efficacy rules and the
+    sequela relabel, report by report."""
+    counts = {"euthanized": 0, "lack_of_efficacy": 0, "relabeled_sequela": 0}
+    kept = []
+    for r in reports:
+        if r.outcome is Outcome.EUTHANIZED:
+            counts["euthanized"] += 1
+        elif any(t.strip().lower() == "lack of efficacy" for t in r.ae_terms):
+            counts["lack_of_efficacy"] += 1
+        else:
+            if r.outcome is Outcome.RECOVERED_WITH_SEQUELA:
+                counts["relabeled_sequela"] += 1
+                r = replace(r, outcome=Outcome.RECOVERED)
+            kept.append(r)
+    return kept, counts
+
+
+def encode_per_report(fit_on, rows, top_k, numeric, categorical, multi_hot):
+    """(category maps, vocabularies, values) fitted on fit_on and filled
+    one value at a time for rows."""
+    def value(r, name):
+        return r.descriptors.get(name) if name in ChemDescriptors.FIELDS else getattr(r, name)
+
+    maps, vocabularies = {}, {}
+    for name in categorical:
+        maps[name] = {}
+        for r in fit_on:
+            v = value(r, name)
+            if v is not None and v not in maps[name]:
+                maps[name][v] = len(maps[name]) + 1
+    for name in multi_hot:
+        counts = Counter()
+        for r in fit_on:
+            counts.update(value(r, name))
+        vocabularies[name] = tuple(sorted(counts, key=lambda t: (-counts[t], t))[:top_k])
+    width = len(numeric) + len(categorical) + sum(len(v) + 1 for v in vocabularies.values())
+    values = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        col = 0
+        for name in numeric:
+            v = value(r, name)
+            values[i, col] = 0.0 if v is None else float(v)
+            col += 1
+        for name in categorical:
+            v = value(r, name)
+            values[i, col] = maps[name].get(v, 0) if v is not None else 0
+            col += 1
+        for name in multi_hot:
+            vocab = vocabularies[name]
+            for token in value(r, name):
+                j = vocab.index(token) if token in vocab else len(vocab)
+                values[i, col + j] = 1.0
+            col += len(vocab) + 1
+    return maps, vocabularies, values
+
+
+def matrix_csv_per_row(matrix) -> str:
+    """The matrix CSV formatted one value at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["key", "label"] + matrix.column_names())
+    labels = [""] * matrix.n_rows if matrix.labels is None else map(str, matrix.labels.tolist())
+    writer.writerows([key, label, *map(repr, row.tolist())]
+                     for key, label, row in zip(matrix.keys, labels, matrix.values))
+    return buf.getvalue()
+
+
+def as_columns(records):
+    """The columnar reports holding the given per-report records."""
+    from vetpv.harmonize import (AGE_UNITS, LIST_FIELDS, NUMBER_FIELDS, OUTCOMES, WEIGHT_UNITS,
+                                 Reports, Terms)
+
+    def codes(name, members):
+        return np.array([-1 if getattr(r, name) is None else members.index(getattr(r, name))
+                         for r in records], np.int8)
+
+    numbers, present = {}, {}
+    for name in NUMBER_FIELDS:
+        values = [r.descriptors.get(name) if name in ChemDescriptors.FIELDS else getattr(r, name)
+                  for r in records]
+        present[name] = np.array([v is not None for v in values], bool)
+        numbers[name] = np.array([0.0 if v is None else float(v) for v in values])
+    return Reports(
+        key=[r.key for r in records], species=[r.species for r in records],
+        breed=[r.breed for r in records], gender=[r.gender for r in records],
+        outcome=codes("outcome", OUTCOMES), age_unit=codes("age_unit", AGE_UNITS),
+        weight_unit=codes("weight_unit", WEIGHT_UNITS), numbers=numbers, present=present,
+        lists={name: terms([getattr(r, name) for r in records], Terms) for name in LIST_FIELDS})
+
+
+def terms(lists, cls):
+    """A Terms of the token lists, codes numbered by first appearance."""
+    index = {}
+    codes = [index.setdefault(t, len(index)) for tokens in lists for t in tokens]
+    offsets = np.cumsum([0] + [len(tokens) for tokens in lists])
+    return cls(offsets, np.array(codes, np.intp), tuple(index))
+
+
+def as_records(reports):
+    """The per-report records of columnar reports."""
+    from vetpv.harmonize import AGE_UNITS, OUTCOMES, WEIGHT_UNITS
+
+    lists = {name: terms.lists() for name, terms in reports.lists.items()}
+
+    def number(name, i):
+        return float(reports.numbers[name][i]) if reports.present[name][i] else None
+
+    def member(members, code):
+        return None if code < 0 else members[code]
+
+    return [
+        MergedReport(
+            key=reports.key[i], species=reports.species[i], breed=reports.breed[i],
+            gender=reports.gender[i], age_value=number("age_value", i),
+            age_unit=member(AGE_UNITS, reports.age_unit[i]),
+            weight_value=number("weight_value", i),
+            weight_unit=member(WEIGHT_UNITS, reports.weight_unit[i]),
+            outcome=member(OUTCOMES, reports.outcome[i]),
+            **{name: tokens[i] for name, tokens in lists.items()},
+            descriptors={f: number(f, i) for f in ChemDescriptors.FIELDS},
+            age_years=number("age_years", i), weight_kg=number("weight_kg", i))
+        for i in range(len(reports))
+    ]

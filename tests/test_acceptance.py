@@ -26,7 +26,7 @@ from vetpv.ingest import AgeUnit, ChemDescriptors, WeightUnit
 from vetpv.matrix import DEATH, RECOVERED, from_arrays
 from vetpv.metrics import Confusion, evaluate, metrics
 from vetpv.models import ModelSpec, fit_model
-from vetpv.prepare import normalize_units, stratified_assignment
+from vetpv.prepare import normalize_all, stratified_assignment
 from vetpv.resample import ResamplePlan, apply_plan, enn, random_resample, smote
 from vetpv.ssl import SslPlan, compute_aum, ssl_train
 from vetpv.synth import write_corpus
@@ -351,31 +351,22 @@ def test_criterion_8_paper_trend_checks(prepared):
 
 
 def test_criterion_9_units_and_merging():
-    from vetpv.harmonize import MergedReport
-    from vetpv.ingest import Outcome
+    from vetpv.harmonize import VeddraMap, merge_reports
+    from vetpv.ingest import DrugRow, MainRow, RawTables
 
-    def report(**kw):
-        base = dict(
-            key="K", species="Dog", breed=None, gender=None, age_value=None, age_unit=None,
-            weight_value=None, weight_unit=None, outcome=Outcome.RECOVERED, ae_terms=[],
-            ingredients=[], atcvet_subgroups=[], routes=[], dosage_forms=[],
-            descriptors=ChemDescriptors(),
-        )
-        base.update(kw)
-        return MergedReport(**base)
-
-    assert normalize_units(report(age_value=24, age_unit=AgeUnit.MONTH)).age_years == 2.0
-    assert (
-        normalize_units(report(weight_value=10, weight_unit=WeightUnit.POUND)).weight_kg
-        == 4.5359237
+    tables = RawTables(
+        main=[MainRow(key="A", species="Dog", age_value=24.0, age_unit=AgeUnit.MONTH),
+              MainRow(key="W", species="Dog", weight_value=10.0, weight_unit=WeightUnit.POUND)],
+        drugs=[DrugRow(key="A", ingredient_name="DrugX"), DrugRow(key="A", ingredient_name="DrugY")],
     )
-
-    from vetpv.harmonize import _sum_descriptors
-
-    summed = _sum_descriptors(
-        [ChemDescriptors(molecular_weight=100.0), ChemDescriptors(molecular_weight=250.5)]
-    )
-    assert summed.molecular_weight == 350.5
+    descriptors = {"drugx": ChemDescriptors(molecular_weight=100.0),
+                   "drugy": ChemDescriptors(molecular_weight=250.5)}
+    merged, _ = merge_reports(tables, VeddraMap.load(), descriptors)
+    reports, rejects = normalize_all(merged)
+    assert rejects == []
+    assert reports.numbers["age_years"][0] == 2.0
+    assert reports.numbers["weight_kg"][1] == 4.5359237
+    assert reports.numbers["molecular_weight"][0] == 350.5
 
     assert map_atcvet("QJ01CA01") == "QJ01CA"
     ok(9, "unit normalization and merging worked values exact")

@@ -147,6 +147,22 @@ class TestValidation:
         assert "step_size" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.tsv").exists()
 
+    def test_model_keys_take_their_params_field_types(self, small_corpus, tmp_path):
+        config = tmp_path / "typed.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = out\n"
+            "[run]\nseed = 1\n[model]\nkind = forest\nn_trees = 3\nfeatures_per_split = 2\n"
+            "bootstrap = false\n[ssl]\nenabled = false\n[explain]\nenabled = false\n"
+        )
+        params = load_config(config).model.params
+        assert params == {"n_trees": 3, "features_per_split": 2, "bootstrap": False, "seed": 1}
+        config.write_text(config.read_text().replace("kind = forest\nn_trees = 3\n"
+                                                     "features_per_split = 2\nbootstrap = false",
+                                                     "kind = gbdt\nlearning_rate = 1\nreg_lambda = 2"))
+        params = load_config(config).model.params
+        assert params == {"learning_rate": 1.0, "reg_lambda": 2.0}
+        assert all(type(v) is float for v in params.values())
+
     def test_explaining_ssl_model_requires_ssl_enabled(self, small_corpus, tmp_path):
         config = tmp_path / "sslless.ini"
         config.write_text(
@@ -175,8 +191,10 @@ class TestValidation:
         ("ssl", {"enabled": "yes"}),
         ("ssl", {"max_checkpoints": "0"}),
         ("resample", {"k_smote": "abc"}),
+        ("model", {"n_rounds": "10.0"}),
+        ("model", {"learning_rate": "fast"}),
     ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
-            "ssl.enabled", "max_checkpoints", "k_smote"])
+            "ssl.enabled", "max_checkpoints", "k_smote", "n_rounds", "learning_rate"])
     def test_bad_value_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
         config = tmp_path / "bad.ini"
         config.write_text(

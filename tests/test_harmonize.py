@@ -1,14 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import as_records, merged_csv_records
 from vetpv.harmonize import (
+    OUTCOMES,
     MergeError,
     OntologyError,
     VeddraMap,
     map_atcvet,
     map_veddra,
     merge_reports,
-    merged_from_csv,
     merged_to_csv,
 )
 from vetpv.ingest import (
@@ -108,15 +109,17 @@ DESCRIPTORS = {
 class TestMerge:
     def test_one_row_per_main_row(self, veddra):
         merged, _ = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
-        assert [r.key for r in merged] == ["A", "B"]
+        assert merged.key == ["A", "B"]
+        assert len(merged) == 2
 
     def test_descriptor_summation(self, veddra):
         merged, _ = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
-        assert merged[0].descriptors.molecular_weight == 350.5
+        descriptors = as_records(merged)[0].descriptors
+        assert descriptors["molecular_weight"] == 350.5
         # the field only one ingredient carries is its value, not absent
-        assert merged[0].descriptors.xlogp3 == 1.2
+        assert descriptors["xlogp3"] == 1.2
         # no ingredient carries it at all: stays absent
-        assert merged[0].descriptors.exact_mass is None
+        assert descriptors["exact_mass"] is None
 
     def test_list_fields_preserve_order_and_serialize_with_backslash(self, veddra):
         tables = tables_for_merge()
@@ -126,7 +129,7 @@ class TestMerge:
             AERow(key="A", term_name="C1"),
         ]
         merged, _ = merge_reports(tables, veddra, {})
-        assert merged[0].ae_terms == ["UNMAPPED:A1", "UNMAPPED:B1", "UNMAPPED:C1"]
+        assert as_records(merged)[0].ae_terms == ["UNMAPPED:A1", "UNMAPPED:B1", "UNMAPPED:C1"]
         text = merged_to_csv(merged)
         assert "UNMAPPED:A1\\UNMAPPED:B1\\UNMAPPED:C1" in text
 
@@ -134,11 +137,11 @@ class TestMerge:
         merged, stats = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
         assert stats.under_specified_codes == 1  # QJ01 stays below level 4
         assert stats.invalid_codes == 1  # "bogus"
-        assert merged[0].atcvet_subgroups == ["QJ01CA", "QJ01"]
+        assert as_records(merged)[0].atcvet_subgroups == ["QJ01CA", "QJ01"]
 
     def test_missing_outcome_defaults_unknown(self, veddra):
         merged, stats = merge_reports(tables_for_merge(), veddra, {})
-        assert merged[1].outcome is Outcome.UNKNOWN
+        assert OUTCOMES[merged.outcome[1]] is Outcome.UNKNOWN
         assert stats.missing_outcome == 1
 
     def test_duplicate_key_is_hard_error(self, veddra):
@@ -153,8 +156,8 @@ class TestMerge:
         merged, _ = merge_reports(tables, veddra, DESCRIPTORS)
         tables.drugs = tables.drugs[::-1]
         flipped, _ = merge_reports(tables, veddra, DESCRIPTORS)
-        assert merged[0].descriptors == flipped[0].descriptors
+        assert as_records(merged)[0].descriptors == as_records(flipped)[0].descriptors
 
     def test_merged_csv_roundtrip(self, veddra):
         merged, _ = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
-        assert merged_from_csv(merged_to_csv(merged)) == merged
+        assert merged_csv_records(merged_to_csv(merged)) == as_records(merged)

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pearson_two_pass
-from vetpv.harmonize import MergedReport
-from vetpv.ingest import AgeUnit, ChemDescriptors, Outcome, WeightUnit
+from oracles import MergedReport, as_columns, as_records, pearson_two_pass
+from vetpv.ingest import AgeUnit, Outcome, WeightUnit
 from vetpv.matrix import DEATH, RECOVERED, from_arrays
 from vetpv.prepare import (
     PrepareError,
-    UnitError,
     filter_rows,
     fit_encoder,
     fit_imputer,
     apply_imputer,
     largest_remainder_quotas,
     normalize_all,
-    normalize_units,
     prune_correlated,
     stratified_assignment,
 )
@@ -37,10 +34,20 @@ def make_report(key="K", species="Dog", outcome=Outcome.RECOVERED, **overrides):
         atcvet_subgroups=["QJ01CA"],
         routes=["Oral"],
         dosage_forms=["Tablet"],
-        descriptors=ChemDescriptors(molecular_weight=100.0),
+        descriptors={"molecular_weight": 100.0},
     )
     base.update(overrides)
     return MergedReport(**base)
+
+
+def reports(*records):
+    return as_columns(records)
+
+
+def normalized(*records):
+    rows, rejects = normalize_all(reports(*records))
+    assert rejects == []
+    return rows
 
 
 class TestUnits:
@@ -54,8 +61,8 @@ class TestUnits:
         ],
     )
     def test_age_conversions_exact(self, value, unit, expected):
-        report = make_report(age_value=value, age_unit=unit)
-        assert normalize_units(report).age_years == expected
+        rows = normalized(make_report(age_value=value, age_unit=unit))
+        assert as_records(rows)[0].age_years == expected
 
     @pytest.mark.parametrize(
         "value,unit,expected",
@@ -66,79 +73,70 @@ class TestUnits:
         ],
     )
     def test_weight_conversions_exact(self, value, unit, expected):
-        report = make_report(weight_value=value, weight_unit=unit)
-        assert normalize_units(report).weight_kg == expected
+        rows = normalized(make_report(weight_value=value, weight_unit=unit))
+        assert as_records(rows)[0].weight_kg == expected
 
-    def test_negative_value_raises(self):
-        with pytest.raises(UnitError):
-            normalize_units(make_report(age_value=-1, age_unit=AgeUnit.YEAR))
+    def test_negative_value_is_rejected(self):
+        kept, rejects = normalize_all(reports(make_report(age_value=-1, age_unit=AgeUnit.YEAR)))
+        assert len(kept) == 0
+        assert rejects == [("K", "report K: negative age -1.0")]
 
     def test_batch_routes_invalid_rows_to_rejects(self):
         good = make_report(key="G", age_value=1, age_unit=AgeUnit.YEAR)
         bad = make_report(key="B", weight_value=-5, weight_unit=WeightUnit.KILOGRAM)
-        kept, rejects = normalize_all([good, bad])
-        assert [r.key for r in kept] == ["G"]
+        kept, rejects = normalize_all(reports(good, bad))
+        assert kept.key == ["G"]
         assert rejects[0][0] == "B"
+
+
+def imputed(rows):
+    return as_records(apply_imputer(fit_imputer(rows), rows))
 
 
 class TestImpute:
     def test_species_mean_for_age(self):
-        rows = [
+        rows = normalized(
             make_report(key="1", age_value=2, age_unit=AgeUnit.YEAR,
                         weight_value=10, weight_unit=WeightUnit.KILOGRAM),
             make_report(key="2"),
             make_report(key="3", age_value=4, age_unit=AgeUnit.YEAR),
-        ]
-        rows, _ = normalize_all(rows)
-        imputed = apply_imputer(fit_imputer(rows), rows)
-        assert imputed[1].age_years == 3.0
+        )
+        assert imputed(rows)[1].age_years == 3.0
 
     def test_mode_ties_break_lexicographically(self):
-        rows = [
+        rows = normalized(
             make_report(key="1", species="Cat", gender="F", age_value=1, age_unit=AgeUnit.YEAR,
                         weight_value=4, weight_unit=WeightUnit.KILOGRAM),
             make_report(key="2", species="Cat", gender="M"),
             make_report(key="3", species="Cat", gender="F"),
             make_report(key="4", species="Cat", gender="M"),
             make_report(key="5", species="Cat", gender=None),
-        ]
-        rows, _ = normalize_all(rows)
-        imputed = apply_imputer(fit_imputer(rows), rows)
-        assert imputed[4].gender == "F"
+        )
+        assert imputed(rows)[4].gender == "F"
 
     def test_species_without_values_falls_back_to_global(self):
-        rows = [
+        rows = normalized(
             make_report(key="1", species="Dog", age_value=5, age_unit=AgeUnit.YEAR,
                         weight_value=10, weight_unit=WeightUnit.KILOGRAM),
             make_report(key="2", species="Turtle"),
-        ]
-        rows, _ = normalize_all(rows)
-        imputed = apply_imputer(fit_imputer(rows), rows)
-        assert imputed[1].age_years == 5.0
+        )
+        assert imputed(rows)[1].age_years == 5.0
 
     def test_field_absent_everywhere_errors_with_name(self):
-        rows, _ = normalize_all([make_report(key="1", gender=None), make_report(key="2", gender=None)])
-        rows = [r for r in rows]
-        for r in rows:
-            r.age_years = 1.0
-            r.weight_kg = 1.0
-        rows[0].gender = None
-        rows[1].gender = None
+        rows = reports(*(make_report(key=k, gender=None, age_years=1.0, weight_kg=1.0)
+                         for k in "12"))
         with pytest.raises(PrepareError) as err:
             fit_imputer(rows)
         assert "gender" in str(err.value)
 
     def test_statistics_frozen_from_training_rows(self):
-        train = [
+        train = normalized(
             make_report(key="1", age_value=2, age_unit=AgeUnit.YEAR,
                         weight_value=10, weight_unit=WeightUnit.KILOGRAM),
             make_report(key="2", age_value=4, age_unit=AgeUnit.YEAR),
-        ]
-        test = [make_report(key="3")]
-        train, _ = normalize_all(train)
-        test, _ = normalize_all(test)
-        stats = fit_imputer(train)
-        filled = apply_imputer(stats, test)
+        )
+        test = normalized(make_report(key="3"))
+        filled = as_records(apply_imputer(fit_imputer(train), test))
         assert filled[0].age_years == 3.0  # train mean, not test's own
 
 
@@ -149,71 +147,75 @@ class TestFilter:
             + [make_report(key="L", ae_terms=["Lack of efficacy"])]
             + [make_report(key=f"R{i}") for i in range(7)]
         )
-        kept, counts = filter_rows(rows)
+        kept, counts = filter_rows(reports(*rows))
         assert len(kept) == 7
         assert counts["euthanized"] == 2
         assert counts["lack_of_efficacy"] == 1
 
     def test_sequela_relabeled_to_recovered(self):
-        kept, counts = filter_rows([make_report(outcome=Outcome.RECOVERED_WITH_SEQUELA)])
-        assert kept[0].outcome is Outcome.RECOVERED
+        kept, counts = filter_rows(reports(make_report(outcome=Outcome.RECOVERED_WITH_SEQUELA)))
+        assert as_records(kept)[0].outcome is Outcome.RECOVERED
         assert counts["relabeled_sequela"] == 1
 
     def test_efficacy_match_case_insensitive(self):
-        kept, counts = filter_rows([make_report(ae_terms=["LACK OF EFFICACY"])])
-        assert kept == []
+        kept, counts = filter_rows(reports(make_report(ae_terms=["LACK OF EFFICACY"])))
+        assert len(kept) == 0
         assert counts["lack_of_efficacy"] == 1
 
 
 class TestEncode:
     def test_category_codes_fit_in_appearance_order(self):
-        fit_rows = [
+        fit_rows = reports(
             make_report(key="1", species="A", age_value=1, age_unit=AgeUnit.YEAR),
             make_report(key="2", species="B"),
             make_report(key="3", species="A"),
-        ]
+        )
         encoder = fit_encoder(fit_rows, top_k=3)
         assert encoder.category_maps["species"] == {"A": 1, "B": 2}
-        matrix = encoder.transform([make_report(key="4", species="C")], require_labels=False)
+        matrix = encoder.transform(reports(make_report(key="4", species="C")), require_labels=False)
         col = matrix.column_index("species")
         assert matrix.values[0, col] == 0  # unseen -> UNKNOWN
 
     def test_multi_hot_with_other_indicator(self):
-        fit_rows = [
+        fit_rows = reports(
             make_report(key="1", ae_terms=["X", "Y"]),
             make_report(key="2", ae_terms=["X", "Z"]),
-        ]
+        )
         encoder = fit_encoder(fit_rows, top_k=3)
         assert encoder.vocabularies["ae_terms"] == ("X", "Y", "Z")
-        matrix = encoder.transform([make_report(key="3", ae_terms=["X", "Y"])], require_labels=False)
+        matrix = encoder.transform(reports(make_report(key="3", ae_terms=["X", "Y"])),
+                                   require_labels=False)
         names = matrix.column_names()
         row = matrix.values[0]
         assert row[names.index("ae_terms=X")] == 1
         assert row[names.index("ae_terms=Y")] == 1
         assert row[names.index("ae_terms=Z")] == 0
         assert row[names.index("ae_terms=OTHER")] == 0
-        out = encoder.transform([make_report(key="4", ae_terms=["W"])], require_labels=False)
+        out = encoder.transform(reports(make_report(key="4", ae_terms=["W"])), require_labels=False)
         assert out.values[0][names.index("ae_terms=OTHER")] == 1
 
     def test_vocabulary_is_top_k_by_frequency(self):
         fit_rows = [make_report(key=str(i), ae_terms=["common"]) for i in range(5)]
         fit_rows += [make_report(key="r1", ae_terms=["rare1"]), make_report(key="r2", ae_terms=["rare2"])]
-        encoder = fit_encoder(fit_rows, top_k=2)
+        encoder = fit_encoder(reports(*fit_rows), top_k=2)
         assert encoder.vocabularies["ae_terms"] == ("common", "rare1")  # tie by name
 
     def test_same_fit_applied_twice_identical(self):
-        rows = [make_report(key=str(i), ae_terms=["X"], age_value=i, age_unit=AgeUnit.YEAR) for i in range(4)]
+        rows = normalized(*(make_report(key=str(i), ae_terms=["X"], age_value=i,
+                                        age_unit=AgeUnit.YEAR) for i in range(4)))
         encoder = fit_encoder(rows, top_k=3)
         a = encoder.transform(rows, require_labels=False)
         b = encoder.transform(rows, require_labels=False)
         assert np.array_equal(a.values, b.values)
 
     def test_labels_require_definitive_outcomes(self):
-        encoder = fit_encoder([make_report(key="1")], top_k=3)
+        encoder = fit_encoder(reports(make_report(key="1")), top_k=3)
         with pytest.raises(PrepareError):
-            encoder.transform([make_report(key="2", outcome=Outcome.ONGOING)], require_labels=True)
+            encoder.transform(reports(make_report(key="2", outcome=Outcome.ONGOING)),
+                              require_labels=True)
         got = encoder.transform(
-            [make_report(key="3", outcome=Outcome.DIED), make_report(key="4")], require_labels=True
+            reports(make_report(key="3", outcome=Outcome.DIED), make_report(key="4")),
+            require_labels=True,
         )
         assert list(got.labels) == [DEATH, RECOVERED]
 
