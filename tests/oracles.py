@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vetpv.harmonize import OntologyError, map_atcvet, map_veddra
-from vetpv.ingest import ChemDescriptors, Outcome
+from vetpv.harmonize import (AGE_UNITS, LIST_FIELDS, NUMBER_FIELDS, OUTCOMES, WEIGHT_UNITS,
+                             OntologyError, Reports, Terms, map_atcvet, map_veddra)
+from vetpv.ingest import AgeUnit, ChemDescriptors, Outcome, WeightUnit
 
 
 def gini_of(counts0: float, counts1: float) -> float:
@@ -468,8 +469,6 @@ def merged_csv_per_report(reports, header) -> str:
 
 def merged_csv_records(text: str) -> list:
     """The per-report records a merged CSV holds, read cell by cell."""
-    from vetpv.ingest import AgeUnit, WeightUnit
-
     def number(cell):
         return float(cell) if cell else None
 
@@ -620,9 +619,6 @@ def matrix_csv_per_row(matrix) -> str:
 
 def as_columns(records):
     """The columnar reports holding the given per-report records."""
-    from vetpv.harmonize import (AGE_UNITS, LIST_FIELDS, NUMBER_FIELDS, OUTCOMES, WEIGHT_UNITS,
-                                 Reports, Terms)
-
     def codes(name, members):
         return np.array([-1 if getattr(r, name) is None else members.index(getattr(r, name))
                          for r in records], np.int8)
@@ -638,21 +634,19 @@ def as_columns(records):
         breed=[r.breed for r in records], gender=[r.gender for r in records],
         outcome=codes("outcome", OUTCOMES), age_unit=codes("age_unit", AGE_UNITS),
         weight_unit=codes("weight_unit", WEIGHT_UNITS), numbers=numbers, present=present,
-        lists={name: terms([getattr(r, name) for r in records], Terms) for name in LIST_FIELDS})
+        lists={name: terms([getattr(r, name) for r in records]) for name in LIST_FIELDS})
 
 
-def terms(lists, cls):
-    """A Terms of the token lists, codes numbered by first appearance."""
+def terms(lists) -> Terms:
+    """The Terms of the token lists, codes numbered by first appearance."""
     index = {}
     codes = [index.setdefault(t, len(index)) for tokens in lists for t in tokens]
     offsets = np.cumsum([0] + [len(tokens) for tokens in lists])
-    return cls(offsets, np.array(codes, np.intp), tuple(index))
+    return Terms(offsets, np.array(codes, np.intp), tuple(index))
 
 
 def as_records(reports):
     """The per-report records of columnar reports."""
-    from vetpv.harmonize import AGE_UNITS, OUTCOMES, WEIGHT_UNITS
-
     lists = {name: terms.lists() for name, terms in reports.lists.items()}
 
     def number(name, i):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    MergedReport,
     as_columns,
     as_records,
     encode_per_report,
@@ -150,8 +151,6 @@ def test_prepare_steps_match_per_report(veddra, seed):
 
 
 def test_mode_ties_go_to_the_smallest_value():
-    from oracles import MergedReport
-
     def report(key, species, gender, form):
         return MergedReport(key=key, species=species, breed=None, gender=gender, age_value=None,
                             age_unit=None, weight_value=None, weight_unit=None,
@@ -170,8 +169,6 @@ def test_mode_ties_go_to_the_smallest_value():
 
 
 def test_encoder_empty_lists_and_unseen_tokens():
-    from oracles import MergedReport
-
     def report(key, terms):
         return MergedReport(key=key, species="Dog", breed=None, gender=None, age_value=None,
                             age_unit=None, weight_value=None, weight_unit=None,
@@ -200,13 +197,12 @@ ADVERSARIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0
 def test_matrix_csv_matches_per_row(labeled, rows, monkeypatch):
     from vetpv import matrix
 
-    monkeypatch.setattr(matrix, "CSV_BLOCK_ROWS", 3)  # many blocks, and a partial last one
+    if rows < 100:  # many blocks, and a partial last one
+        monkeypatch.setattr(matrix, "CSV_BLOCK_ROWS", 3)
     gen = np.random.default_rng(rows)
     values = gen.choice(ADVERSARIAL, size=(rows, 6))
     values[:, 5] = gen.normal(size=rows)
     keys = [pick(gen, ["a,b", 'q"t', "c\rr", "l\nf", "#", "", " k"]) + str(i) for i in range(rows)]
     m = from_arrays(values, gen.integers(0, 2, rows) if labeled else None,
                     names=[f"c,{j}" for j in range(6)], keys=keys)
-    if rows > 100:
-        monkeypatch.setattr(matrix, "CSV_BLOCK_ROWS", 4096)
     assert to_csv(m) == matrix_csv_per_row(m)
