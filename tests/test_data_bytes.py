@@ -1,4 +1,5 @@
-"""The bytes of every artifact `vetpv ingest` and `vetpv prepare` write, pinned.
+"""The bytes of every artifact `vetpv ingest` and `vetpv prepare` write, and of
+the tables `vetpv ingest --csv` exports, pinned.
 
 The corpus is a fixed `synth.write_corpus` seed plus one hand-written quarter
 of awkward reports: keys holding a comma, a quote or a newline, reports with
@@ -93,6 +94,15 @@ DIGESTS = {
     "split_stats": "8f322cfc86fc6839f5296b804a1322d753e4818ce7933c1b3beb8ad4c027a664",
 }
 
+# sha256 of each table `vetpv ingest --csv` writes, recorded before the raw
+# tables became columnar
+CSV_DIGESTS = {
+    "drugs.csv": "cb9e2277a9481a134db7d35261b79d2b9ef585cc00a3a4227291ab31429fad26",
+    "events.csv": "8ab34a27878075ff4f3bd90b8cb8ee8d89cd48ac578e24bd428df0fc3e336c78",
+    "main.csv": "63709b41aa8b10d22ae448de0fee1589ac4f587f101cfc23e0d028eb6e1d0160",
+    "outcomes.csv": "fb60465c61eeb663e3bfd1514a046cdd36787eab622ec0e926de73d9a88cfc42",
+}
+
 
 @pytest.fixture(scope="module")
 def prepared(tmp_path_factory):
@@ -102,13 +112,19 @@ def prepared(tmp_path_factory):
         json.dumps({"results": AWKWARD_REPORTS}, sort_keys=True), encoding="utf-8")
     (root / "pipeline.ini").write_text(INI.replace("= quarters", f"= {root / 'quarters'}")
                                        .replace("= out", f"= {root / 'out'}"), encoding="utf-8")
-    for command in ("ingest", "prepare"):
-        assert main([command, "--config", str(root / "pipeline.ini")]) == 0
-    out = root / "out"
-    manifest = dict(line.split("\t") for line in (out / "manifest.tsv").read_text().splitlines())
-    return {name: hashlib.sha256((out / filename).read_bytes()).hexdigest()
-            for name, filename in manifest.items()}
+    for command in (["ingest", "--csv"], ["prepare"]):
+        assert main([*command, "--config", str(root / "pipeline.ini")]) == 0
+    return root / "out"
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_data_stage_artifact_bytes_are_pinned(prepared):
-    assert prepared == DIGESTS
+    manifest = dict(line.split("\t") for line in (prepared / "manifest.tsv").read_text().splitlines())
+    assert {name: _digest(prepared / filename) for name, filename in manifest.items()} == DIGESTS
+
+
+def test_ingest_csv_bytes_are_pinned(prepared):
+    assert {path.name: _digest(path) for path in (prepared / "csv").iterdir()} == CSV_DIGESTS
