@@ -11,60 +11,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import re
-from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 
-from .ingest import (
-    AERow,
-    AgeUnit,
-    DrugRow,
-    MainRow,
-    Outcome,
-    OutcomeRow,
-    RawTables,
-    VeddraLevel,
-    WeightUnit,
-)
+from .ingest import SCHEMA, TABLE_NAMES, RawTables, Table
 
 NULL = "\\N"
-
-TABLE_NAMES = ("main", "events", "outcomes", "drugs")
-
-_COLUMNS = {
-    "main": (
-        ("key", str),
-        ("species", str),
-        ("breed", str),
-        ("gender", str),
-        ("age_value", float),
-        ("age_unit", AgeUnit),
-        ("weight_value", float),
-        ("weight_unit", WeightUnit),
-        ("received_date", dt.date),
-    ),
-    "events": (
-        ("key", str),
-        ("term_code", str),
-        ("term_name", str),
-        ("veddra_level", VeddraLevel),
-    ),
-    "outcomes": (
-        ("key", str),
-        ("medical_status", Outcome),
-        ("animals_affected", int),
-    ),
-    "drugs": (
-        ("key", str),
-        ("ingredient_name", str),
-        ("brand_name", str),
-        ("dosage_form", str),
-        ("route", str),
-        ("atcvet_code", str),
-    ),
-}
-
-_ROW_TYPES = {"main": MainRow, "events": AERow, "outcomes": OutcomeRow, "drugs": DrugRow}
 
 
 def escape_field(text: str) -> str:
@@ -117,47 +68,35 @@ def _decoder(kind):
     ]
 
 
-def _encoder(kind):
-    """The encoder of one column: values -> bulk cells, NULL for None.
-    A float's repr never holds a backslash, tab, CR or LF, so it is not
-    escaped."""
+def _encoder(kind, null=NULL, escape=escape_field):
+    """The encoder of one column: values -> cells, null for None and strings
+    through escape (bulk text by default). A float's repr never holds a
+    backslash, tab, CR or LF, so it is not escaped."""
     if kind is str:
-        return lambda values: [NULL if v is None else escape_field(v) for v in values]
+        return lambda values: [null if v is None else escape(v) for v in values]
     if kind is float:
-        return lambda values: [NULL if v is None else repr(float(v)) for v in values]
+        return lambda values: [null if v is None else repr(float(v)) for v in values]
     if kind is int:
-        return lambda values: [NULL if v is None else str(int(v)) for v in values]
+        return lambda values: [null if v is None else str(int(v)) for v in values]
     if kind is dt.date:
-        return lambda values: [NULL if v is None else v.isoformat() for v in values]
-    return lambda values: [NULL if v is None else v.value for v in values]
+        return lambda values: [null if v is None else v.isoformat() for v in values]
+    return lambda values: [null if v is None else v.value for v in values]
 
 
 def export_csv(tables: RawTables, directory) -> dict[str, int]:
-    """RFC-4180 CSV export of the same four tables."""
+    """RFC-4180 CSV export of the same four tables: strings as they are, an
+    absent value as an empty cell."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name in TABLE_NAMES:
-        columns = _COLUMNS[name]
+        table = getattr(tables, name)
+        columns = [_encoder(kind, "", str)(table[cname]) for cname, kind in SCHEMA[name]]
         with open(directory / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow([cname for cname, _ in columns])
-            for row in getattr(tables, name):
-                cells = []
-                for cname, kind in columns:
-                    value = getattr(row, cname)
-                    if value is None:
-                        cells.append("")
-                    elif kind is float:
-                        cells.append(repr(float(value)))
-                    elif isinstance(value, (AgeUnit, WeightUnit, VeddraLevel, Outcome)):
-                        cells.append(value.value)
-                    elif kind is dt.date:
-                        cells.append(value.isoformat())
-                    else:
-                        cells.append(str(value))
-                writer.writerow(cells)
-        counts[name] = len(getattr(tables, name))
+            writer.writerow([cname for cname, _ in SCHEMA[name]])
+            writer.writerows(zip(*columns))
+        counts[name] = len(table)
     return counts
 
 
@@ -165,32 +104,21 @@ def export_bulk_string(tables: RawTables) -> dict[str, str]:
     """The bulk-load text of each table, keyed by table name."""
     texts = {}
     for name in TABLE_NAMES:
-        rows = getattr(tables, name)
-        columns = [_encoder(kind)(map(attrgetter(cname), rows)) for cname, kind in _COLUMNS[name]]
+        table = getattr(tables, name)
+        columns = [_encoder(kind)(table[cname]) for cname, kind in SCHEMA[name]]
         lines = list(map("\t".join, zip(*columns)))
         texts[name] = "\n".join(lines) + "\n" if lines else ""
     return texts
 
 
-def _parse_table(table_name: str, text: str) -> list:
-    columns = _COLUMNS[table_name]
-    # the lines stay alive until the rows are built: freeing them before
-    # raised the peak RSS of a 5k-report SMOTE+ENN prepare by about 1 MB
-    lines = [line for line in text.split("\n") if line != ""]
-    cells = [line.split("\t") for line in lines]
+def _parse_table(name: str, text: str) -> Table:
+    schema = SCHEMA[name]
+    cells = [line.split("\t") for line in text.split("\n") if line != ""]
     for row in cells:
-        if len(row) != len(columns):
-            raise ValueError(
-                f"{table_name}: expected {len(columns)} fields, got {len(row)}"
-            )
-    decoded = {
-        cname: _decoder(kind)(column) for (cname, kind), column in zip(columns, zip(*cells))
-    }
-    if not decoded:
-        return []
-    row_type = _ROW_TYPES[table_name]
-    # by field name: a table's columns need not be in its row type's field order
-    return list(map(row_type, *[decoded[f.name] for f in fields(row_type)]))
+        if len(row) != len(schema):
+            raise ValueError(f"{name}: expected {len(schema)} fields, got {len(row)}")
+    columns = zip(*cells) if cells else [()] * len(schema)
+    return Table({cname: _decoder(kind)(column) for (cname, kind), column in zip(schema, columns)})
 
 
 def import_bulk_string(texts: dict[str, str]) -> RawTables:

@@ -13,12 +13,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import AERow, AgeUnit, ChemDescriptors, Outcome, RawTables, VeddraLevel, WeightUnit
+from .ingest import AgeUnit, ChemDescriptors, Outcome, RawTables, Table, VeddraLevel, WeightUnit
 from .matrix import FloatText, csv_cells, csv_lines
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -66,17 +65,18 @@ class VeddraMap:
         return cls(to_hlt=to_hlt, hlt_names=hlt_names)
 
 
-def map_veddra(term: AERow, table: VeddraMap) -> str:
-    """Lift one AE term to its high-level term.
+def map_veddra(term_name: str, term_code: str | None, level: VeddraLevel | None,
+               table: VeddraMap) -> str:
+    """Lift one AE term, given by its name, code and level, to its high-level term.
 
     Terms already at HLT level pass through unchanged; terms absent from the
     table map to the sentinel "UNMAPPED:<name>" so they survive as categories.
     """
-    if term.veddra_level is VeddraLevel.HLT:
-        return term.term_name
-    if term.term_code and term.term_code.lower() in table.to_hlt:
-        return table.to_hlt[term.term_code.lower()]
-    name = term.term_name.strip()
+    if level is VeddraLevel.HLT:
+        return term_name
+    if term_code and term_code.lower() in table.to_hlt:
+        return table.to_hlt[term_code.lower()]
+    name = term_name.strip()
     if name.lower() in table.to_hlt:
         return table.to_hlt[name.lower()]
     if name.lower() in table.hlt_names:
@@ -221,12 +221,15 @@ class MergeStats:
     missing_outcome: int = 0
 
 
-def _children(rows: list, index: dict[str, int]) -> tuple[np.ndarray, list]:
-    """Each child row's report row, and the rows, without keys absent from main."""
-    at = np.array(list(map(index.get, map(attrgetter("key"), rows), repeat(-1))), np.intp)
+def _children(table: Table, index: dict[str, int]) -> tuple[np.ndarray, dict[str, list]]:
+    """Each child row's report row, and the table's columns, without the rows
+    whose key is absent from main."""
+    at = np.array(list(map(index.get, table["key"], repeat(-1))), np.intp)
+    columns = table.columns
     if (at < 0).any():
-        rows, at = list(compress(rows, at >= 0)), at[at >= 0]
-    return at, rows
+        columns = {name: list(compress(values, at >= 0)) for name, values in columns.items()}
+        at = at[at >= 0]
+    return at, columns
 
 
 def _terms(values: list, at: np.ndarray, n: int, keep=None) -> Terms:
@@ -259,39 +262,38 @@ def merge_reports(
     report keys in the main table are a hard error. VeddraMap, ATCvet and
     descriptor lookups run once per distinct value.
     """
-    keys = [row.key for row in tables.main]
+    main = tables.main
+    keys = main["key"]
     index = {k: i for i, k in enumerate(keys)}
     if len(index) != len(keys):
         duplicates = sorted(k for k, count in Counter(keys).items() if count > 1)
         raise MergeError(f"duplicate report keys in main table: {duplicates}")
-    n, main = len(keys), tables.main
+    n = len(keys)
     stats = MergeStats()
 
     at, events = _children(tables.events, index)
-    # an event's HLT depends on its name, on whether its level is HLT and on
-    # its code only when the table knows the code
-    codes = [e.term_code for e in events]
+    # an event's HLT depends on its name, its level and its code only when
+    # the table knows the code
+    codes = events["term_code"]
     known = {c: c if c and c.lower() in veddra.to_hlt else None for c in set(codes)}
-    terms = list(zip([e.term_name for e in events], map(known.__getitem__, codes),
-                     [e.veddra_level is VeddraLevel.HLT for e in events]))
-    hlt_of = {t: map_veddra(AERow("", t[0], t[1], VeddraLevel.HLT if t[2] else None), veddra)
-              for t in dict.fromkeys(terms)}
-    ae_terms = _terms(_pick(hlt_of, terms), at, n, np.ones(len(events), bool))
+    terms = list(zip(events["term_name"], map(known.__getitem__, codes), events["veddra_level"]))
+    hlt_of = {t: map_veddra(*t, veddra) for t in dict.fromkeys(terms)}
+    ae_terms = _terms(_pick(hlt_of, terms), at, n, np.ones(len(terms), bool))
     counts = np.bincount(ae_terms.codes, minlength=len(ae_terms.vocab)).tolist()
     for hlt, count in zip(ae_terms.vocab, counts):
         if hlt.startswith(UNMAPPED_PREFIX):
             stats.unmapped_terms[hlt[len(UNMAPPED_PREFIX):]] += count
 
     at_outcome, outcomes = _children(tables.outcomes, index)
-    status = np.array(_pick(OUTCOME_CODE, map(attrgetter("medical_status"), outcomes)), np.int8)
+    status = np.array(_pick(OUTCOME_CODE, outcomes["medical_status"]), np.int8)
     reported, first = np.unique(at_outcome, return_index=True)
     outcome = np.full(n, OUTCOME_CODE[Outcome.UNKNOWN], np.int8)
     outcome[reported] = status[first]
     stats.missing_outcome = n - len(reported)
 
     at, drugs = _children(tables.drugs, index)
-    ingredients = _terms([d.ingredient_name for d in drugs], at, n, np.ones(len(drugs), bool))
-    atc = [d.atcvet_code for d in drugs]
+    ingredients = _terms(drugs["ingredient_name"], at, n, np.ones(len(at), bool))
+    atc = drugs["atcvet_code"]
     subgroup_of = {}
     for code, count in Counter(filter(None, atc)).items():
         try:
@@ -314,23 +316,23 @@ def merge_reports(
 
     numbers, present = {}, {}
     for name in ("age_value", "weight_value"):
-        numbers[name], present[name] = _optional_floats([getattr(m, name) for m in main])
+        numbers[name], present[name] = _optional_floats(main[name])
     for name in ("age_years", "weight_kg"):
         numbers[name], present[name] = np.zeros(n), np.zeros(n, bool)
     for j, name in enumerate(ChemDescriptors.FIELDS):
         numbers[name], present[name] = sums[:, j], carried[:, j]
     units = {name: np.array(list(map({u: i for i, u in enumerate(members)}.get,
-                                     map(attrgetter(name), main), repeat(-1))), np.int8)
+                                     main[name], repeat(-1))), np.int8)
              for name, members in (("age_unit", AGE_UNITS), ("weight_unit", WEIGHT_UNITS))}
     lists = {
         "ae_terms": ae_terms,
         "ingredients": ingredients,
         "atcvet_subgroups": _terms([subgroup_of.get(code) if code else None for code in atc], at, n),
-        "routes": _terms([d.route for d in drugs], at, n),
-        "dosage_forms": _terms([d.dosage_form for d in drugs], at, n),
+        "routes": _terms(drugs["route"], at, n),
+        "dosage_forms": _terms(drugs["dosage_form"], at, n),
     }
-    reports = Reports(key=keys, species=[m.species for m in main], breed=[m.breed for m in main],
-                      gender=[m.gender for m in main], outcome=outcome, numbers=numbers,
+    reports = Reports(key=keys, species=main["species"], breed=main["breed"],
+                      gender=main["gender"], outcome=outcome, numbers=numbers,
                       present=present, lists=lists, **units)
     return reports, stats
 

@@ -1,5 +1,5 @@
-"""Quarterly report ingestion: JSON parsing into four relational tables and
-physicochemical descriptor lookup for active ingredients.
+"""Quarterly report ingestion: JSON parsing into four relational tables, held
+by column, and the physicochemical descriptor table for active ingredients.
 
 The accepted JSON layout is documented in data/fixture_schema.md. Every report
 carries a unique id; reports lacking one are skipped and counted rather than
@@ -10,14 +10,8 @@ from __future__ import annotations
 
 import datetime as dt
 import gzip
-import hashlib
 import json
 import logging
-import os
-import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -26,9 +20,6 @@ log = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).parent / "data"
 
-DESCRIPTOR_URL_ENV = "VETPV_DESCRIPTOR_URL"
-DESCRIPTOR_CACHE_ENV = "VETPV_DESCRIPTOR_CACHE"
-
 
 class ParseError(ValueError):
     """Malformed input document; offset is the character offset into the text."""
@@ -36,10 +27,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (offset {offset})")
         self.offset = offset
-
-
-class DescriptorError(RuntimeError):
-    """Provider I/O failure, distinct from an ingredient simply not being found."""
 
 
 class AgeUnit(Enum):
@@ -71,44 +58,6 @@ class Outcome(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class MainRow:
-    key: str
-    species: str
-    breed: str | None = None
-    gender: str | None = None
-    age_value: float | None = None
-    age_unit: AgeUnit | None = None
-    weight_value: float | None = None
-    weight_unit: WeightUnit | None = None
-    received_date: dt.date | None = None
-
-
-@dataclass(frozen=True)
-class AERow:
-    key: str
-    term_name: str
-    term_code: str | None = None
-    veddra_level: VeddraLevel | None = None
-
-
-@dataclass(frozen=True)
-class OutcomeRow:
-    key: str
-    medical_status: Outcome
-    animals_affected: int | None = None
-
-
-@dataclass(frozen=True)
-class DrugRow:
-    key: str
-    ingredient_name: str
-    brand_name: str | None = None
-    dosage_form: str | None = None
-    route: str | None = None
-    atcvet_code: str | None = None
-
-
 _DESCRIPTOR_FIELDS = (
     "molecular_weight",
     "h_bond_acceptors",
@@ -133,25 +82,85 @@ class ChemDescriptors:
     FIELDS = _DESCRIPTOR_FIELDS
 
 
+# table name -> its columns in order, each (name, kind): a kind is str, float,
+# int, dt.date or an Enum, and every value of a column is of its kind or None
+SCHEMA = {
+    "main": (
+        ("key", str),
+        ("species", str),
+        ("breed", str),
+        ("gender", str),
+        ("age_value", float),
+        ("age_unit", AgeUnit),
+        ("weight_value", float),
+        ("weight_unit", WeightUnit),
+        ("received_date", dt.date),
+    ),
+    "events": (
+        ("key", str),
+        ("term_code", str),
+        ("term_name", str),
+        ("veddra_level", VeddraLevel),
+    ),
+    "outcomes": (
+        ("key", str),
+        ("medical_status", Outcome),
+        ("animals_affected", int),
+    ),
+    "drugs": (
+        ("key", str),
+        ("ingredient_name", str),
+        ("brand_name", str),
+        ("dosage_form", str),
+        ("route", str),
+        ("atcvet_code", str),
+    ),
+}
+
+TABLE_NAMES = tuple(SCHEMA)
+
+
+@dataclass
+class Table:
+    """One relational table by column: `columns` maps each column of the
+    table's SCHEMA entry, in order, to a list with one value per row."""
+
+    columns: dict[str, list]
+
+    @classmethod
+    def empty(cls, name: str) -> "Table":
+        return cls({column: [] for column, _ in SCHEMA[name]})
+
+    def __len__(self) -> int:
+        return len(self.columns["key"])
+
+    def __getitem__(self, column: str) -> list:
+        return self.columns[column]
+
+    def append(self, *row):
+        """Add one row, its values in column order."""
+        for values, value in zip(self.columns.values(), row):
+            values.append(value)
+
+
+def _empty(name: str):
+    return field(default_factory=lambda: Table.empty(name))
+
+
 @dataclass
 class RawTables:
     """The four relational tables of one parsed corpus, keyed by report id.
 
-    The parser fills the lists; no later stage modifies them.
+    The parser appends to them; no later stage modifies them.
     """
 
-    main: list[MainRow] = field(default_factory=list)
-    events: list[AERow] = field(default_factory=list)
-    outcomes: list[OutcomeRow] = field(default_factory=list)
-    drugs: list[DrugRow] = field(default_factory=list)
+    main: Table = _empty("main")
+    events: Table = _empty("events")
+    outcomes: Table = _empty("outcomes")
+    drugs: Table = _empty("drugs")
 
     def counts(self) -> dict[str, int]:
-        return {
-            "main": len(self.main),
-            "events": len(self.events),
-            "outcomes": len(self.outcomes),
-            "drugs": len(self.drugs),
-        }
+        return {name: len(getattr(self, name)) for name in TABLE_NAMES}
 
 
 @dataclass
@@ -256,7 +265,8 @@ def _measurement(entry: dict, enum_cls, what: str, key: str, stats: ParseStats):
     return value, unit
 
 
-def _parse_animal(key: str, animal: dict, received, stats: ParseStats) -> MainRow:
+def _parse_animal(key: str, animal: dict, received, stats: ParseStats) -> tuple:
+    """The report's main-table row, in column order."""
     age_value, age_unit = _measurement(animal.get("age") or {}, AgeUnit, "age", key, stats)
     weight_value, weight_unit = _measurement(
         animal.get("weight") or {}, WeightUnit, "weight", key, stats
@@ -264,26 +274,29 @@ def _parse_animal(key: str, animal: dict, received, stats: ParseStats) -> MainRo
     breed = animal.get("breed")
     if isinstance(breed, dict):
         breed = breed.get("breed_component")
-    return MainRow(
-        key=key,
-        species=_as_optional_str(animal.get("species")) or "",
-        breed=_as_optional_str(breed),
-        gender=_as_optional_str(animal.get("gender")),
-        age_value=age_value,
-        age_unit=age_unit,
-        weight_value=weight_value,
-        weight_unit=weight_unit,
-        received_date=_parse_date(received),
+    return (
+        key,
+        _as_optional_str(animal.get("species")) or "",
+        _as_optional_str(breed),
+        _as_optional_str(animal.get("gender")),
+        age_value,
+        age_unit,
+        weight_value,
+        weight_unit,
+        _parse_date(received),
     )
 
 
-def parse_quarter(json_text: str | bytes) -> tuple[RawTables, ParseStats]:
-    """Parse one quarterly JSON document into the four tables.
+def parse_quarter(
+    json_text: str | bytes, tables: RawTables | None = None
+) -> tuple[RawTables, ParseStats]:
+    """Parse one quarterly JSON document, appending its rows to tables (new
+    empty tables by default).
 
-    Reports missing the unique id are skipped and counted. Outcome entries
-    whose status string is not in the bundled synonym table are rejected
-    row-level with a diagnostic. Referential integrity holds by construction:
-    child rows are only emitted for reports that produced a MainRow.
+    Reports missing the unique id, or repeating one seen earlier in the
+    document, are skipped and counted. Outcome entries whose status string is
+    not in the bundled synonym table are rejected row-level with a
+    diagnostic. Child rows are only emitted for a report that got a main row.
     """
     if isinstance(json_text, bytes):
         json_text = json_text.decode("utf-8")
@@ -295,7 +308,7 @@ def parse_quarter(json_text: str | bytes) -> tuple[RawTables, ParseStats]:
         raise ParseError("document must be an object with a 'results' array")
 
     synonyms = _outcome_synonyms()
-    tables = RawTables()
+    tables = RawTables() if tables is None else tables
     stats = ParseStats()
     seen: set[str] = set()
     for record in document["results"]:
@@ -316,7 +329,7 @@ def parse_quarter(json_text: str | bytes) -> tuple[RawTables, ParseStats]:
         stats.reports += 1
 
         tables.main.append(
-            _parse_animal(key, record.get("animal") or {}, record.get("original_receive_date"), stats)
+            *_parse_animal(key, record.get("animal") or {}, record.get("original_receive_date"), stats)
         )
         for reaction in record.get("reaction") or []:
             name = _as_optional_str(reaction.get("veddra_term_name"))
@@ -325,12 +338,10 @@ def parse_quarter(json_text: str | bytes) -> tuple[RawTables, ParseStats]:
                 stats.note(f"report {key}: reaction without a term name")
                 continue
             tables.events.append(
-                AERow(
-                    key=key,
-                    term_name=name,
-                    term_code=_as_optional_str(reaction.get("veddra_term_code")),
-                    veddra_level=_parse_enum(VeddraLevel, reaction.get("veddra_level")),
-                )
+                key,
+                _as_optional_str(reaction.get("veddra_term_code")),
+                name,
+                _parse_enum(VeddraLevel, reaction.get("veddra_level")),
             )
         for outcome in record.get("outcome") or []:
             raw_status = _as_optional_str(outcome.get("medical_status"))
@@ -348,9 +359,7 @@ def parse_quarter(json_text: str | bytes) -> tuple[RawTables, ParseStats]:
                 stats.invalid_field_rows += 1
                 stats.note(f"report {key}: bad animals_affected {affected!r}")
                 affected = None
-            tables.outcomes.append(
-                OutcomeRow(key=key, medical_status=status, animals_affected=affected)
-            )
+            tables.outcomes.append(key, status, affected)
         for drug in record.get("drug") or []:
             ingredients = drug.get("active_ingredients") or []
             names = [_as_optional_str(i.get("name")) for i in ingredients if isinstance(i, dict)]
@@ -361,220 +370,55 @@ def parse_quarter(json_text: str | bytes) -> tuple[RawTables, ParseStats]:
                 continue
             # Canonical documents carry one ingredient per drug entry; extra
             # ingredients become additional rows sharing the entry's fields.
+            shared = [_as_optional_str(drug.get(k))
+                      for k in ("brand_name", "dosage_form", "route", "atc_vet_code")]
             for name in names:
-                tables.drugs.append(
-                    DrugRow(
-                        key=key,
-                        ingredient_name=name,
-                        brand_name=_as_optional_str(drug.get("brand_name")),
-                        dosage_form=_as_optional_str(drug.get("dosage_form")),
-                        route=_as_optional_str(drug.get("route")),
-                        atcvet_code=_as_optional_str(drug.get("atc_vet_code")),
-                    )
-                )
+                tables.drugs.append(key, name, *shared)
     return tables, stats
 
 
-def read_quarter_file(path: Path) -> tuple[RawTables, ParseStats]:
-    """Read a plain or gzip-compressed quarterly JSON file."""
+def read_quarter_file(path: Path, tables: RawTables | None = None) -> tuple[RawTables, ParseStats]:
+    """Read a plain or gzip-compressed quarterly JSON file into tables, as
+    parse_quarter does."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
-    return parse_quarter(raw)
+    return parse_quarter(raw, tables)
 
 
-def merge_corpora(parts: list[RawTables]) -> RawTables:
-    merged = RawTables()
-    for part in parts:
-        merged.main.extend(part.main)
-        merged.events.extend(part.events)
-        merged.outcomes.extend(part.outcomes)
-        merged.drugs.extend(part.drugs)
-    return merged
-
-
-def check_referential_integrity(tables: RawTables) -> list[str]:
-    """Return keys referenced by child tables that are absent from main."""
-    known = {row.key for row in tables.main}
-    dangling = []
-    for rows in (tables.events, tables.outcomes, tables.drugs):
-        for row in rows:
-            if row.key not in known:
-                dangling.append(row.key)
-    return dangling
-
-
-# --- descriptor providers ----------------------------------------------------
+# --- descriptors -----------------------------------------------------------------
 
 
 def _normalize_name(name: str) -> str:
     return name.strip().lower()
 
 
-class TableDescriptorProvider:
-    """Descriptor lookup backed by a bundled TSV table (the default provider)."""
-
-    def __init__(self, table: dict[str, ChemDescriptors]):
-        self._table = table
-
-    @classmethod
-    def from_tsv(cls, path: Path | None = None) -> "TableDescriptorProvider":
-        path = path or _DATA_DIR / "descriptors.tsv"
-        table: dict[str, ChemDescriptors] = {}
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            expected = ["ingredient_name", *_DESCRIPTOR_FIELDS]
-            if header != expected:
-                raise ParseError(f"descriptor table {path}: header must be {expected}")
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = line.split("\t")
-                name = cells[0]
-                fields = {
-                    fname: (float(cell) if cell != "" else None)
-                    for fname, cell in zip(_DESCRIPTOR_FIELDS, cells[1:])
-                }
-                table[_normalize_name(name)] = ChemDescriptors(**fields)
-        return cls(table)
-
-    def lookup(self, name: str) -> ChemDescriptors | None:
-        return self._table.get(_normalize_name(name))
-
-
-# PubChem-style property names in request order.
-_HTTP_PROPERTIES = (
-    ("MolecularWeight", "molecular_weight"),
-    ("HBondAcceptorCount", "h_bond_acceptors"),
-    ("XLogP", "xlogp3"),
-    ("AtomStereoCount", "atom_stereocenters"),
-    ("Charge", "formal_charge"),
-    ("CovalentUnitCount", "covalent_units"),
-    ("ExactMass", "exact_mass"),
-)
-
-
-class HttpDescriptorProvider:
-    """Optional REST provider with a response cache and retry on transient failure.
-
-    The fetcher returns the response body for a URL, raising
-    urllib.error.HTTPError with code 404 for unknown names and any other
-    exception for transport failures. Responses (including negative ones) are
-    cached per normalized ingredient name under cache_dir.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        cache_dir: Path,
-        fetcher=None,
-        sleeper=time.sleep,
-        max_attempts: int = 4,
-        backoff: float = 0.5,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._fetch = fetcher or self._default_fetcher
-        self._sleep = sleeper
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-
-    @staticmethod
-    def _default_fetcher(url: str) -> bytes:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.read()
-
-    def _cache_path(self, name: str) -> Path:
-        digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:24]
-        return self.cache_dir / f"{digest}.json"
-
-    def _request_url(self, name: str) -> str:
-        properties = ",".join(p for p, _ in _HTTP_PROPERTIES)
-        quoted = urllib.parse.quote(name)
-        return f"{self.base_url}/compound/name/{quoted}/property/{properties}/JSON"
-
-    def lookup(self, name: str) -> ChemDescriptors | None:
-        normalized = _normalize_name(name)
-        cache = self._cache_path(normalized)
-        if cache.exists():
-            payload = json.loads(cache.read_text(encoding="utf-8"))
-        else:
-            payload = self._fetch_with_retry(normalized)
-            cache.write_text(json.dumps(payload), encoding="utf-8")
-        if payload.get("not_found"):
-            return None
-        return self._decode(payload)
-
-    def _fetch_with_retry(self, normalized: str) -> dict:
-        url = self._request_url(normalized)
-        delay = self.backoff
-        last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
-            try:
-                return json.loads(self._fetch(url))
-            except urllib.error.HTTPError as exc:
-                if exc.code == 404:
-                    return {"not_found": True}
-                last_error = exc
-            except Exception as exc:  # transport failure: retry
-                last_error = exc
-            if attempt + 1 < self.max_attempts:
-                self._sleep(delay)
-                delay *= 2
-        raise DescriptorError(f"descriptor request failed for {normalized!r}: {last_error}")
-
-    @staticmethod
-    def _decode(payload: dict) -> ChemDescriptors | None:
-        try:
-            props = payload["PropertyTable"]["Properties"][0]
-        except (KeyError, IndexError, TypeError):
-            return None
-        fields = {}
-        for prop_name, field_name in _HTTP_PROPERTIES:
-            value = props.get(prop_name)
-            if value in (None, ""):
-                fields[field_name] = None
-            else:
-                fields[field_name] = float(value)
-        return ChemDescriptors(**fields)
-
-
-def http_provider_from_env() -> HttpDescriptorProvider | None:
-    """HTTP provider configured from the environment, when the URL is set."""
-    base_url = os.environ.get(DESCRIPTOR_URL_ENV)
-    if not base_url:
-        return None
-    cache_dir = os.environ.get(DESCRIPTOR_CACHE_ENV, ".vetpv-descriptor-cache")
-    return HttpDescriptorProvider(base_url, Path(cache_dir))
-
-
-def fetch_descriptors(ingredient_name: str, provider) -> ChemDescriptors | None:
-    """Resolve descriptors for one ingredient; absent names return None.
-
-    Matching is case-insensitive after trimming. Unknown names are logged once
-    per provider instance; provider I/O failures raise DescriptorError.
-    """
-    result = provider.lookup(ingredient_name)
-    if result is None:
-        seen = getattr(provider, "_missing_logged", None)
-        if seen is None:
-            seen = set()
-            provider._missing_logged = seen
-        normalized = _normalize_name(ingredient_name)
-        if normalized not in seen:
-            seen.add(normalized)
-            log.info("no descriptors found for ingredient %r", ingredient_name)
-    return result
-
-
-def resolve_descriptor_table(names, provider) -> dict[str, ChemDescriptors]:
-    """Resolve descriptors for every distinct normalized name with a known record."""
+def descriptor_table(names, path: Path | None = None) -> dict[str, ChemDescriptors]:
+    """The descriptors of each of names found in the TSV table at path (the
+    bundled one by default), keyed by the name trimmed and lower-cased, the
+    form in which the table is matched. Each name not found is logged once."""
+    path = path or _DATA_DIR / "descriptors.tsv"
     table: dict[str, ChemDescriptors] = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        expected = ["ingredient_name", *_DESCRIPTOR_FIELDS]
+        if header != expected:
+            raise ParseError(f"descriptor table {path}: header must be {expected}")
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split("\t")
+            fields = {
+                fname: (float(cell) if cell != "" else None)
+                for fname, cell in zip(_DESCRIPTOR_FIELDS, cells[1:])
+            }
+            table[_normalize_name(cells[0])] = ChemDescriptors(**fields)
+    found = {}
     for name in sorted({_normalize_name(n) for n in names}):
-        found = fetch_descriptors(name, provider)
-        if found is not None:
-            table[name] = found
-    return table
+        if name in table:
+            found[name] = table[name]
+        else:
+            log.info("no descriptors found for ingredient %r", name)
+    return found

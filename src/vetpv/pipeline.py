@@ -272,17 +272,14 @@ def stage_ingest(config: PipelineConfig, store: ArtifactStore, outputs: StageOut
     )
     if not paths:
         raise StageError(f"no .json/.json.gz files under {config.input_dir}")
-    parsed = [ingest.read_quarter_file(p) for p in paths]
-    tables = ingest.merge_corpora([t for t, _ in parsed])
-    dangling = ingest.check_referential_integrity(tables)
-    if dangling:
-        raise StageError(f"referential integrity violated for keys {dangling[:5]}")
+    tables = ingest.RawTables()
+    parsed = [ingest.read_quarter_file(p, tables=tables)[1] for p in paths]
     stats = {
         "files": [p.name for p in paths],
-        "reports": sum(s.reports for _, s in parsed),
-        "skipped_missing_id": sum(s.skipped_missing_id for _, s in parsed),
-        "invalid_outcome_rows": sum(s.invalid_outcome_rows for _, s in parsed),
-        "invalid_field_rows": sum(s.invalid_field_rows for _, s in parsed),
+        "reports": sum(s.reports for s in parsed),
+        "skipped_missing_id": sum(s.skipped_missing_id for s in parsed),
+        "invalid_outcome_rows": sum(s.invalid_outcome_rows for s in parsed),
+        "invalid_field_rows": sum(s.invalid_field_rows for s in parsed),
         "counts": tables.counts(),
     }
     texts = bulkio.export_bulk_string(tables)
@@ -295,11 +292,7 @@ def stage_ingest(config: PipelineConfig, store: ArtifactStore, outputs: StageOut
 def stage_harmonize(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
     tables = outputs["ingest"]
     veddra = harmonize.VeddraMap.load(config.veddra)
-    provider = ingest.http_provider_from_env() or ingest.TableDescriptorProvider.from_tsv(
-        config.descriptors
-    )
-    names = {d.ingredient_name for d in tables.drugs}
-    descriptor_map = ingest.resolve_descriptor_table(names, provider)
+    descriptor_map = ingest.descriptor_table(tables.drugs["ingredient_name"], config.descriptors)
     reports, stats = harmonize.merge_reports(tables, veddra, descriptor_map)
     store.put_text("merged", harmonize.merged_to_csv(reports), "csv")
     details = {

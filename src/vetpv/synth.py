@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import TableDescriptorProvider
+from .ingest import descriptor_table
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -196,10 +196,10 @@ def _pts_by_hlt() -> dict[str, list[str]]:
 
 
 def _descriptor_mw() -> dict[str, float]:
-    provider = TableDescriptorProvider.from_tsv()
+    table = descriptor_table(DRUGS)
     out = {}
     for name in DRUGS:
-        found = provider.lookup(name)
+        found = table.get(name.strip().lower())
         out[name] = found.molecular_weight if found and found.molecular_weight else 0.0
     return out
 

@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import io
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -19,7 +20,8 @@ import numpy as np
 
 from vetpv.harmonize import (AGE_UNITS, LIST_FIELDS, NUMBER_FIELDS, OUTCOMES, WEIGHT_UNITS,
                              OntologyError, Reports, Terms, map_atcvet, map_veddra)
-from vetpv.ingest import AgeUnit, ChemDescriptors, Outcome, WeightUnit
+from vetpv.ingest import (SCHEMA, AgeUnit, ChemDescriptors, Outcome, RawTables, Table, VeddraLevel,
+                          WeightUnit, load_outcome_synonyms)
 
 
 def gini_of(counts0: float, counts1: float) -> float:
@@ -353,6 +355,21 @@ def unescape_bulk_field(text: str) -> str:
     return "".join(out)
 
 
+def encode_bulk_value(value, kind) -> str:
+    """One value as a bulk-text cell of a column of the given kind, escaped
+    one character at a time; None is \\N."""
+    if value is None:
+        return "\\N"
+    if kind is str:
+        return "".join({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}.get(ch, ch)
+                       for ch in value)
+    if kind is float:
+        return repr(float(value))
+    if kind in (int, dt.date):
+        return str(value)
+    return value.value
+
+
 def decode_bulk_value(text: str, kind):
     """One bulk-text cell of a column of the given kind, by a type dispatch
     per cell; \\N is an absent value."""
@@ -367,6 +384,186 @@ def decode_bulk_value(text: str, kind):
     if kind is str:
         return unescape_bulk_field(text)
     return kind(text)
+
+
+# --- the per-row raw tables: one object per table row ---------------------------
+
+
+@dataclass(frozen=True)
+class MainRow:
+    key: str
+    species: str
+    breed: str | None = None
+    gender: str | None = None
+    age_value: float | None = None
+    age_unit: AgeUnit | None = None
+    weight_value: float | None = None
+    weight_unit: WeightUnit | None = None
+    received_date: dt.date | None = None
+
+
+@dataclass(frozen=True)
+class AERow:
+    key: str
+    term_name: str
+    term_code: str | None = None
+    veddra_level: VeddraLevel | None = None
+
+
+@dataclass(frozen=True)
+class OutcomeRow:
+    key: str
+    medical_status: Outcome
+    animals_affected: int | None = None
+
+
+@dataclass(frozen=True)
+class DrugRow:
+    key: str
+    ingredient_name: str
+    brand_name: str | None = None
+    dosage_form: str | None = None
+    route: str | None = None
+    atcvet_code: str | None = None
+
+
+ROW_TYPES = {"main": MainRow, "events": AERow, "outcomes": OutcomeRow, "drugs": DrugRow}
+
+
+def row_tables(**rows) -> RawTables:
+    """The column tables holding the given row lists, by table name; a table
+    not named is empty."""
+    return RawTables(**{
+        name: Table({column: [getattr(r, column) for r in rows.get(name, [])]
+                     for column, _ in SCHEMA[name]})
+        for name in ROW_TYPES})
+
+
+def table_rows(tables) -> dict[str, list]:
+    """The row list of each column table, by table name."""
+    out = {}
+    for name, row_type in ROW_TYPES.items():
+        columns = getattr(tables, name).columns
+        out[name] = [row_type(**dict(zip(columns, values))) for values in zip(*columns.values())]
+    return out
+
+
+def parse_per_row(json_text: str):
+    """The rows of one quarter document, report by report, as table name ->
+    row list, and (reports, skipped reports, rejected outcome rows, rejected
+    field values)."""
+    synonyms = load_outcome_synonyms()
+    rows = {name: [] for name in ROW_TYPES}
+    reports = skipped = bad_outcomes = bad_fields = 0
+    seen = set()
+
+    def text(value):
+        stripped = None if value is None else str(value).strip()
+        return stripped or None
+
+    def member(enum_cls, value):
+        found = [m for m in enum_cls if text(value) and m.value.lower() == text(value).lower()]
+        return found[0] if found else None
+
+    def measurement(entry, enum_cls, what):
+        nonlocal bad_fields
+        raw = entry.get("min")
+        if raw is None or raw == "":
+            return None, None
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            bad_fields += 1
+            return None, None
+        unit = member(enum_cls, entry.get("unit"))
+        if value < 0 or (what == "weight" and value == 0) or (text(entry.get("unit")) and not unit):
+            bad_fields += 1
+            return None, None
+        return value, unit
+
+    for record in json.loads(json_text)["results"]:
+        key = text(record.get("unique_aer_id_number")) if isinstance(record, dict) else None
+        if key is None or key in seen:
+            skipped += 1
+            continue
+        seen.add(key)
+        reports += 1
+        animal = record.get("animal") or {}
+        age = measurement(animal.get("age") or {}, AgeUnit, "age")
+        weight = measurement(animal.get("weight") or {}, WeightUnit, "weight")
+        breed = animal.get("breed")
+        breed = breed.get("breed_component") if isinstance(breed, dict) else breed
+        digits = (text(record.get("original_receive_date")) or "").replace("-", "")
+        received = (dt.date(int(digits[:4]), int(digits[4:6]), int(digits[6:]))
+                    if len(digits) == 8 and digits.isdigit() else None)
+        rows["main"].append(MainRow(key, text(animal.get("species")) or "", text(breed),
+                                    text(animal.get("gender")), *age, *weight, received))
+        for reaction in record.get("reaction") or []:
+            name = text(reaction.get("veddra_term_name"))
+            if name is None:
+                bad_fields += 1
+                continue
+            rows["events"].append(AERow(key, name, text(reaction.get("veddra_term_code")),
+                                        member(VeddraLevel, reaction.get("veddra_level"))))
+        for outcome in record.get("outcome") or []:
+            status = text(outcome.get("medical_status"))
+            status = synonyms.get(status.lower()) if status else None
+            if status is None:
+                bad_outcomes += 1
+                continue
+            affected = outcome.get("number_of_animals_affected")
+            if affected is not None and affected != "":
+                try:
+                    affected = int(affected)
+                except (TypeError, ValueError):
+                    affected = -1
+                if affected < 0:
+                    bad_fields += 1
+                    affected = None
+            else:
+                affected = None
+            rows["outcomes"].append(OutcomeRow(key, status, affected))
+        for drug in record.get("drug") or []:
+            names = [text(i.get("name")) for i in drug.get("active_ingredients") or []
+                     if isinstance(i, dict)]
+            if not any(names):
+                bad_fields += 1
+            for name in filter(None, names):
+                rows["drugs"].append(DrugRow(key, name, text(drug.get("brand_name")),
+                                             text(drug.get("dosage_form")), text(drug.get("route")),
+                                             text(drug.get("atc_vet_code"))))
+    return rows, (reports, skipped, bad_outcomes, bad_fields)
+
+
+def bulk_text_per_row(rows, columns) -> str:
+    """A table's bulk text written one row, then one value, at a time."""
+    return "".join("\t".join(encode_bulk_value(getattr(r, c), kind) for c, kind in columns) + "\n"
+                   for r in rows)
+
+
+def bulk_rows_per_row(text: str, name: str) -> list:
+    """The rows of a table's bulk text, read one line, then one cell, at a time."""
+    return [ROW_TYPES[name](**{column: decode_bulk_value(cell, kind)
+                               for (column, kind), cell in zip(SCHEMA[name], line.split("\t"))})
+            for line in text.split("\n") if line]
+
+
+def csv_per_row(rows, columns) -> str:
+    """A table's CSV export written one row at a time: strings as they are,
+    None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([c for c, _ in columns])
+    for r in rows:
+        cells = []
+        for column, kind in columns:
+            value = getattr(r, column)
+            if value is None:
+                cells.append("")
+            else:
+                cells.append(value if kind is str else encode_bulk_value(value, kind))
+        writer.writerow(cells)
+    return buf.getvalue()
 
 
 # --- the per-report data path: one object per report, one operation per value ---
@@ -399,16 +596,17 @@ def merge_per_report(tables, veddra, descriptors):
     """Join the four tables report by report; (reports, unmapped Counter,
     under-specified codes, invalid codes, missing outcomes). Descriptor
     sums are Python's sum over the ingredients that carry the field."""
+    rows = table_rows(tables)
     by_key = {"events": {}, "outcomes": {}, "drugs": {}}
-    for table, rows in by_key.items():
-        for row in getattr(tables, table):
-            rows.setdefault(row.key, []).append(row)
+    for table, keyed in by_key.items():
+        for row in rows[table]:
+            keyed.setdefault(row.key, []).append(row)
     unmapped, under, invalid, missing = Counter(), 0, 0, 0
     merged = []
-    for main in tables.main:
+    for main in rows["main"]:
         ae_terms = []
         for event in by_key["events"].get(main.key, []):
-            hlt = map_veddra(event, veddra)
+            hlt = map_veddra(event.term_name, event.term_code, event.veddra_level, veddra)
             if hlt.startswith("UNMAPPED:"):
                 unmapped[hlt[len("UNMAPPED:"):]] += 1
             ae_terms.append(hlt)

@@ -15,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import brute_force_best_split, brute_force_enn, random_cover_tree, subset_expectation
+from oracles import (DrugRow, MainRow, brute_force_best_split, brute_force_enn, random_cover_tree,
+                     row_tables, subset_expectation)
 from vetpv import pipeline
 from vetpv.boosting import GbdtParams, fit_gbdt
 from vetpv.bulkio import export_bulk_string, import_bulk_string
@@ -305,13 +306,7 @@ def test_criterion_7_end_to_end_desk_run(corpus, tmp_path, caplog):
 def import_roundtrip_holds(tables) -> bool:
     texts = export_bulk_string(tables)
     back = import_bulk_string(texts)
-    return (
-        back.main == tables.main
-        and back.events == tables.events
-        and back.outcomes == tables.outcomes
-        and back.drugs == tables.drugs
-        and export_bulk_string(back) == texts
-    )
+    return back == tables and export_bulk_string(back) == texts
 
 
 def test_criterion_8_paper_trend_checks(prepared):
@@ -352,9 +347,7 @@ def test_criterion_8_paper_trend_checks(prepared):
 
 def test_criterion_9_units_and_merging():
     from vetpv.harmonize import VeddraMap, merge_reports
-    from vetpv.ingest import DrugRow, MainRow, RawTables
-
-    tables = RawTables(
+    tables = row_tables(
         main=[MainRow(key="A", species="Dog", age_value=24.0, age_unit=AgeUnit.MONTH),
               MainRow(key="W", species="Dog", weight_value=10.0, weight_unit=WeightUnit.POUND)],
         drugs=[DrugRow(key="A", ingredient_name="DrugX"), DrugRow(key="A", ingredient_name="DrugY")],

@@ -6,7 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from documents import fixture_document
-from oracles import decode_bulk_value, unescape_bulk_field
+from oracles import (
+    AERow,
+    DrugRow,
+    MainRow,
+    OutcomeRow,
+    bulk_rows_per_row,
+    bulk_text_per_row,
+    csv_per_row,
+    decode_bulk_value,
+    row_tables,
+    table_rows,
+    unescape_bulk_field,
+)
 from vetpv import bulkio
 from vetpv.bulkio import (
     NULL,
@@ -17,12 +29,10 @@ from vetpv.bulkio import (
     unescape_field,
 )
 from vetpv.ingest import (
+    SCHEMA,
+    TABLE_NAMES,
     AgeUnit,
-    DrugRow,
-    MainRow,
     Outcome,
-    OutcomeRow,
-    RawTables,
     VeddraLevel,
     WeightUnit,
     parse_quarter,
@@ -65,14 +75,14 @@ def decode_outcome(decode):
 
 def test_absent_field_renders_null_marker():
     row = MainRow(key="K", species="Dog", breed=None)
-    text = export_bulk_string(RawTables(main=[row]))["main"]
+    text = export_bulk_string(row_tables(main=[row]))["main"]
     fields = text.rstrip("\n").split("\t")
     assert fields[2] == "\\N"
 
 
 def test_tab_in_field_escaped():
     row = DrugRow(key="K", ingredient_name="a\tb")
-    text = export_bulk_string(RawTables(drugs=[row]))["drugs"]
+    text = export_bulk_string(row_tables(drugs=[row]))["drugs"]
     assert "a\\tb" in text
     assert "a\tb" not in text.split("\t", 1)[1]
 
@@ -104,7 +114,7 @@ def test_column_decoder_matches_per_value_oracle(kind, data):
 
 
 def test_column_kinds_cover_every_bulk_column():
-    assert {kind for columns in bulkio._COLUMNS.values() for _, kind in columns} == set(COLUMN_KINDS)
+    assert {kind for columns in SCHEMA.values() for _, kind in columns} == set(COLUMN_KINDS)
 
 
 @pytest.mark.parametrize("kind", COLUMN_KINDS, ids=lambda kind: kind.__name__)
@@ -118,16 +128,14 @@ def test_fixture_roundtrip_exact():
     tables, _ = parse_quarter(text)
     texts = export_bulk_string(tables)
     back = import_bulk_string(texts)
-    assert back.main == tables.main
-    assert back.events == tables.events
-    assert back.outcomes == tables.outcomes
-    assert back.drugs == tables.drugs
+    assert back == tables
     # idempotent: re-export of the re-parse is byte-identical
     assert export_bulk_string(back) == texts
 
 
-def test_nasty_strings_roundtrip():
-    tables = RawTables(
+def nasty_tables():
+    """One row per table holding escapes, separators, quotes and NULL-like text."""
+    return row_tables(
         main=[
             MainRow(
                 key="K\t1",
@@ -141,11 +149,34 @@ def test_nasty_strings_roundtrip():
                 received_date=dt.date(2021, 2, 3),
             )
         ],
+        events=[AERow(key="K\t1", term_name="\\N", term_code="a,\"b\"\\",
+                      veddra_level=VeddraLevel.SOC)],
         outcomes=[OutcomeRow(key="K\t1", medical_status=Outcome.ONGOING, animals_affected=2)],
+        drugs=[DrugRow(key="K\t1", ingredient_name="N", brand_name="\\", route="\r\n")],
     )
-    back = import_bulk_string(export_bulk_string(tables))
-    assert back.main == tables.main
-    assert back.outcomes == tables.outcomes
+
+
+def test_nasty_strings_roundtrip():
+    tables = nasty_tables()
+    assert import_bulk_string(export_bulk_string(tables)) == tables
+
+
+@pytest.mark.parametrize("make", [nasty_tables, lambda: parse_quarter(
+    fixture_document(n_reports=150, seed=11)[0])[0], row_tables], ids=["nasty", "fixture", "empty"])
+def test_codec_matches_per_row_oracle(make, tmp_path):
+    """Each table's bulk text and CSV against the row-at-a-time writers, and
+    the decoded columns against the row-at-a-time reader."""
+    tables = make()
+    rows = table_rows(tables)
+    texts = export_bulk_string(tables)
+    assert texts == {name: bulk_text_per_row(rows[name], SCHEMA[name]) for name in TABLE_NAMES}
+    back = import_bulk_string(texts)
+    assert back == tables and back.counts() == tables.counts()
+    assert table_rows(back) == {name: bulk_rows_per_row(texts[name], name) for name in TABLE_NAMES}
+    assert export_csv(tables, tmp_path) == tables.counts()
+    for name in TABLE_NAMES:
+        with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            assert fh.read() == csv_per_row(rows[name], SCHEMA[name]), name
 
 
 def test_string_round_trip_keeps_row_counts():
@@ -175,9 +206,7 @@ def test_bulk_text_bytes_are_pinned():
 
 
 def test_csv_export_is_rfc4180_parseable(tmp_path):
-    tables = RawTables(
-        main=[MainRow(key="K1", species='Do"g', breed="a,b")],
-    )
+    tables = row_tables(main=[MainRow(key="K1", species='Do"g', breed="a,b")])
     counts = export_csv(tables, tmp_path)
     assert counts["main"] == 1
     with open(tmp_path / "main.csv", newline="", encoding="utf-8") as fh:

@@ -621,16 +621,40 @@ class TestEnvOverrides:
         config = load_config(small_corpus / "pipeline.ini")
         assert config.output_dir == override
 
-    def test_descriptor_provider_env_factory(self, tmp_path, monkeypatch):
-        from vetpv.ingest import HttpDescriptorProvider, http_provider_from_env
+    def test_only_config_reads_the_environment(self):
+        """Every input a run reads is named by its config, and so by its hash:
+        no module but config reads the environment, and none fetches URLs."""
+        import re
 
-        assert http_provider_from_env() is None
-        monkeypatch.setenv("VETPV_DESCRIPTOR_URL", "http://mirror/rest")
-        monkeypatch.setenv("VETPV_DESCRIPTOR_CACHE", str(tmp_path / "cache"))
-        provider = http_provider_from_env()
-        assert isinstance(provider, HttpDescriptorProvider)
-        assert provider.base_url == "http://mirror/rest"
-        assert provider.cache_dir == tmp_path / "cache"
+        import vetpv
+
+        for path in sorted(Path(vetpv.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "urllib" not in text, path.name
+            reads = re.findall(r"\bos\.(?:environ|getenv)\b|\bgetenv\(", text)
+            if path.name == "config.py":
+                assert re.findall(r'"(VETPV_\w+)"', text) == ["VETPV_OUTPUT_DIR"]
+                assert len(reads) == 1
+            else:
+                assert reads == [], path.name
+
+    def test_descriptor_url_in_the_environment_changes_nothing(self, tmp_path, monkeypatch):
+        from vetpv import pipeline
+        from vetpv.synth import write_corpus
+
+        write_corpus(tmp_path, n_reports=120, seed=77, quarters=1)
+        merged = []
+        for url in (None, "http://127.0.0.1:9/"):
+            if url:
+                monkeypatch.setenv("VETPV_DESCRIPTOR_URL", url)
+            out = tmp_path / ("with-url" if url else "without")
+            (tmp_path / "pipeline.ini").write_text(
+                f"[paths]\ninput_dir = quarters\noutput_dir = {out}\n[run]\nseed = 1\n")
+            config = load_config(tmp_path / "pipeline.ini")
+            store = pipeline.ArtifactStore(out)
+            pipeline.run_stages(config, store, ["ingest", "harmonize"], echo=lambda *a: None)
+            merged.append(store.get_text("merged"))
+        assert merged[0] == merged[1]
 
 
 class TestReport:

@@ -1,11 +1,17 @@
 """The columnar report path against the per-report oracle in `oracles.py`,
 value for value and byte for byte, on adversarial tables."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from oracles import (
+    AERow,
+    DrugRow,
+    MainRow,
     MergedReport,
+    OutcomeRow,
     as_columns,
     as_records,
     encode_per_report,
@@ -15,20 +21,10 @@ from oracles import (
     merge_per_report,
     merged_csv_per_report,
     normalize_per_report,
+    row_tables,
 )
 from vetpv.harmonize import _MERGED_CSV_COLUMNS, VeddraMap, merge_reports, merged_to_csv
-from vetpv.ingest import (
-    AERow,
-    AgeUnit,
-    ChemDescriptors,
-    DrugRow,
-    MainRow,
-    Outcome,
-    OutcomeRow,
-    RawTables,
-    VeddraLevel,
-    WeightUnit,
-)
+from vetpv.ingest import AgeUnit, ChemDescriptors, Outcome, RawTables, VeddraLevel, WeightUnit
 from vetpv.matrix import from_arrays, to_csv
 from vetpv.prepare import (
     CATEGORICAL_FIELDS,
@@ -86,7 +82,7 @@ def random_tables(seed: int, n: int = 60) -> RawTables:
                           atcvet_code=pick(gen, CODES))
                   for _ in range(int(gen.integers(0, 4)))]
     shuffled = [[rows[i] for i in gen.permutation(len(rows))] for rows in (events, outcomes, drugs)]
-    return RawTables(main=main, events=shuffled[0], outcomes=shuffled[1], drugs=shuffled[2])
+    return row_tables(main=main, events=shuffled[0], outcomes=shuffled[1], drugs=shuffled[2])
 
 
 @pytest.fixture(scope="module")
@@ -107,12 +103,26 @@ def test_merge_and_merged_csv_match_per_report(veddra, seed):
 
 
 def test_merge_of_reports_without_children(veddra):
-    tables = RawTables(main=[MainRow(key="A", species="Dog"), MainRow(key="B", species="Cat")])
+    tables = row_tables(main=[MainRow(key="A", species="Dog"), MainRow(key="B", species="Cat")])
     merged, stats = merge_reports(tables, veddra, DESCRIPTORS)
     records, *_ = merge_per_report(tables, veddra, DESCRIPTORS)
     assert as_records(merged) == records
     assert stats.missing_outcome == 2
     assert merged_to_csv(merged) == merged_csv_per_report(records, _MERGED_CSV_COLUMNS)
+
+
+def test_merge_drops_child_rows_of_unknown_reports(veddra):
+    rows = {"main": [MainRow(key="A", species="Dog")],
+            "events": [AERow(key="Z", term_name="Rash"), AERow(key="A", term_name="Vomiting")],
+            "outcomes": [OutcomeRow(key="Z", medical_status=Outcome.DIED)],
+            "drugs": [DrugRow(key="A", ingredient_name="DrugX", atcvet_code="QJ01CA01"),
+                      DrugRow(key="Z", ingredient_name="DrugY", atcvet_code="bogus")]}
+    merged, stats = merge_reports(row_tables(**rows), veddra, DESCRIPTORS)
+    records, unmapped, under, invalid, missing = merge_per_report(
+        row_tables(**rows), veddra, DESCRIPTORS)
+    assert as_records(merged) == records
+    assert (stats.unmapped_terms, stats.invalid_codes, stats.missing_outcome) == (
+        unmapped, invalid, missing) == (Counter(), 0, 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import as_records, merged_csv_records
+from oracles import AERow, DrugRow, MainRow, OutcomeRow, as_records, merged_csv_records, row_tables
 from vetpv.harmonize import (
     OUTCOMES,
     MergeError,
@@ -12,16 +12,7 @@ from vetpv.harmonize import (
     merge_reports,
     merged_to_csv,
 )
-from vetpv.ingest import (
-    AERow,
-    ChemDescriptors,
-    DrugRow,
-    MainRow,
-    Outcome,
-    OutcomeRow,
-    RawTables,
-    VeddraLevel,
-)
+from vetpv.ingest import ChemDescriptors, Outcome, VeddraLevel
 
 
 @pytest.fixture(scope="module")
@@ -31,24 +22,20 @@ def veddra():
 
 class TestVeddra:
     def test_pt_maps_to_hlt(self, veddra):
-        row = AERow(key="K", term_name="Vomiting", veddra_level=VeddraLevel.PT)
-        assert map_veddra(row, veddra) == "Gastrointestinal signs"
+        assert map_veddra("Vomiting", None, VeddraLevel.PT, veddra) == "Gastrointestinal signs"
 
     def test_hlt_passes_through(self, veddra):
-        row = AERow(key="K", term_name="Heart disorders", veddra_level=VeddraLevel.HLT)
-        assert map_veddra(row, veddra) == "Heart disorders"
+        assert map_veddra("Heart disorders", None, VeddraLevel.HLT, veddra) == "Heart disorders"
 
     def test_known_hlt_name_without_level_is_identity(self, veddra):
-        row = AERow(key="K", term_name="Heart disorders")
-        assert map_veddra(row, veddra) == "Heart disorders"
+        assert map_veddra("Heart disorders", None, None, veddra) == "Heart disorders"
 
     def test_unknown_term_gets_sentinel(self, veddra):
-        row = AERow(key="K", term_name="Spontaneous combustion")
-        assert map_veddra(row, veddra) == "UNMAPPED:Spontaneous combustion"
+        assert (map_veddra("Spontaneous combustion", None, None, veddra)
+                == "UNMAPPED:Spontaneous combustion")
 
     def test_lookup_case_insensitive(self, veddra):
-        row = AERow(key="K", term_name="vomiting")
-        assert map_veddra(row, veddra) == "Gastrointestinal signs"
+        assert map_veddra("vomiting", None, None, veddra) == "Gastrointestinal signs"
 
 
 class TestAtcvet:
@@ -83,8 +70,8 @@ class TestAtcvet:
         assert map_atcvet(map_atcvet(code)) == map_atcvet(code)
 
 
-def tables_for_merge():
-    return RawTables(
+def rows_for_merge():
+    return dict(
         main=[MainRow(key="A", species="Dog"), MainRow(key="B", species="Cat")],
         events=[
             AERow(key="A", term_name="Vomiting"),
@@ -108,12 +95,12 @@ DESCRIPTORS = {
 
 class TestMerge:
     def test_one_row_per_main_row(self, veddra):
-        merged, _ = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
+        merged, _ = merge_reports(row_tables(**rows_for_merge()), veddra, DESCRIPTORS)
         assert merged.key == ["A", "B"]
         assert len(merged) == 2
 
     def test_descriptor_summation(self, veddra):
-        merged, _ = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
+        merged, _ = merge_reports(row_tables(**rows_for_merge()), veddra, DESCRIPTORS)
         descriptors = as_records(merged)[0].descriptors
         assert descriptors["molecular_weight"] == 350.5
         # the field only one ingredient carries is its value, not absent
@@ -122,42 +109,42 @@ class TestMerge:
         assert descriptors["exact_mass"] is None
 
     def test_list_fields_preserve_order_and_serialize_with_backslash(self, veddra):
-        tables = tables_for_merge()
-        tables.events = [
+        rows = rows_for_merge()
+        rows["events"] = [
             AERow(key="A", term_name="A1"),
             AERow(key="A", term_name="B1"),
             AERow(key="A", term_name="C1"),
         ]
-        merged, _ = merge_reports(tables, veddra, {})
+        merged, _ = merge_reports(row_tables(**rows), veddra, {})
         assert as_records(merged)[0].ae_terms == ["UNMAPPED:A1", "UNMAPPED:B1", "UNMAPPED:C1"]
         text = merged_to_csv(merged)
         assert "UNMAPPED:A1\\UNMAPPED:B1\\UNMAPPED:C1" in text
 
     def test_unmapped_and_code_stats(self, veddra):
-        merged, stats = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
+        merged, stats = merge_reports(row_tables(**rows_for_merge()), veddra, DESCRIPTORS)
         assert stats.under_specified_codes == 1  # QJ01 stays below level 4
         assert stats.invalid_codes == 1  # "bogus"
         assert as_records(merged)[0].atcvet_subgroups == ["QJ01CA", "QJ01"]
 
     def test_missing_outcome_defaults_unknown(self, veddra):
-        merged, stats = merge_reports(tables_for_merge(), veddra, {})
+        merged, stats = merge_reports(row_tables(**rows_for_merge()), veddra, {})
         assert OUTCOMES[merged.outcome[1]] is Outcome.UNKNOWN
         assert stats.missing_outcome == 1
 
     def test_duplicate_key_is_hard_error(self, veddra):
-        tables = tables_for_merge()
-        tables.main.append(MainRow(key="A", species="Dog"))
+        rows = rows_for_merge()
+        rows["main"].append(MainRow(key="A", species="Dog"))
         with pytest.raises(MergeError) as err:
-            merge_reports(tables, veddra, {})
+            merge_reports(row_tables(**rows), veddra, {})
         assert "'A'" in str(err.value) or "A" in str(err.value)
 
     def test_descriptor_sum_permutation_invariant(self, veddra):
-        tables = tables_for_merge()
-        merged, _ = merge_reports(tables, veddra, DESCRIPTORS)
-        tables.drugs = tables.drugs[::-1]
-        flipped, _ = merge_reports(tables, veddra, DESCRIPTORS)
+        rows = rows_for_merge()
+        merged, _ = merge_reports(row_tables(**rows), veddra, DESCRIPTORS)
+        rows["drugs"] = rows["drugs"][::-1]
+        flipped, _ = merge_reports(row_tables(**rows), veddra, DESCRIPTORS)
         assert as_records(merged)[0].descriptors == as_records(flipped)[0].descriptors
 
     def test_merged_csv_roundtrip(self, veddra):
-        merged, _ = merge_reports(tables_for_merge(), veddra, DESCRIPTORS)
+        merged, _ = merge_reports(row_tables(**rows_for_merge()), veddra, DESCRIPTORS)
         assert merged_csv_records(merged_to_csv(merged)) == as_records(merged)

@@ -1,19 +1,20 @@
 import gzip
 import json
-import urllib.error
 
+import numpy as np
 import pytest
 
 from documents import fixture_document
+from oracles import parse_per_row, table_rows
+from vetpv import pipeline
+from vetpv.config import load_config
+from vetpv.harmonize import MergeError
 from vetpv.ingest import (
     ChemDescriptors,
-    DescriptorError,
-    HttpDescriptorProvider,
     Outcome,
     ParseError,
-    TableDescriptorProvider,
-    check_referential_integrity,
-    fetch_descriptors,
+    RawTables,
+    descriptor_table,
     parse_quarter,
     read_quarter_file,
 )
@@ -94,7 +95,7 @@ def test_missing_id_skipped_and_counted():
     record.pop("unique_aer_id_number")
     tables, stats = parse_quarter(document(record, report(key="R2")))
     assert stats.skipped_missing_id == 1
-    assert [m.key for m in tables.main] == ["R2"]
+    assert tables.main["key"] == ["R2"]
     assert any("unique_aer_id_number" in d for d in stats.diagnostics)
 
 
@@ -102,7 +103,7 @@ def test_unmapped_outcome_rejected_with_diagnostic():
     record = report(outcome=[{"medical_status": "Vaporized"}])
     tables, stats = parse_quarter(document(record))
     assert stats.invalid_outcome_rows == 1
-    assert tables.outcomes == []
+    assert len(tables.outcomes) == 0
     assert any("Vaporized" in d for d in stats.diagnostics)
 
 
@@ -110,8 +111,8 @@ def test_unknown_unit_rejects_the_measurement():
     record = report()
     record["animal"]["age"] = {"min": "4", "unit": "Fortnight"}
     tables, stats = parse_quarter(document(record))
-    assert tables.main[0].age_value is None
-    assert tables.main[0].age_unit is None
+    assert tables.main["age_value"] == [None]
+    assert tables.main["age_unit"] == [None]
     assert stats.invalid_field_rows == 1
     assert any("Fortnight" in d for d in stats.diagnostics)
 
@@ -120,30 +121,118 @@ def test_missing_unit_defaults_allowed():
     record = report()
     record["animal"]["weight"] = {"min": "12.5"}
     tables, _ = parse_quarter(document(record))
-    assert tables.main[0].weight_value == 12.5
-    assert tables.main[0].weight_unit is None
+    assert tables.main["weight_value"] == [12.5]
+    assert tables.main["weight_unit"] == [None]
 
 
 def test_outcome_synonyms_normalize():
     record = report(outcome=[{"medical_status": "death"}])
     tables, _ = parse_quarter(document(record))
-    assert tables.outcomes[0].medical_status is Outcome.DIED
+    assert tables.outcomes["medical_status"] == [Outcome.DIED]
 
 
-def test_referential_integrity_on_fixture():
-    text, _ = fixture_document(n_reports=200, seed=3)
-    tables, _ = parse_quarter(text)
-    assert check_referential_integrity(tables) == []
+def test_child_keys_are_main_keys_across_files(tmp_path):
+    """Two quarter files ingest into one set of tables whose every child key
+    is a main key; a report id in both files stays, and fails at harmonize."""
+    first, _ = fixture_document(n_reports=120, seed=3)
+    repeated = json.loads(first)["results"][7]["unique_aer_id_number"]
+    (tmp_path / "quarters").mkdir()
+    (tmp_path / "quarters" / "q1.json").write_text(first, encoding="utf-8")
+    (tmp_path / "quarters" / "q2.json.gz").write_bytes(gzip.compress(
+        document(report(key="ONLY-Q2", drugs=2), report(key=repeated)).encode("utf-8")))
+    (tmp_path / "pipeline.ini").write_text(
+        "[paths]\ninput_dir = quarters\noutput_dir = out\n[run]\nseed = 1\n", encoding="utf-8")
+    config = load_config(tmp_path / "pipeline.ini")
+    store = pipeline.ArtifactStore(config.output_dir)
+    _, outputs = pipeline.run_stages(config, store, ["ingest"], echo=lambda *a: None)
+    tables = outputs["ingest"]
+    assert len(tables.main) == 122
+    main_keys = set(tables.main["key"])
+    for name in ("events", "outcomes", "drugs"):
+        assert set(getattr(tables, name)["key"]) <= main_keys, name
+    assert "ONLY-Q2" in tables.drugs["key"]
+    with pytest.raises(MergeError, match=repeated):
+        pipeline.run_stages(config, store, ["harmonize"], echo=lambda *a: None)
 
 
 def test_parse_deterministic():
     text, _ = fixture_document(n_reports=50, seed=5)
     first, _ = parse_quarter(text)
     second, _ = parse_quarter(text)
-    assert first.main == second.main
-    assert first.events == second.events
-    assert first.outcomes == second.outcomes
-    assert first.drugs == second.drugs
+    assert first == second
+
+
+def awkward_records(seed: int, n: int = 80) -> list:
+    """Reports with missing, blank, numeric and repeated ids, non-object
+    entries, unreadable or out-of-range measurements, unknown units, any-case
+    enums, reactions without names, unmapped outcomes, bad animal counts and
+    drug entries with zero, one or two ingredient names."""
+    gen = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[int(gen.integers(len(options)))]
+
+    records = []
+    for i in range(n):
+        if gen.random() < 0.05:
+            records.append(pick(["not a report", 7, None]))
+            continue
+        record = report(key=pick([f"R{i}", f" R{i} ", "R1", "", None, i, f"K\t{i}"]),
+                        reactions=0, drugs=0, outcomes=0)
+        if record["unique_aer_id_number"] is None:
+            del record["unique_aer_id_number"]
+        animal = record["animal"]
+        animal["species"] = pick(["Dog", " Cat ", "", None])
+        animal["breed"] = pick([{"breed_component": "Beagle"}, "Mixed", {}, None, "  "])
+        animal["age"] = {"min": pick(["4", 4, "-1", "x", "", None, "0"]),
+                         "unit": pick(["Year", "MONTH", "week", "Fortnight", None, ""])}
+        animal["weight"] = {"min": pick(["11.3", 0, "0", "-2", "1e300", None]),
+                            "unit": pick(["Kilogram", "pound", "Gram", "stone", None])}
+        if gen.random() < 0.2:
+            del animal["weight"]
+        record["original_receive_date"] = pick(["20230215", "2023-02-15", "2023", None, ""])
+        record["reaction"] = [
+            {"veddra_term_name": pick(["Vomiting", " Rash ", "", None]),
+             "veddra_level": pick(["PT", "hlt", "LLT", "Other", None]),
+             "veddra_term_code": pick(["830", " 1001 ", "", None])}
+            for _ in range(int(gen.integers(0, 4)))]
+        record["outcome"] = [
+            {"medical_status": pick(["Died", "death", "Recovered/Normal", "Vaporized", "", None]),
+             "number_of_animals_affected": pick(["1", 2, "-3", "many", "", None, [1]])}
+            for _ in range(int(gen.integers(0, 3)))]
+        record["drug"] = [
+            {"active_ingredients": pick([[{"name": "Carprofen"}], [{"name": "A"}, {"name": " B "}],
+                                         [], [{"name": ""}], ["bare"], None]),
+             "brand_name": pick(["Anodyne", None, " "]), "dosage_form": pick(["Tablet", None]),
+             "route": pick(["Oral", None]), "atc_vet_code": pick(["QM01AE91", " QJ01 ", None])}
+            for _ in range(int(gen.integers(0, 3)))]
+        records.append(record)
+    return records
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parser_matches_per_row_oracle(seed):
+    text = json.dumps({"results": awkward_records(seed)})
+    tables, stats = parse_quarter(text)
+    rows, counts = parse_per_row(text)
+    assert table_rows(tables) == rows
+    assert (stats.reports, stats.skipped_missing_id, stats.invalid_outcome_rows,
+            stats.invalid_field_rows) == counts
+
+
+def test_parser_matches_per_row_oracle_on_fixture():
+    text, _ = fixture_document(n_reports=300, seed=8)
+    tables, _ = parse_quarter(text)
+    assert table_rows(tables) == parse_per_row(text)[0]
+
+
+def test_parse_appends_to_given_tables():
+    texts = [json.dumps({"results": awkward_records(seed)}) for seed in (20, 21)]
+    tables = RawTables()
+    for text in texts:
+        assert parse_quarter(text, tables)[0] is tables
+    expected = [parse_per_row(text)[0] for text in texts]
+    assert table_rows(tables) == {name: expected[0][name] + expected[1][name] for name in expected[0]}
 
 
 def test_gzip_file_roundtrip(tmp_path):
@@ -154,106 +243,31 @@ def test_gzip_file_roundtrip(tmp_path):
     zipped.write_bytes(gzip.compress(text.encode("utf-8")))
     t1, _ = read_quarter_file(plain)
     t2, _ = read_quarter_file(zipped)
-    assert t1.main == t2.main
+    assert t1 == t2
 
 
 class TestTableProvider:
     def test_bundled_aspirin_record(self):
-        provider = TableDescriptorProvider.from_tsv()
-        found = fetch_descriptors("acetylsalicylic acid", provider)
+        found = descriptor_table(["acetylsalicylic acid"])["acetylsalicylic acid"]
         assert found.molecular_weight == 180.16
         assert found.h_bond_acceptors == 4
         assert found.xlogp3 == 1.2
         assert found.exact_mass == 180.04225873
 
     def test_unknown_name_is_absent(self):
-        provider = TableDescriptorProvider.from_tsv()
-        assert fetch_descriptors("zzzz", provider) is None
+        assert descriptor_table(["zzzz"]) == {}
 
     def test_case_insensitive_after_trimming(self):
-        provider = TableDescriptorProvider.from_tsv()
-        a = fetch_descriptors("  ACETYLSALICYLIC ACID ", provider)
-        b = fetch_descriptors("acetylsalicylic acid", provider)
-        assert a == b
+        a = descriptor_table(["  ACETYLSALICYLIC ACID "])
+        b = descriptor_table(["acetylsalicylic acid"])
+        assert a == b and len(a) == 1
 
     def test_missing_name_logged_once(self, caplog):
-        provider = TableDescriptorProvider.from_tsv()
         with caplog.at_level("INFO", logger="vetpv.ingest"):
-            fetch_descriptors("unobtainium", provider)
-            fetch_descriptors("Unobtainium ", provider)
-            fetch_descriptors("other-mystery", provider)
+            descriptor_table(["unobtainium", "Unobtainium ", "other-mystery"])
         mentions = [r for r in caplog.records if "unobtainium" in r.getMessage().lower()]
         assert len(mentions) == 1
         assert any("other-mystery" in r.getMessage() for r in caplog.records)
-
-
-PAYLOAD = {
-    "PropertyTable": {
-        "Properties": [
-            {
-                "MolecularWeight": "180.16",
-                "HBondAcceptorCount": 4,
-                "XLogP": 1.2,
-                "AtomStereoCount": 0,
-                "Charge": 0,
-                "CovalentUnitCount": 1,
-                "ExactMass": "180.04225873",
-            }
-        ]
-    }
-}
-
-
-class TestHttpProvider:
-    def test_caches_responses(self, tmp_path):
-        calls = []
-
-        def fetcher(url):
-            calls.append(url)
-            return json.dumps(PAYLOAD).encode()
-
-        provider = HttpDescriptorProvider("http://x/rest", tmp_path, fetcher, sleeper=lambda s: None)
-        first = provider.lookup("aspirin")
-        second = provider.lookup("Aspirin")
-        assert first == second
-        assert first.molecular_weight == 180.16
-        assert len(calls) == 1
-
-    def test_retries_transient_failure_with_backoff(self, tmp_path):
-        attempts = []
-        sleeps = []
-
-        def fetcher(url):
-            attempts.append(url)
-            if len(attempts) < 3:
-                raise ConnectionError("flaky")
-            return json.dumps(PAYLOAD).encode()
-
-        provider = HttpDescriptorProvider(
-            "http://x/rest", tmp_path, fetcher, sleeper=sleeps.append, backoff=0.25
-        )
-        assert provider.lookup("aspirin") is not None
-        assert len(attempts) == 3
-        assert sleeps == [0.25, 0.5]
-
-    def test_not_found_is_absent_not_error(self, tmp_path):
-        def fetcher(url):
-            raise urllib.error.HTTPError(url, 404, "not found", None, None)
-
-        provider = HttpDescriptorProvider("http://x/rest", tmp_path, fetcher, sleeper=lambda s: None)
-        assert provider.lookup("nothing") is None
-        # negative result is served from cache afterwards
-        assert provider.lookup("nothing") is None
-
-    def test_persistent_failure_raises_descriptor_error(self, tmp_path):
-        def fetcher(url):
-            raise ConnectionError("down")
-
-        provider = HttpDescriptorProvider(
-            "http://x/rest", tmp_path, fetcher, sleeper=lambda s: None, max_attempts=2
-        )
-        with pytest.raises(DescriptorError):
-            provider.lookup("aspirin")
 
 
 def test_descriptor_fields_tuple_stable():
