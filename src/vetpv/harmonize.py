@@ -272,8 +272,8 @@ def merge_reports(
     stats = MergeStats()
 
     at, events = _children(tables.events, index)
-    # an event's HLT depends on its name, its level and its code only when
-    # the table knows the code
+    # an event's HLT depends on its name and level, and on its code only
+    # when the table knows the code
     codes = events["term_code"]
     known = {c: c if c and c.lower() in veddra.to_hlt else None for c in set(codes)}
     terms = list(zip(events["term_name"], map(known.__getitem__, codes), events["veddra_level"]))

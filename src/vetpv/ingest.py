@@ -127,10 +127,6 @@ class Table:
 
     columns: dict[str, list]
 
-    @classmethod
-    def empty(cls, name: str) -> "Table":
-        return cls({column: [] for column, _ in SCHEMA[name]})
-
     def __len__(self) -> int:
         return len(self.columns["key"])
 
@@ -144,7 +140,7 @@ class Table:
 
 
 def _empty(name: str):
-    return field(default_factory=lambda: Table.empty(name))
+    return field(default_factory=lambda: Table({column: [] for column, _ in SCHEMA[name]}))
 
 
 @dataclass
