@@ -146,6 +146,10 @@ def fit_logistic(matrix: FeatureMatrix, params: LogisticParams = LogisticParams(
 class KnnParams:
     k: int = 5
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise FitError(f"k must be >= 1, got {self.k}")
+
 
 class KnnModel:
     """Stores the training rows; predicts by inverse-distance-weighted vote."""
@@ -183,6 +187,4 @@ class KnnModel:
 def fit_knn(matrix: FeatureMatrix, params: KnnParams = KnnParams()) -> KnnModel:
     if matrix.labels is None:
         raise FitError("training matrix has no labels")
-    if params.k < 1:
-        raise FitError(f"k must be >= 1, got {params.k}")
     return KnnModel(matrix.values, matrix.labels, params.k, matrix.column_names())

@@ -30,6 +30,10 @@ class GbdtParams:
     min_child_weight: float = 1.0
     reg_lambda: float = 1.0
 
+    def __post_init__(self):
+        if self.n_rounds < 1:
+            raise FitError(f"n_rounds must be >= 1, got {self.n_rounds}")
+
 
 def gain_score(min_child_weight: float, lam: float):
     """Second-order gain over (count, gradient, hessian) sums."""
@@ -68,8 +72,6 @@ def fit_gbdt(
     base_score is the log-odds of the (weighted) training prevalence, clipped
     away from 0 and 1 so degenerate inputs stay finite.
     """
-    if params.n_rounds < 1:
-        raise FitError(f"n_rounds must be >= 1, got {params.n_rounds}")
     if matrix.labels is None:
         raise FitError("training matrix has no labels")
     X = checked_matrix(matrix.values, 1)

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .matrix import SPLIT_NAMES
-from .models import MODEL_KINDS, PARAMS, TREE_KINDS, ModelSpec, param_names
+from .models import MODEL_KINDS, PARAMS, TREE_KINDS, ModelSpec
 from .resample import ResamplePlan
 from .ssl import SslPlan
 from .trees import FitError
@@ -128,57 +128,28 @@ def _parse(text: str, default):
     return type(default)(text)
 
 
+def _read_keys(parser: configparser.ConfigParser, section: str, cls) -> dict:
+    """The keys of [section] present in the file, each parsed as the type of
+    its default in cls (a None default, ForestParams.features_per_split,
+    takes an int)."""
+    values = {}
+    for key, default in _ini_keys(cls).items():
+        if parser.has_option(section, key):
+            text = parser.get(section, key).strip()
+            try:
+                values[key] = _parse(text, 0 if default is None else default)
+            except ValueError as exc:
+                raise ConfigError(f"invalid [{section}] {key}: {exc}") from None
+    return values
+
+
 def _read_section(parser: configparser.ConfigParser, section: str, cls, **given):
     """cls from the keys of [section] present in the file; every other field
     takes its value from `given`, else its default."""
-    values = dict(given)
-    for key, default in _ini_keys(cls).items():
-        if parser.has_option(section, key):
-            try:
-                values[key] = _parse(parser.get(section, key).strip(), default)
-            except ValueError as exc:
-                raise ConfigError(f"invalid [{section}] {key}: {exc}") from None
     try:
-        return cls(**values)
+        return cls(**{**given, **_read_keys(parser, section, cls)})
     except ValueError as exc:
         raise ConfigError(f"invalid [{section}] section: {exc}") from None
-
-
-def _model_params(parser: configparser.ConfigParser, kind: str) -> dict:
-    """The [model] keys other than kind. For a single-learner kind each key
-    of its params class is parsed as the type of that field's default (a
-    None default, ForestParams.features_per_split, takes an int); vote and
-    stack keys, and keys no params class has, are typed by _coerce."""
-    defaults = _ini_keys(PARAMS[kind]) if kind in PARAMS else {}
-    params = {}
-    for key, value in parser.items("model") if parser.has_section("model") else ():
-        if key == "kind":
-            continue
-        if key not in defaults:
-            params[key] = _coerce(value)
-            continue
-        default = 0 if defaults[key] is None else defaults[key]
-        try:
-            params[key] = _parse(value.strip(), default)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [model] {key}: {exc}") from None
-    return params
-
-
-def _coerce(value: str):
-    text = value.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
 
 
 def load_config(path: Path) -> PipelineConfig:
@@ -219,8 +190,14 @@ def load_config(path: Path) -> PipelineConfig:
     model_kind = parser.get("model", "kind", fallback="gbdt").strip()
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r} (expected one of {MODEL_KINDS})")
-    model_params = _model_params(parser, model_kind)
-    if "seed" in param_names(model_kind):
+    model_keys = _ini_keys(PARAMS[model_kind])
+    given = parser.options("model") if parser.has_section("model") else ()
+    unknown = sorted(set(given) - {"kind", *model_keys})
+    if unknown:
+        raise ConfigError(f"invalid [model] section: kind {model_kind!r} takes no key "
+                          f"{', '.join(unknown)}")
+    model_params = _read_keys(parser, "model", PARAMS[model_kind])
+    if "seed" in model_keys:
         model_params.setdefault("seed", seed)
     try:
         model = ModelSpec(model_kind, model_params)

@@ -26,14 +26,16 @@ class ForestParams:
     seed: int = 0
     bootstrap: bool = True
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise FitError(f"n_trees must be >= 1, got {self.n_trees}")
+
 
 def fit_forest(
     matrix: FeatureMatrix,
     params: ForestParams = ForestParams(),
     sample_weight: np.ndarray | None = None,
 ) -> TreeEnsemble:
-    if params.n_trees < 1:
-        raise FitError(f"n_trees must be >= 1, got {params.n_trees}")
     if matrix.labels is None:
         raise FitError("training matrix has no labels")
     X = checked_matrix(matrix.values, params.min_leaf)

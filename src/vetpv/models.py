@@ -19,36 +19,52 @@ from .trees import FitError, FlatTree, TreeEnsemble, TreeParams, fit_cart
 
 MODEL_FORMAT_VERSION = 1
 
-# the params dataclass of each single-learner kind
+
+@dataclass(frozen=True)
+class EnsembleParams:
+    """The params of vote and stack. members are ModelSpecs, and none means
+    default_members(seed); stack fits its meta-learner on n_folds folds."""
+
+    seed: int = 0
+    n_folds: int = 5
+    members: tuple[ModelSpec, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if self.n_folds < 2:
+            raise FitError(f"n_folds must be >= 2, got {self.n_folds}")
+        if len(self.members) == 1:
+            raise FitError("ensembles need at least 2 members")
+
+
+# the params dataclass of each model kind
 PARAMS = {
     "tree": TreeParams,
     "forest": ForestParams,
     "gbdt": GbdtParams,
     "logistic": LogisticParams,
     "knn": KnnParams,
+    "vote": EnsembleParams,
+    "stack": EnsembleParams,
 }
-ENSEMBLE_KEYS = ("seed", "n_folds", "members")  # what fit_model takes for vote/stack
-
-MODEL_KINDS = (*PARAMS, "vote", "stack")
+MODEL_KINDS = tuple(PARAMS)
 TREE_KINDS = ("tree", "forest", "gbdt")  # the kinds fitted as a TreeEnsemble
-
-
-def param_names(kind: str) -> set[str]:
-    """The params keys a spec of this kind accepts."""
-    return {f.name for f in fields(PARAMS[kind])} if kind in PARAMS else set(ENSEMBLE_KEYS)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model kind and the given keys of its params dataclass, checked by
+    building the params, so a bad value fails when the spec is made."""
+
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in PARAMS:
             raise FitError(f"unknown model kind {self.kind!r}")
-        unknown = sorted(set(self.params) - param_names(self.kind))
+        unknown = sorted(set(self.params) - {f.name for f in fields(PARAMS[self.kind])})
         if unknown:
             raise FitError(f"model kind {self.kind!r} takes no parameter {', '.join(unknown)}")
+        PARAMS[self.kind](**self.params)
 
 
 def default_members(seed: int) -> list[ModelSpec]:
@@ -64,27 +80,20 @@ def default_members(seed: int) -> list[ModelSpec]:
 def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
     if sample_weight is not None and spec.kind not in TREE_KINDS:
         raise FitError(f"{spec.kind} fitting does not support sample weights")
-    params = dict(spec.params)
-    if spec.kind not in PARAMS:  # ensembles
-        seed = params.pop("seed", 0)
-        n_folds = params.pop("n_folds", 5)
-        members = params.pop("members", None)
-        if members is None:
-            member_specs = default_members(seed)
-        else:
-            member_specs = [ModelSpec(m["kind"], dict(m.get("params", {}))) for m in members]
-        return fit_ensemble(member_specs, spec.kind, matrix, seed=seed, n_folds=n_folds)
-    kind_params = PARAMS[spec.kind](**params)
+    params = PARAMS[spec.kind](**spec.params)
+    if spec.kind in ("vote", "stack"):
+        members = list(params.members) or default_members(params.seed)
+        return fit_ensemble(members, spec.kind, matrix, seed=params.seed, n_folds=params.n_folds)
     if spec.kind == "tree":
-        tree = fit_cart(matrix.values, matrix.labels, kind_params, sample_weight=sample_weight)
+        tree = fit_cart(matrix.values, matrix.labels, params, sample_weight=sample_weight)
         return TreeEnsemble("tree", [tree], matrix.column_names())
     if spec.kind == "gbdt":
-        return fit_gbdt(matrix, kind_params, sample_weight=sample_weight)
+        return fit_gbdt(matrix, params, sample_weight=sample_weight)
     if spec.kind == "forest":
-        return fit_forest(matrix, kind_params, sample_weight=sample_weight)
+        return fit_forest(matrix, params, sample_weight=sample_weight)
     if spec.kind == "logistic":
-        return fit_logistic(matrix, kind_params)
-    return fit_knn(matrix, kind_params)
+        return fit_logistic(matrix, params)
+    return fit_knn(matrix, params)
 
 
 class VotingEnsemble:
@@ -169,8 +178,6 @@ def fit_ensemble(
 ):
     """Fit members on the full training matrix; for stacking, additionally fit
     the logistic meta-learner on out-of-fold member probabilities."""
-    if len(member_specs) < 2:
-        raise FitError("ensembles need at least 2 members")
     members = [fit_model(spec, matrix) for spec in member_specs]
     if mode == "vote":
         return VotingEnsemble(members)

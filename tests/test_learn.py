@@ -438,6 +438,15 @@ class TestEnsembles:
         with pytest.raises(FitError):
             VotingEnsemble([stub_member(0.5)])
 
+    @pytest.mark.parametrize("params", [
+        {"n_folds": 0},
+        {"n_folds": 1},
+        {"members": (ModelSpec("gbdt"),)},
+    ], ids=["n_folds=0", "n_folds=1", "one member"])
+    def test_bad_ensemble_params_fail_when_the_spec_is_made(self, params):
+        with pytest.raises(FitError):
+            ModelSpec("stack", params)
+
     def test_stacking_meta_features_match_per_fold_recomputation(self, separable_matrix):
         from vetpv.models import oof_meta_features
 
@@ -479,14 +488,14 @@ class TestSerialization:
             ModelSpec("gbdt", {"n_rounds": 6, "max_depth": 2}),
             ModelSpec("logistic"),
             ModelSpec("knn", {"k": 3}),
-            ModelSpec("vote", {"seed": 1, "members": [
-                {"kind": "gbdt", "params": {"n_rounds": 3}},
-                {"kind": "tree", "params": {"max_depth": 2}},
-            ]}),
-            ModelSpec("stack", {"seed": 1, "members": [
-                {"kind": "gbdt", "params": {"n_rounds": 3}},
-                {"kind": "tree", "params": {"max_depth": 2}},
-            ]}),
+            ModelSpec("vote", {"seed": 1, "members": (
+                ModelSpec("gbdt", {"n_rounds": 3}),
+                ModelSpec("tree", {"max_depth": 2}),
+            )}),
+            ModelSpec("stack", {"seed": 1, "members": (
+                ModelSpec("gbdt", {"n_rounds": 3}),
+                ModelSpec("tree", {"max_depth": 2}),
+            )}),
         ],
         ids=lambda s: s.kind,
     )
