@@ -193,8 +193,15 @@ class TestValidation:
         ("resample", {"k_smote": "abc"}),
         ("model", {"n_rounds": "10.0"}),
         ("model", {"learning_rate": "fast"}),
+        ("model", {"n_folds": "0", "kind": "stack"}),
+        ("model", {"n_folds": "1", "kind": "stack"}),
+        ("model", {"seed": "1.5", "kind": "vote"}),
+        ("model", {"members": "gbdt", "kind": "stack"}),
+        ("model", {"n_rounds": "0"}),
+        ("model", {"k": "0", "kind": "knn"}),
     ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
-            "ssl.enabled", "max_checkpoints", "k_smote", "n_rounds", "learning_rate"])
+            "ssl.enabled", "max_checkpoints", "k_smote", "n_rounds", "learning_rate",
+            "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0"])
     def test_bad_value_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -599,6 +606,21 @@ class TestEffectiveConfig:
         text = effective_config_text(load_config(quickstart_ini(root, seed=20240801)))
         assert text == QUICKSTART_EFFECTIVE_CONFIG.format(root=root)
 
+    def test_ensemble_config_hash_is_pinned(self, tmp_path):
+        from vetpv.config import config_hash, effective_config_text
+
+        config = tmp_path / "stack.ini"
+        # input_dir = / exists everywhere, so the hash does not depend on tmp_path
+        config.write_text(
+            "[paths]\ninput_dir = /\noutput_dir = out\n[run]\nseed = 20240801\n"
+            "[model]\nkind = stack\nseed = 7\nn_folds = 3\n"
+            "[ssl]\nenabled = false\n[explain]\nenabled = false\n"
+        )
+        parsed = load_config(config)
+        text = effective_config_text(parsed)
+        assert "model.n_folds = 3\n" in text and "model.seed = 7\n" in text
+        assert config_hash(parsed) == "01204169fa73bfae"  # as before [model] was typed for stack
+
     def test_output_dir_does_not_change_the_hash(self, tmp_path):
         from vetpv.config import config_hash, effective_config_text
 
@@ -659,13 +681,21 @@ class TestEnvOverrides:
 
 class TestReport:
     def test_aggregates_runs_into_table(self, finished_run, tmp_path, capsys):
+        import csv
+        import io
+
+        from vetpv import pipeline
+
         _, out = finished_run
         base = tmp_path / "table"
         assert run_cli("report", "--runs", str(out), "--out", str(base)) == 0
         table = base.with_suffix(".txt").read_text()
         assert "none/F1" in table
         assert "gbdt" in table and "gbdt+ssl" in table
-        assert base.with_suffix(".csv").exists()
+        metrics = csv.DictReader(io.StringIO(pipeline.ArtifactStore(out).get_text("metrics")))
+        run = next(r for r in metrics if (r["dataset"], r["variant"]) == ("test", "supervised"))
+        table_csv = csv.DictReader(io.StringIO(base.with_suffix(".csv").read_text()))
+        assert next(r for r in table_csv if r["model"] == "gbdt")["none/F1"] == run["weighted_f1"]
 
 
 class TestBenchmarkTracer:
