@@ -12,6 +12,7 @@ import datetime as dt
 import gzip
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -243,12 +244,23 @@ def _parse_enum(enum_cls, value):
     return _MEMBERS_BY_LOWER_VALUE[enum_cls].get(text.lower())
 
 
-def _measurement(entry: dict, enum_cls, what: str, key: str, stats: ParseStats):
+def _object(value, what: str, key: str, stats: ParseStats) -> dict:
+    """value if it is a JSON object, {} if it is absent; anything else is a
+    counted reject, read as {}."""
+    if isinstance(value, dict) or not value:
+        return value or {}
+    stats.invalid_field_rows += 1
+    stats.note(f"report {key}: {what} is not an object: {value!r}")
+    return {}
+
+
+def _measurement(value, enum_cls, what: str, key: str, stats: ParseStats):
     """(value, unit) for an age/weight object; bad values or units reject the pair."""
+    entry = _object(value, what, key, stats)
     value = _as_optional_float(entry.get("min"), what, key, stats)
     if value is None:
         return None, None
-    if value < 0 or (what == "weight" and value == 0):
+    if not math.isfinite(value) or value < 0 or (what == "weight" and value == 0):
         stats.invalid_field_rows += 1
         stats.note(f"report {key}: out-of-range {what} {value}")
         return None, None
@@ -261,12 +273,11 @@ def _measurement(entry: dict, enum_cls, what: str, key: str, stats: ParseStats):
     return value, unit
 
 
-def _parse_animal(key: str, animal: dict, received, stats: ParseStats) -> tuple:
+def _parse_animal(key: str, animal, received, stats: ParseStats) -> tuple:
     """The report's main-table row, in column order."""
-    age_value, age_unit = _measurement(animal.get("age") or {}, AgeUnit, "age", key, stats)
-    weight_value, weight_unit = _measurement(
-        animal.get("weight") or {}, WeightUnit, "weight", key, stats
-    )
+    animal = _object(animal, "animal", key, stats)
+    age_value, age_unit = _measurement(animal.get("age"), AgeUnit, "age", key, stats)
+    weight_value, weight_unit = _measurement(animal.get("weight"), WeightUnit, "weight", key, stats)
     breed = animal.get("breed")
     if isinstance(breed, dict):
         breed = breed.get("breed_component")
@@ -281,6 +292,19 @@ def _parse_animal(key: str, animal: dict, received, stats: ParseStats) -> tuple:
         weight_unit,
         _parse_date(received),
     )
+
+
+def _entries(record: dict, name: str, key: str, stats: ParseStats) -> list[dict]:
+    """The object entries of the report's list `name`; any other entry is a
+    counted reject."""
+    kept = []
+    for entry in record.get(name) or []:
+        if isinstance(entry, dict):
+            kept.append(entry)
+        else:
+            stats.invalid_field_rows += 1
+            stats.note(f"report {key}: {name} entry is not an object: {entry!r}")
+    return kept
 
 
 def parse_quarter(
@@ -325,9 +349,9 @@ def parse_quarter(
         stats.reports += 1
 
         tables.main.append(
-            *_parse_animal(key, record.get("animal") or {}, record.get("original_receive_date"), stats)
+            *_parse_animal(key, record.get("animal"), record.get("original_receive_date"), stats)
         )
-        for reaction in record.get("reaction") or []:
+        for reaction in _entries(record, "reaction", key, stats):
             name = _as_optional_str(reaction.get("veddra_term_name"))
             if name is None:
                 stats.invalid_field_rows += 1
@@ -339,7 +363,7 @@ def parse_quarter(
                 name,
                 _parse_enum(VeddraLevel, reaction.get("veddra_level")),
             )
-        for outcome in record.get("outcome") or []:
+        for outcome in _entries(record, "outcome", key, stats):
             raw_status = _as_optional_str(outcome.get("medical_status"))
             status = synonyms.get(raw_status.lower()) if raw_status else None
             if status is None:
@@ -351,12 +375,12 @@ def parse_quarter(
                 affected = int(affected) if affected not in (None, "") else None
                 if affected is not None and affected < 0:
                     raise ValueError
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 stats.invalid_field_rows += 1
                 stats.note(f"report {key}: bad animals_affected {affected!r}")
                 affected = None
             tables.outcomes.append(key, status, affected)
-        for drug in record.get("drug") or []:
+        for drug in _entries(record, "drug", key, stats):
             ingredients = drug.get("active_ingredients") or []
             names = [_as_optional_str(i.get("name")) for i in ingredients if isinstance(i, dict)]
             names = [n for n in names if n]

@@ -125,6 +125,35 @@ def test_missing_unit_defaults_allowed():
     assert tables.main["weight_unit"] == [None]
 
 
+def animal(**fields):
+    """report()'s animal object with fields replaced."""
+    return {**report()["animal"], **fields}
+
+
+@pytest.mark.parametrize("overrides, counts", [
+    ({"outcome": [{"medical_status": "Died", "number_of_animals_affected": 1e400}]}, (1, 1, 1)),
+    ({"reaction": ["Vomiting"]}, (0, 1, 1)),
+    ({"outcome": ["Died"]}, (1, 0, 1)),
+    ({"drug": ["Carprofen"]}, (1, 1, 0)),
+    ({"animal": "dog"}, (1, 1, 1)),
+    ({"animal": animal(age=4)}, (1, 1, 1)),
+    ({"animal": animal(weight="heavy")}, (1, 1, 1)),
+    ({"animal": animal(age={"min": "NaN", "unit": "Year"})}, (1, 1, 1)),
+    ({"animal": animal(weight={"min": "inf", "unit": "Kilogram"})}, (1, 1, 1)),
+], ids=["affected 1e400", "reaction entry", "outcome entry", "drug entry", "animal", "age",
+        "weight", "age NaN", "weight inf"])
+def test_bad_value_is_a_counted_reject(overrides, counts):
+    # json.dumps writes the float 1e400 as Infinity; an input file may spell it 1e400
+    text = document(report(**overrides)).replace("Infinity", "1e400")
+    tables, stats = parse_quarter(text)
+    assert (len(tables.main), len(tables.events), len(tables.outcomes), len(tables.drugs)) == (
+        1, *counts)
+    assert stats.invalid_field_rows == 1
+    assert len(stats.diagnostics) == 1 and stats.diagnostics[0].startswith("report R1: ")
+    numbers = tables.main["age_value"] + tables.main["weight_value"]
+    assert all(v is None or np.isfinite(v) for v in numbers + tables.outcomes["animals_affected"])
+
+
 def test_outcome_synonyms_normalize():
     record = report(outcome=[{"medical_status": "death"}])
     tables, _ = parse_quarter(document(record))
