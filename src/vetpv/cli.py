@@ -19,10 +19,11 @@ import csv
 import io
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import bulkio, pipeline
 from .config import ConfigError, load_config
-from .metrics import MetricsReport, results_table
+from .metrics import TABLE_METRICS, results_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,19 +82,7 @@ def _aggregate_runs(run_dirs: list[Path], out_base: Path) -> str:
             label = record["model"]
             if record["variant"] == "ssl":
                 label = f"{record['model']}+ssl"
-            report = MetricsReport(
-                weighted_f1=float(record["weighted_f1"]),
-                weighted_precision=float(record["weighted_precision"]),
-                weighted_recall=float(record["weighted_recall"]),
-                accuracy=float(record["accuracy"]),
-                death_recall=float(record["death_recall"]),
-                recovered_recall=float(record["recovered_recall"]),
-                death_precision=0.0,
-                recovered_precision=0.0,
-                death_f1=0.0,
-                recovered_f1=0.0,
-                supports={},
-            )
+            report = SimpleNamespace(**{attr: float(record[attr]) for _, attr in TABLE_METRICS})
             rows.append((label, record["sampling"], report))
     if not rows:
         raise ConfigError("no test metrics found in the given run directories")

@@ -120,7 +120,7 @@ def evaluate(truth, predicted) -> MetricsReport:
     return metrics(confusion(truth, predicted))
 
 
-_TABLE_METRICS = (
+TABLE_METRICS = (
     ("F1", "weighted_f1"),
     ("P", "weighted_precision"),
     ("R", "weighted_recall"),
@@ -131,7 +131,8 @@ _TABLE_METRICS = (
 
 def results_table(runs: list[tuple[str, str, MetricsReport]]) -> tuple[str, str]:
     """(csv_text, aligned_text) with one row per model and a five-metric column
-    block per sampling strategy, in first-appearance order."""
+    block per sampling strategy, in first-appearance order. A report needs
+    only the TABLE_METRICS attributes."""
     if not runs:
         raise MetricsError("no runs to tabulate")
     models: list[str] = []
@@ -146,7 +147,7 @@ def results_table(runs: list[tuple[str, str, MetricsReport]]) -> tuple[str, str]
 
     header = ["model"]
     for sampling in samplings:
-        header += [f"{sampling}/{short}" for short, _ in _TABLE_METRICS]
+        header += [f"{sampling}/{short}" for short, _ in TABLE_METRICS]
 
     csv_buf = io.StringIO()
     writer = csv.writer(csv_buf)
@@ -157,7 +158,7 @@ def results_table(runs: list[tuple[str, str, MetricsReport]]) -> tuple[str, str]
         text_row = [model]
         for sampling in samplings:
             report = cell.get((model, sampling))
-            for _, attr in _TABLE_METRICS:
+            for _, attr in TABLE_METRICS:
                 if report is None:
                     csv_row.append("")
                     text_row.append("-")

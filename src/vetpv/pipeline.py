@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -179,30 +179,11 @@ class RunReport:
 
 
 def _columns_to_json(columns: list[ColumnMeta]) -> str:
-    return json.dumps(
-        [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "category_map": c.category_map,
-                "source_field": c.source_field,
-            }
-            for c in columns
-        ],
-        sort_keys=True,
-    )
+    return json.dumps([asdict(c) for c in columns], sort_keys=True)
 
 
 def _columns_from_json(text: str) -> list[ColumnMeta]:
-    return [
-        ColumnMeta(
-            name=c["name"],
-            kind=c["kind"],
-            category_map=c["category_map"],
-            source_field=c["source_field"],
-        )
-        for c in json.loads(text)
-    ]
+    return [ColumnMeta(**c) for c in json.loads(text)]
 
 
 # --- reading upstream results -----------------------------------------------------
