@@ -465,8 +465,21 @@ def parse_per_row(json_text: str):
         found = [m for m in enum_cls if text(value) and m.value.lower() == text(value).lower()]
         return found[0] if found else None
 
+    def obj(value):
+        nonlocal bad_fields
+        if value and not isinstance(value, dict):
+            bad_fields += 1
+        return value if isinstance(value, dict) else {}
+
+    def entries(record, name):
+        nonlocal bad_fields
+        listed = record.get(name) or []
+        bad_fields += sum(not isinstance(entry, dict) for entry in listed)
+        return [entry for entry in listed if isinstance(entry, dict)]
+
     def measurement(entry, enum_cls, what):
         nonlocal bad_fields
+        entry = obj(entry)
         raw = entry.get("min")
         if raw is None or raw == "":
             return None, None
@@ -476,7 +489,8 @@ def parse_per_row(json_text: str):
             bad_fields += 1
             return None, None
         unit = member(enum_cls, entry.get("unit"))
-        if value < 0 or (what == "weight" and value == 0) or (text(entry.get("unit")) and not unit):
+        if (not math.isfinite(value) or value < 0 or (what == "weight" and value == 0)
+                or (text(entry.get("unit")) and not unit)):
             bad_fields += 1
             return None, None
         return value, unit
@@ -488,9 +502,9 @@ def parse_per_row(json_text: str):
             continue
         seen.add(key)
         reports += 1
-        animal = record.get("animal") or {}
-        age = measurement(animal.get("age") or {}, AgeUnit, "age")
-        weight = measurement(animal.get("weight") or {}, WeightUnit, "weight")
+        animal = obj(record.get("animal"))
+        age = measurement(animal.get("age"), AgeUnit, "age")
+        weight = measurement(animal.get("weight"), WeightUnit, "weight")
         breed = animal.get("breed")
         breed = breed.get("breed_component") if isinstance(breed, dict) else breed
         digits = (text(record.get("original_receive_date")) or "").replace("-", "")
@@ -498,14 +512,14 @@ def parse_per_row(json_text: str):
                     if len(digits) == 8 and digits.isdigit() else None)
         rows["main"].append(MainRow(key, text(animal.get("species")) or "", text(breed),
                                     text(animal.get("gender")), *age, *weight, received))
-        for reaction in record.get("reaction") or []:
+        for reaction in entries(record, "reaction"):
             name = text(reaction.get("veddra_term_name"))
             if name is None:
                 bad_fields += 1
                 continue
             rows["events"].append(AERow(key, name, text(reaction.get("veddra_term_code")),
                                         member(VeddraLevel, reaction.get("veddra_level"))))
-        for outcome in record.get("outcome") or []:
+        for outcome in entries(record, "outcome"):
             status = text(outcome.get("medical_status"))
             status = synonyms.get(status.lower()) if status else None
             if status is None:
@@ -515,7 +529,7 @@ def parse_per_row(json_text: str):
             if affected is not None and affected != "":
                 try:
                     affected = int(affected)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     affected = -1
                 if affected < 0:
                     bad_fields += 1
@@ -523,7 +537,7 @@ def parse_per_row(json_text: str):
             else:
                 affected = None
             rows["outcomes"].append(OutcomeRow(key, status, affected))
-        for drug in record.get("drug") or []:
+        for drug in entries(record, "drug"):
             names = [text(i.get("name")) for i in drug.get("active_ingredients") or []
                      if isinstance(i, dict)]
             if not any(names):

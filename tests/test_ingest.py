@@ -193,8 +193,9 @@ def test_parse_deterministic():
 
 def awkward_records(seed: int, n: int = 80) -> list:
     """Reports with missing, blank, numeric and repeated ids, non-object
-    entries, unreadable or out-of-range measurements, unknown units, any-case
-    enums, reactions without names, unmapped outcomes, bad animal counts and
+    reports, animals, measurements and list entries, unreadable, out-of-range
+    or non-finite measurements, unknown units, any-case enums, reactions
+    without names, unmapped outcomes, bad or overflowing animal counts and
     drug entries with zero, one or two ingredient names."""
     gen = np.random.default_rng(seed)
 
@@ -213,12 +214,16 @@ def awkward_records(seed: int, n: int = 80) -> list:
         animal = record["animal"]
         animal["species"] = pick(["Dog", " Cat ", "", None])
         animal["breed"] = pick([{"breed_component": "Beagle"}, "Mixed", {}, None, "  "])
-        animal["age"] = {"min": pick(["4", 4, "-1", "x", "", None, "0"]),
+        animal["age"] = {"min": pick(["4", 4, "-1", "x", "", None, "0", "NaN", "inf"]),
                          "unit": pick(["Year", "MONTH", "week", "Fortnight", None, ""])}
-        animal["weight"] = {"min": pick(["11.3", 0, "0", "-2", "1e300", None]),
+        animal["weight"] = {"min": pick(["11.3", 0, "0", "-2", "1e300", None, "1e400", "-inf"]),
                             "unit": pick(["Kilogram", "pound", "Gram", "stone", None])}
         if gen.random() < 0.2:
             del animal["weight"]
+        if gen.random() < 0.1:
+            animal[pick(["age", "weight"])] = pick([4, "heavy", ["4"]])
+        if gen.random() < 0.05:
+            record["animal"] = pick(["dog", 3, ["Dog"]])
         record["original_receive_date"] = pick(["20230215", "2023-02-15", "2023", None, ""])
         record["reaction"] = [
             {"veddra_term_name": pick(["Vomiting", " Rash ", "", None]),
@@ -227,7 +232,7 @@ def awkward_records(seed: int, n: int = 80) -> list:
             for _ in range(int(gen.integers(0, 4)))]
         record["outcome"] = [
             {"medical_status": pick(["Died", "death", "Recovered/Normal", "Vaporized", "", None]),
-             "number_of_animals_affected": pick(["1", 2, "-3", "many", "", None, [1]])}
+             "number_of_animals_affected": pick(["1", 2, "-3", "many", "", None, [1], 1e400])}
             for _ in range(int(gen.integers(0, 3)))]
         record["drug"] = [
             {"active_ingredients": pick([[{"name": "Carprofen"}], [{"name": "A"}, {"name": " B "}],
@@ -235,6 +240,9 @@ def awkward_records(seed: int, n: int = 80) -> list:
              "brand_name": pick(["Anodyne", None, " "]), "dosage_form": pick(["Tablet", None]),
              "route": pick(["Oral", None]), "atc_vet_code": pick(["QM01AE91", " QJ01 ", None])}
             for _ in range(int(gen.integers(0, 3)))]
+        for name in ("reaction", "outcome", "drug"):
+            if gen.random() < 0.1:
+                record[name].insert(int(gen.integers(len(record[name]) + 1)), pick(["x", 7, None]))
         records.append(record)
     return records
 
