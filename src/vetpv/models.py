@@ -81,9 +81,6 @@ def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
     if sample_weight is not None and spec.kind not in TREE_KINDS:
         raise FitError(f"{spec.kind} fitting does not support sample weights")
     params = PARAMS[spec.kind](**spec.params)
-    if spec.kind in ("vote", "stack"):
-        members = list(params.members) or default_members(params.seed)
-        return fit_ensemble(members, spec.kind, matrix, seed=params.seed, n_folds=params.n_folds)
     if spec.kind == "tree":
         tree = fit_cart(matrix.values, matrix.labels, params, sample_weight=sample_weight)
         return TreeEnsemble("tree", [tree], matrix.column_names())
@@ -93,7 +90,17 @@ def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
         return fit_forest(matrix, params, sample_weight=sample_weight)
     if spec.kind == "logistic":
         return fit_logistic(matrix, params)
-    return fit_knn(matrix, params)
+    if spec.kind == "knn":
+        return fit_knn(matrix, params)
+    # vote and stack fit their members on the full training matrix; stack also
+    # fits its logistic meta-learner on out-of-fold member probabilities
+    member_specs = list(params.members) or default_members(params.seed)
+    members = [fit_model(member, matrix) for member in member_specs]
+    if spec.kind == "vote":
+        return VotingEnsemble(members)
+    meta_X = oof_meta_features(member_specs, matrix, params.n_folds, params.seed)
+    names = [f"member{m}" for m in range(len(member_specs))]
+    return StackingEnsemble(members, fit_logistic(from_arrays(meta_X, matrix.labels, names=names)))
 
 
 class VotingEnsemble:
@@ -167,28 +174,6 @@ def oof_meta_features(
             member = fit_model(spec, train_part)
             meta[hold, m] = member.predict_proba(hold_values)[:, 1]
     return meta
-
-
-def fit_ensemble(
-    member_specs: list[ModelSpec],
-    mode: str,
-    matrix: FeatureMatrix,
-    seed: int = 0,
-    n_folds: int = 5,
-):
-    """Fit members on the full training matrix; for stacking, additionally fit
-    the logistic meta-learner on out-of-fold member probabilities."""
-    members = [fit_model(spec, matrix) for spec in member_specs]
-    if mode == "vote":
-        return VotingEnsemble(members)
-    if mode != "stack":
-        raise FitError(f"unknown ensemble mode {mode!r}")
-    meta_X = oof_meta_features(member_specs, matrix, n_folds, seed)
-    meta_matrix = from_arrays(
-        meta_X, matrix.labels, names=[f"member{m}" for m in range(len(member_specs))]
-    )
-    meta = fit_logistic(meta_matrix)
-    return StackingEnsemble(members, meta)
 
 
 # --- versioned text serialization ------------------------------------------------

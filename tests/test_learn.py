@@ -20,7 +20,6 @@ from vetpv.matrix import DEATH, RECOVERED, from_arrays
 from vetpv.models import (
     ModelSpec,
     VotingEnsemble,
-    fit_ensemble,
     fit_model,
     oof_fold_assignment,
     parse_model,
@@ -471,7 +470,8 @@ class TestEnsembles:
             ModelSpec("gbdt", {"n_rounds": 8, "max_depth": 2}),
             ModelSpec("forest", {"n_trees": 5, "max_depth": 3, "seed": 2}),
         ]
-        stack = fit_ensemble(specs, "stack", separable_matrix, seed=3)
+        spec = ModelSpec("stack", {"seed": 3, "members": tuple(specs)})
+        stack = fit_model(spec, separable_matrix)
         proba = stack.predict_proba(separable_matrix.values)
         assert np.allclose(proba.sum(axis=1), 1.0)
         accuracy = np.mean(stack.predict(separable_matrix.values) == separable_matrix.labels)
