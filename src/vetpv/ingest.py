@@ -295,10 +295,15 @@ def _parse_animal(key: str, animal, received, stats: ParseStats) -> tuple:
 
 
 def _entries(record: dict, name: str, key: str, stats: ParseStats) -> list[dict]:
-    """The object entries of the report's list `name`; any other entry is a
-    counted reject."""
+    """The object entries of the report's list `name`; any other entry, or a
+    value that is not a list, is a counted reject."""
+    entries = record.get(name) or []
+    if not isinstance(entries, list):
+        stats.invalid_field_rows += 1
+        stats.note(f"report {key}: {name} is not a list: {entries!r}")
+        return []
     kept = []
-    for entry in record.get(name) or []:
+    for entry in entries:
         if isinstance(entry, dict):
             kept.append(entry)
         else:
@@ -381,7 +386,9 @@ def parse_quarter(
                 affected = None
             tables.outcomes.append(key, status, affected)
         for drug in _entries(record, "drug", key, stats):
-            ingredients = drug.get("active_ingredients") or []
+            ingredients = drug.get("active_ingredients")
+            if not isinstance(ingredients, list):
+                ingredients = []
             names = [_as_optional_str(i.get("name")) for i in ingredients if isinstance(i, dict)]
             names = [n for n in names if n]
             if not names:

@@ -474,6 +474,9 @@ def parse_per_row(json_text: str):
     def entries(record, name):
         nonlocal bad_fields
         listed = record.get(name) or []
+        if not isinstance(listed, list):
+            bad_fields += 1
+            return []
         bad_fields += sum(not isinstance(entry, dict) for entry in listed)
         return [entry for entry in listed if isinstance(entry, dict)]
 
@@ -538,8 +541,9 @@ def parse_per_row(json_text: str):
                 affected = None
             rows["outcomes"].append(OutcomeRow(key, status, affected))
         for drug in entries(record, "drug"):
-            names = [text(i.get("name")) for i in drug.get("active_ingredients") or []
-                     if isinstance(i, dict)]
+            ingredients = drug.get("active_ingredients")
+            ingredients = ingredients if isinstance(ingredients, list) else []
+            names = [text(i.get("name")) for i in ingredients if isinstance(i, dict)]
             if not any(names):
                 bad_fields += 1
             for name in filter(None, names):

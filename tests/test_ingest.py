@@ -133,15 +133,17 @@ def animal(**fields):
 @pytest.mark.parametrize("overrides, counts", [
     ({"outcome": [{"medical_status": "Died", "number_of_animals_affected": 1e400}]}, (1, 1, 1)),
     ({"reaction": ["Vomiting"]}, (0, 1, 1)),
+    ({"reaction": 5}, (0, 1, 1)),
     ({"outcome": ["Died"]}, (1, 0, 1)),
     ({"drug": ["Carprofen"]}, (1, 1, 0)),
+    ({"drug": [{"active_ingredients": 5}]}, (1, 1, 0)),
     ({"animal": "dog"}, (1, 1, 1)),
     ({"animal": animal(age=4)}, (1, 1, 1)),
     ({"animal": animal(weight="heavy")}, (1, 1, 1)),
     ({"animal": animal(age={"min": "NaN", "unit": "Year"})}, (1, 1, 1)),
     ({"animal": animal(weight={"min": "inf", "unit": "Kilogram"})}, (1, 1, 1)),
-], ids=["affected 1e400", "reaction entry", "outcome entry", "drug entry", "animal", "age",
-        "weight", "age NaN", "weight inf"])
+], ids=["affected 1e400", "reaction entry", "reaction list", "outcome entry", "drug entry",
+        "ingredient list", "animal", "age", "weight", "age NaN", "weight inf"])
 def test_bad_value_is_a_counted_reject(overrides, counts):
     # json.dumps writes the float 1e400 as Infinity; an input file may spell it 1e400
     text = document(report(**overrides)).replace("Infinity", "1e400")
@@ -236,13 +238,15 @@ def awkward_records(seed: int, n: int = 80) -> list:
             for _ in range(int(gen.integers(0, 3)))]
         record["drug"] = [
             {"active_ingredients": pick([[{"name": "Carprofen"}], [{"name": "A"}, {"name": " B "}],
-                                         [], [{"name": ""}], ["bare"], None]),
+                                         [], [{"name": ""}], ["bare"], None, 5]),
              "brand_name": pick(["Anodyne", None, " "]), "dosage_form": pick(["Tablet", None]),
              "route": pick(["Oral", None]), "atc_vet_code": pick(["QM01AE91", " QJ01 ", None])}
             for _ in range(int(gen.integers(0, 3)))]
         for name in ("reaction", "outcome", "drug"):
             if gen.random() < 0.1:
                 record[name].insert(int(gen.integers(len(record[name]) + 1)), pick(["x", 7, None]))
+            elif gen.random() < 0.03:
+                record[name] = pick(["x", 7, {"veddra_term_name": "Rash"}])
         records.append(record)
     return records
 
