@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import DEATH, RECOVERED, CLASS_NAMES, FeatureMatrix
+from .matrix import CLASS_NAMES, DEATH, RECOVERED, FeatureMatrix, csv_cells
 from .models import ModelSpec, fit_model
 from .trees import TreeEnsemble
 
@@ -67,44 +67,20 @@ def staged_probabilities(series: CheckpointSeries, rows: np.ndarray) -> np.ndarr
     return 1.0 - series.model.staged_proba(rows, list(series.checkpoints))
 
 
-@dataclass(frozen=True)
-class AumRecord:
-    key: str
-    aum: float
-    pseudo_label: int
-    final_top_prob: float
+def compute_aum(staged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(aum, pseudo_label): the mean top-two probability margin of each
+    column of the staged matrix, and its argmax class at the final checkpoint.
 
-
-def compute_aum(staged: np.ndarray, keys: list[str]) -> list[AumRecord]:
-    """Mean top-two probability margin per column of the staged matrix.
-
-    With two classes the margin at checkpoint t is |2 p_t - 1|. The pseudo
-    label is the argmax class of the final checkpoint (ties go to Death, the
-    lower class index).
+    With two classes the margin at checkpoint t is |2 p_t - 1|. Ties at the
+    final checkpoint go to Death, the lower class index.
     """
     staged = np.asarray(staged, dtype=np.float64)
     if staged.ndim != 2:
         raise SslError("staged matrix must be T x n")
-    if staged.shape[1] != len(keys):
-        raise SslError(f"{staged.shape[1]} columns but {len(keys)} keys")
     if np.any(staged < 0) or np.any(staged > 1):
         raise SslError("staged probabilities must lie in [0, 1]")
-    margins = np.abs(2.0 * staged - 1.0)
-    aums = margins.mean(axis=0)
-    final_death = staged[-1]
-    records = []
-    for i, key in enumerate(keys):
-        p_death = float(final_death[i])
-        pseudo = DEATH if p_death >= 0.5 else RECOVERED
-        records.append(
-            AumRecord(
-                key=key,
-                aum=float(aums[i]),
-                pseudo_label=pseudo,
-                final_top_prob=max(p_death, 1.0 - p_death),
-            )
-        )
-    return records
+    aum = np.abs(2.0 * staged - 1.0).mean(axis=0)
+    return aum, np.where(staged[-1] >= 0.5, DEATH, RECOVERED).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -124,30 +100,26 @@ class SslPlan:
             raise SslError(f"max_checkpoints must be >= 1, got {self.max_checkpoints}")
         if not (0 < self.pseudo_weight < np.inf):
             raise SslError(f"pseudo_weight must be positive and finite, got {self.pseudo_weight}")
+        if not (0.0 <= self.keep_fraction <= 1.0):
+            raise SslError(f"keep_fraction must lie in [0, 1], got {self.keep_fraction}")
         if not self.allow_any_fraction and not (0.2 <= self.keep_fraction <= 0.8):
             raise SslError(
                 f"keep_fraction {self.keep_fraction} outside the supported sweep "
                 "range [0.2, 0.8]; set allow_any_fraction to override"
             )
-        if not (0.0 <= self.keep_fraction <= 1.0):
-            raise SslError(f"keep_fraction must lie in [0, 1], got {self.keep_fraction}")
 
 
-def select_pseudo(records: list[AumRecord], plan: SslPlan) -> tuple[list[AumRecord], dict[str, int]]:
-    """Keep the ceil(fraction * n) records with the highest scores.
+def select_pseudo(aum: np.ndarray, keys: list[str], keep_fraction: float) -> list[int]:
+    """Positions of the ceil(fraction * n) highest scores.
 
     Sorting is descending by score with ties broken by key, so the selection
     is a prefix of a stable deterministic order.
     """
-    if not records:
-        raise SslError("no records to select from")
-    ranked = sorted(records, key=lambda r: (-r.aum, r.key))
-    kept = ranked[: int(np.ceil(plan.keep_fraction * len(records)))]
-    counts = {
-        CLASS_NAMES[DEATH]: sum(1 for r in kept if r.pseudo_label == DEATH),
-        CLASS_NAMES[RECOVERED]: sum(1 for r in kept if r.pseudo_label == RECOVERED),
-    }
-    return kept, counts
+    if not keys:
+        raise SslError("no rows to select from")
+    scores = aum.tolist()
+    order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i]))
+    return order[: int(np.ceil(keep_fraction * len(keys)))]
 
 
 def ssl_train(
@@ -155,16 +127,17 @@ def ssl_train(
     unlabeled: FeatureMatrix,
     plan: SslPlan,
     model=None,
-) -> tuple[object, list[dict], dict]:
+) -> tuple[object, list[tuple], dict]:
     """Train, score the unlabeled pool, absorb the most stable predictions,
     retrain; repeat for plan.rounds rounds.
 
     model, when given, is plan.base_model already fitted on `labeled`; it
     stands in for the first fit, which would reproduce it.
 
-    Returns (final model, provenance rows, summary). Provenance lists every
-    pseudo-labeled key with its score and the round it entered; selected rows
-    never return to the unlabeled pool.
+    Returns (final model, provenance, summary). Provenance holds one
+    (key, aum, pseudo label, round) tuple per pseudo-labeled row, in the
+    order the rows entered the pool; selected rows never return to the
+    unlabeled pool.
     """
     if labeled.labels is None:
         raise SslError("labeled matrix must carry labels")
@@ -174,7 +147,7 @@ def ssl_train(
     pool = labeled
     pool_weights = np.ones(pool.n_rows)
     remaining = unlabeled
-    provenance: list[dict] = []
+    provenance: list[tuple] = []
     rounds_run = 0
     if model is None:
         model = fit_model(plan.base_model, pool, sample_weight=pool_weights)
@@ -184,32 +157,16 @@ def ssl_train(
         if remaining.n_rows == 0:
             break
         series = make_checkpoints(model, plan.max_checkpoints)
-        staged = staged_probabilities(series, remaining.values)
-        records = compute_aum(staged, remaining.keys)
-        selected, _ = select_pseudo(records, plan)
-        if not selected:
+        aum, labels = compute_aum(staged_probabilities(series, remaining.values))
+        take = select_pseudo(aum, remaining.keys, plan.keep_fraction)
+        if not take:
             break
         rounds_run = round_id
-        selected_keys = {r.key for r in selected}
-        index_of = {key: i for i, key in enumerate(remaining.keys)}
-        take = [index_of[r.key] for r in selected]
-        pseudo_values = remaining.values[take]
-        pseudo_labels = np.array([r.pseudo_label for r in selected], dtype=np.int8)
-        pool = pool.append_rows(pseudo_values, [r.key for r in selected], pseudo_labels)
-        pool_weights = np.concatenate(
-            [pool_weights, np.full(len(selected), plan.pseudo_weight)]
-        )
-        keep_rows = [i for i, key in enumerate(remaining.keys) if key not in selected_keys]
-        remaining = remaining.take_rows(np.asarray(keep_rows, dtype=np.intp))
-        for record in selected:
-            provenance.append(
-                {
-                    "key": record.key,
-                    "aum": record.aum,
-                    "pseudo_label": CLASS_NAMES[record.pseudo_label],
-                    "round": round_id,
-                }
-            )
+        keys = [remaining.keys[i] for i in take]
+        pool = pool.append_rows(remaining.values[take], keys, labels[take])
+        pool_weights = np.concatenate([pool_weights, np.full(len(take), plan.pseudo_weight)])
+        provenance += zip(keys, aum[take].tolist(), labels[take].tolist(), [round_id] * len(take))
+        remaining = remaining.take_rows(np.delete(np.arange(remaining.n_rows), take))
         model = fit_model(plan.base_model, pool, sample_weight=pool_weights)
     summary = {
         "rounds_run": rounds_run,
@@ -220,8 +177,10 @@ def ssl_train(
     return model, provenance, summary
 
 
-def provenance_csv(provenance: list[dict]) -> str:
+def provenance_csv(provenance: list[tuple]) -> str:
+    """The provenance as CSV, keys quoted as csv.writer quotes them."""
+    keys = csv_cells([key for key, *_ in provenance])
     lines = ["key,aum,pseudo_label,round"]
-    for row in provenance:
-        lines.append(f"{row['key']},{row['aum']!r},{row['pseudo_label']},{row['round']}")
+    for key, (_, aum, label, round_id) in zip(keys, provenance):
+        lines.append(f"{key},{aum!r},{CLASS_NAMES[label]},{round_id}")
     return "\n".join(lines) + "\n"

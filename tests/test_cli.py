@@ -190,6 +190,7 @@ class TestValidation:
         ("explain", {"dataset": "foo"}),
         ("ssl", {"enabled": "yes"}),
         ("ssl", {"max_checkpoints": "0"}),
+        ("ssl", {"keep_fraction": "1.5"}),
         ("resample", {"k_smote": "abc"}),
         ("model", {"n_rounds": "10.0"}),
         ("model", {"learning_rate": "fast"}),
@@ -200,8 +201,8 @@ class TestValidation:
         ("model", {"n_rounds": "0"}),
         ("model", {"k": "0", "kind": "knn"}),
     ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
-            "ssl.enabled", "max_checkpoints", "k_smote", "n_rounds", "learning_rate",
-            "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0"])
+            "ssl.enabled", "max_checkpoints", "keep_fraction", "k_smote", "n_rounds",
+            "learning_rate", "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0"])
     def test_bad_value_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -281,7 +282,7 @@ class TestPseudoWeight:
         return config
 
     def refit_weighs_pseudo_rows(self, model, small_corpus, tmp_path, separable_matrix):
-        from vetpv.matrix import CLASS_NAMES, FeatureMatrix
+        from vetpv.matrix import FeatureMatrix
         from vetpv.models import fit_model, serialize_model
         from vetpv.ssl import ssl_train
 
@@ -292,12 +293,9 @@ class TestPseudoWeight:
         assert plans[0.5].pseudo_weight == 0.5
         models = {w: ssl_train(labeled, unlabeled, plan) for w, plan in plans.items()}
         _, provenance, _ = models[0.5]
-        take = [unlabeled.keys.index(p["key"]) for p in provenance]
-        pool = labeled.append_rows(
-            unlabeled.values[take],
-            [p["key"] for p in provenance],
-            [CLASS_NAMES.index(p["pseudo_label"]) for p in provenance],
-        )
+        keys, _, labels, _ = zip(*provenance)
+        take = [unlabeled.keys.index(key) for key in keys]
+        pool = labeled.append_rows(unlabeled.values[take], keys, labels)
         weights = np.concatenate([np.ones(labeled.n_rows), np.full(len(take), 0.5)])
         direct = fit_model(plans[0.5].base_model, pool, sample_weight=weights)
         assert serialize_model(models[0.5][0]) == serialize_model(direct)

@@ -1,12 +1,14 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vetpv.forest import ForestParams, fit_forest
-from vetpv.matrix import DEATH, RECOVERED, from_arrays
+from vetpv.matrix import DEATH, RECOVERED, FeatureMatrix, from_arrays
 from vetpv.models import ModelSpec, fit_model, serialize_model
 from vetpv.ssl import (
-    AumRecord,
     CheckpointSeries,
     SslError,
     SslPlan,
@@ -14,6 +16,7 @@ from vetpv.ssl import (
     evenly_spaced_checkpoints,
     make_checkpoints,
     select_pseudo,
+    provenance_csv,
     ssl_train,
     staged_probabilities,
 )
@@ -86,24 +89,23 @@ class TestStagedProbabilities:
 class TestComputeAum:
     def test_worked_three_checkpoint_case(self):
         staged = np.array([[0.9], [0.8], [0.7]])
-        records = compute_aum(staged, ["k"])
-        assert records[0].aum == pytest.approx(0.6)
-        assert records[0].pseudo_label == DEATH
-        assert records[0].final_top_prob == pytest.approx(0.7)
+        aum, labels = compute_aum(staged)
+        assert aum[0] == pytest.approx(0.6)
+        assert labels[0] == DEATH
 
     def test_constant_half_gives_zero(self):
         staged = np.full((4, 1), 0.5)
-        assert compute_aum(staged, ["k"])[0].aum == 0.0
+        assert compute_aum(staged)[0][0] == 0.0
 
     def test_constant_one_gives_one(self):
         staged = np.ones((3, 1))
-        record = compute_aum(staged, ["k"])[0]
-        assert record.aum == 1.0
-        assert record.pseudo_label == DEATH
+        aum, labels = compute_aum(staged)
+        assert aum[0] == 1.0
+        assert labels[0] == DEATH
 
     def test_pseudo_label_from_final_checkpoint(self):
         staged = np.array([[0.9], [0.2]])
-        assert compute_aum(staged, ["k"])[0].pseudo_label == RECOVERED
+        assert compute_aum(staged)[1][0] == RECOVERED
 
     @given(
         st.integers(1, 20),
@@ -114,47 +116,34 @@ class TestComputeAum:
     def test_bounds_and_relabeling_invariance(self, t, n, seed):
         gen = np.random.default_rng(seed)
         staged = gen.uniform(size=(t, n))
-        keys = [f"k{i}" for i in range(n)]
-        records = compute_aum(staged, keys)
-        flipped = compute_aum(1.0 - staged, keys)
-        for a, b in zip(records, flipped):
-            assert 0.0 <= a.aum <= 1.0
-            assert a.aum == pytest.approx(b.aum, abs=1e-12)
+        aum, _ = compute_aum(staged)
+        flipped, _ = compute_aum(1.0 - staged)
+        assert np.all((0.0 <= aum) & (aum <= 1.0))
+        assert np.allclose(aum, flipped, rtol=0, atol=1e-12)
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(SslError):
-            compute_aum(np.array([[1.5]]), ["k"])
+            compute_aum(np.array([[1.5]]))
 
 
-def records_of(aums, labels=None):
-    labels = labels or [DEATH] * len(aums)
-    return [
-        AumRecord(key=f"k{i}", aum=a, pseudo_label=lab, final_top_prob=0.9)
-        for i, (a, lab) in enumerate(zip(aums, labels))
-    ]
+def keys_of(n):
+    return [f"k{i}" for i in range(n)]
 
 
 class TestSelectPseudo:
     def test_keeps_top_fraction_by_score(self):
-        records = records_of([i / 10 for i in range(10)])
-        plan = SslPlan(keep_fraction=0.3, base_model=ModelSpec("gbdt"))
-        kept, counts = select_pseudo(records, plan)
-        assert [r.key for r in kept] == ["k9", "k8", "k7"]
-        assert counts == {"Death": 3, "Recovered": 0}
+        aum = np.array([i / 10 for i in range(10)])
+        assert select_pseudo(aum, keys_of(10), 0.3) == [9, 8, 7]
 
     def test_equal_scores_tie_by_key(self):
-        records = records_of([0.5] * 10)
-        plan = SslPlan(keep_fraction=0.3, base_model=ModelSpec("gbdt"))
-        kept, _ = select_pseudo(records, plan)
-        assert [r.key for r in kept] == ["k0", "k1", "k2"]
+        assert select_pseudo(np.full(10, 0.5), keys_of(10), 0.3) == [0, 1, 2]
 
     def test_matches_full_sort_oracle(self, rng):
-        aums = rng.uniform(size=40).tolist()
-        records = records_of(aums)
-        plan = SslPlan(keep_fraction=0.4, base_model=ModelSpec("gbdt"))
-        kept, _ = select_pseudo(records, plan)
-        oracle = sorted(records, key=lambda r: (-r.aum, r.key))[:16]
-        assert kept == oracle
+        aum = rng.uniform(size=40)
+        keys = keys_of(40)
+        oracle = sorted(zip(aum.tolist(), keys), key=lambda r: (-r[0], r[1]))[:16]
+        kept = select_pseudo(aum, keys, 0.4)
+        assert [(aum[i], keys[i]) for i in kept] == oracle
 
     def test_fraction_outside_sweep_range_rejected(self):
         with pytest.raises(SslError):
@@ -162,10 +151,14 @@ class TestSelectPseudo:
         with pytest.raises(SslError):
             SslPlan(keep_fraction=0.9, base_model=ModelSpec("gbdt"))
 
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_fraction_outside_unit_interval_names_it(self, allow):
+        with pytest.raises(SslError, match=r"\[0, 1\]"):
+            SslPlan(keep_fraction=1.5, base_model=ModelSpec("gbdt"), allow_any_fraction=allow)
+
     def test_override_flag_allows_any_fraction(self):
         plan = SslPlan(keep_fraction=0.0, base_model=ModelSpec("gbdt"), allow_any_fraction=True)
-        kept, _ = select_pseudo(records_of([0.5, 0.7]), plan)
-        assert kept == []
+        assert select_pseudo(np.array([0.5, 0.7]), keys_of(2), plan.keep_fraction) == []
 
 
 GBDT = ModelSpec("gbdt", {"n_rounds": 8, "max_depth": 2, "learning_rate": 0.3})
@@ -191,9 +184,9 @@ class TestSslTrain:
     def test_pseudo_rows_never_reenter_pool(self, labeled, unlabeled):
         plan = SslPlan(keep_fraction=0.3, rounds=3, base_model=GBDT)
         _, provenance, _ = ssl_train(labeled, unlabeled, plan)
-        keys = [p["key"] for p in provenance]
+        keys = [key for key, *_ in provenance]
         assert len(keys) == len(set(keys))
-        rounds = {p["round"] for p in provenance}
+        rounds = {round_id for *_, round_id in provenance}
         assert rounds == {1, 2, 3}
 
     def test_empty_unlabeled_degenerates_with_warning(self, labeled, caplog):
@@ -222,3 +215,15 @@ class TestSslTrain:
         other = from_arrays(np.zeros((2, 2)), None)
         with pytest.raises(SslError):
             ssl_train(labeled, other, SslPlan(keep_fraction=0.3, base_model=GBDT))
+
+    def test_provenance_csv_reads_back_awkward_keys(self, labeled, unlabeled):
+        awkward = ["AWK-1,\"quoted\"", "cr\rkey", "lf\nkey", "both\r\n,\"", "\"", ","]
+        keys = awkward + unlabeled.keys[len(awkward):]
+        unlabeled = FeatureMatrix(values=unlabeled.values, columns=unlabeled.columns, keys=keys)
+        plan = SslPlan(keep_fraction=1.0, base_model=GBDT, allow_any_fraction=True)
+        _, provenance, _ = ssl_train(labeled, unlabeled, plan)
+        rows = list(csv.reader(io.StringIO(provenance_csv(provenance), newline="")))
+        assert rows[0] == ["key", "aum", "pseudo_label", "round"]
+        assert [row[0] for row in rows[1:]] == [key for key, *_ in provenance]
+        assert sorted(key for key, *_ in provenance) == sorted(keys)
+        assert all(len(row) == 4 for row in rows)
