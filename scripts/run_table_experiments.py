@@ -70,7 +70,7 @@ def main() -> int:
                   f"DR={report.death_recall:.2f} RR={report.recovered_recall:.2f}")
             if model_name in SSL_MODELS:
                 ssl_plan = SslPlan(keep_fraction=0.3, base_model=spec)
-                ssl_model, _, _ = ssl_train(resampled, unlabeled, ssl_plan)
+                ssl_model, _, _ = ssl_train(resampled, unlabeled, ssl_plan, model=model)
                 ssl_report = evaluate(test.labels, ssl_model.predict(test.values))
                 runs.append((f"{model_name}+ssl", sampling_name, ssl_report))
                 print(f"{model_name + '+ssl':10s} {sampling_name:12s} "
