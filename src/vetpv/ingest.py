@@ -213,6 +213,8 @@ def _as_optional_float(value, what: str, key: str, stats: ParseStats) -> float |
     if value is None or value == "":
         return None
     try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         stats.invalid_field_rows += 1
@@ -377,6 +379,8 @@ def parse_quarter(
                 continue
             affected = outcome.get("number_of_animals_affected")
             try:
+                if isinstance(affected, bool):  # int(True) is 1
+                    raise TypeError
                 affected = int(affected) if affected not in (None, "") else None
                 if affected is not None and affected < 0:
                     raise ValueError

@@ -486,6 +486,9 @@ def parse_per_row(json_text: str):
         raw = entry.get("min")
         if raw is None or raw == "":
             return None, None
+        if isinstance(raw, bool):
+            bad_fields += 1
+            return None, None
         try:
             value = float(raw)
         except (TypeError, ValueError):
@@ -531,7 +534,7 @@ def parse_per_row(json_text: str):
             affected = outcome.get("number_of_animals_affected")
             if affected is not None and affected != "":
                 try:
-                    affected = int(affected)
+                    affected = -1 if isinstance(affected, bool) else int(affected)
                 except (TypeError, ValueError, OverflowError):
                     affected = -1
                 if affected < 0:

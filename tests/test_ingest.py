@@ -142,8 +142,15 @@ def animal(**fields):
     ({"animal": animal(weight="heavy")}, (1, 1, 1)),
     ({"animal": animal(age={"min": "NaN", "unit": "Year"})}, (1, 1, 1)),
     ({"animal": animal(weight={"min": "inf", "unit": "Kilogram"})}, (1, 1, 1)),
+    ({"animal": animal(age={"min": True, "unit": "Year"})}, (1, 1, 1)),
+    ({"animal": animal(age={"min": False, "unit": "Year"})}, (1, 1, 1)),
+    ({"animal": animal(weight={"min": True, "unit": "Kilogram"})}, (1, 1, 1)),
+    ({"animal": animal(weight={"min": False, "unit": "Kilogram"})}, (1, 1, 1)),
+    ({"outcome": [{"medical_status": "Died", "number_of_animals_affected": True}]}, (1, 1, 1)),
+    ({"outcome": [{"medical_status": "Died", "number_of_animals_affected": False}]}, (1, 1, 1)),
 ], ids=["affected 1e400", "reaction entry", "reaction list", "outcome entry", "drug entry",
-        "ingredient list", "animal", "age", "weight", "age NaN", "weight inf"])
+        "ingredient list", "animal", "age", "weight", "age NaN", "weight inf", "age true",
+        "age false", "weight true", "weight false", "affected true", "affected false"])
 def test_bad_value_is_a_counted_reject(overrides, counts):
     # json.dumps writes the float 1e400 as Infinity; an input file may spell it 1e400
     text = document(report(**overrides)).replace("Infinity", "1e400")
@@ -195,10 +202,10 @@ def test_parse_deterministic():
 
 def awkward_records(seed: int, n: int = 80) -> list:
     """Reports with missing, blank, numeric and repeated ids, non-object
-    reports, animals, measurements and list entries, unreadable, out-of-range
-    or non-finite measurements, unknown units, any-case enums, reactions
-    without names, unmapped outcomes, bad or overflowing animal counts and
-    drug entries with zero, one or two ingredient names."""
+    reports, animals, measurements and list entries, unreadable, boolean,
+    out-of-range or non-finite measurements, unknown units, any-case enums,
+    reactions without names, unmapped outcomes, bad, boolean or overflowing
+    animal counts and drug entries with zero, one or two ingredient names."""
     gen = np.random.default_rng(seed)
 
     def pick(options):
@@ -216,9 +223,10 @@ def awkward_records(seed: int, n: int = 80) -> list:
         animal = record["animal"]
         animal["species"] = pick(["Dog", " Cat ", "", None])
         animal["breed"] = pick([{"breed_component": "Beagle"}, "Mixed", {}, None, "  "])
-        animal["age"] = {"min": pick(["4", 4, "-1", "x", "", None, "0", "NaN", "inf"]),
+        animal["age"] = {"min": pick(["4", 4, "-1", "x", "", None, "0", "NaN", "inf", True]),
                          "unit": pick(["Year", "MONTH", "week", "Fortnight", None, ""])}
-        animal["weight"] = {"min": pick(["11.3", 0, "0", "-2", "1e300", None, "1e400", "-inf"]),
+        animal["weight"] = {"min": pick(["11.3", 0, "0", "-2", "1e300", None, "1e400", "-inf",
+                                         False]),
                             "unit": pick(["Kilogram", "pound", "Gram", "stone", None])}
         if gen.random() < 0.2:
             del animal["weight"]
@@ -234,7 +242,8 @@ def awkward_records(seed: int, n: int = 80) -> list:
             for _ in range(int(gen.integers(0, 4)))]
         record["outcome"] = [
             {"medical_status": pick(["Died", "death", "Recovered/Normal", "Vaporized", "", None]),
-             "number_of_animals_affected": pick(["1", 2, "-3", "many", "", None, [1], 1e400])}
+             "number_of_animals_affected": pick(["1", 2, "-3", "many", "", None, [1], 1e400,
+                                                 True, False])}
             for _ in range(int(gen.integers(0, 3)))]
         record["drug"] = [
             {"active_ingredients": pick([[{"name": "Carprofen"}], [{"name": "A"}, {"name": " B "}],
