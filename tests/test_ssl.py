@@ -15,8 +15,8 @@ from vetpv.ssl import (
     compute_aum,
     evenly_spaced_checkpoints,
     make_checkpoints,
-    select_pseudo,
     provenance_csv,
+    select_pseudo,
     ssl_train,
     staged_probabilities,
 )
