@@ -21,12 +21,14 @@ Recovered; negative attributions push a prediction toward Death. Every model
 is explained on its margin (`TreeEnsemble.margin`): the raw log-odds for
 boosted ensembles, the plain mean of per-tree Recovered probabilities for
 forests; base_value(model) plus a row's phi sum is its margin.
+
+Species groups are taken by code, each species of the category map looked up
+once. The three CSVs are written by column through matrix's codec (FloatText,
+csv_cells, csv_lines), so matrix.py holds the one quoting rule.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import FeatureMatrix
+from .matrix import CSV_BLOCK_ROWS, FeatureMatrix, FloatText, csv_cells, csv_lines
 from .trees import FlatTree, TreeEnsemble
 
 log = logging.getLogger(__name__)
@@ -70,13 +72,12 @@ def _root_expectation(flat: FlatTree) -> float:
     return expect[0]
 
 
-def _tree_weights(model) -> list[float]:
-    """Each tree's weight in the margin: the learning rate, over the tree
+def _tree_weight(model) -> float:
+    """Every tree's weight in the margin: the learning rate, over the tree
     count for a forest."""
     if not isinstance(model, TreeEnsemble):
         raise ExplainError(f"cannot explain model type {type(model).__name__}")
-    scale = len(model.trees) if model.kind == "forest" else 1
-    return [model.learning_rate / scale] * len(model.trees)
+    return model.learning_rate / (len(model.trees) if model.kind == "forest" else 1)
 
 
 def model_margin(model, X: np.ndarray) -> np.ndarray:
@@ -88,9 +89,9 @@ def model_margin(model, X: np.ndarray) -> np.ndarray:
 def base_value(model) -> float:
     """The margin's expectation under cover weights; every row's
     base_value + phi.sum() is its margin."""
-    weights = _tree_weights(model)
+    weight = _tree_weight(model)
     base = model.base_score
-    for flat, weight in zip(model.trees, weights):
+    for flat in model.trees:
         base += weight * _root_expectation(flat)
     return float(base)
 
@@ -188,7 +189,8 @@ def tree_shap_batch(model, X: np.ndarray) -> np.ndarray:
             f"expected rows of {len(model.feature_names)} features, got shape {X.shape}"
         )
     paths: dict[int, tuple] = {}
-    for flat, weight in zip(model.trees, _tree_weights(model)):
+    weight = _tree_weight(model)
+    for flat in model.trees:
         _tree_paths(flat, weight, paths)
     phi = np.zeros(X.shape)
     for m in sorted(paths):
@@ -207,68 +209,56 @@ def local_accuracy_error(phi: np.ndarray, base: float, margins: np.ndarray) -> f
 # --- species groups ------------------------------------------------------------
 
 
-@dataclass
-class SpeciesGroupMap:
-    groups: dict[str, str]  # lower-cased species -> group
-
-    @classmethod
-    def load(cls, path: Path | None = None) -> "SpeciesGroupMap":
-        path = path or _DATA_DIR / "species_groups.tsv"
-        groups: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header[:2] != ["species", "group"]:
-                raise ExplainError(f"{path}: expected header 'species<TAB>group'")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                species, group = line.split("\t")[:2]
-                if group not in SPECIES_GROUPS:
-                    raise ExplainError(
-                        f"{path}:{lineno}: unknown group {group!r} (expected one of {SPECIES_GROUPS})"
-                    )
-                groups[species.strip().lower()] = group
-        return cls(groups=groups)
-
-    def group_of(self, species: str) -> str:
-        found = self.groups.get(species.strip().lower())
-        if found is None:
-            raise ExplainError(f"species {species!r} is not listed in the group map")
-        return found
-
-    def validate_covers(self, species_names) -> None:
-        missing = sorted(
-            {s for s in species_names if s.strip().lower() not in self.groups and s != UNKNOWN_SPECIES}
-        )
-        if missing:
-            raise ExplainError(f"species missing from the group map: {missing}")
+def load_species_groups(path: Path | None = None) -> dict[str, str]:
+    """Lower-cased species -> group, from the species<TAB>group table at path
+    (the bundled one by default)."""
+    path = path or _DATA_DIR / "species_groups.tsv"
+    groups: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if header[:2] != ["species", "group"]:
+            raise ExplainError(f"{path}: expected header 'species<TAB>group'")
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split("\t")
+            if cells == [""]:
+                continue
+            if len(cells) < 2:
+                raise ExplainError(f"{path}:{lineno}: expected 'species<TAB>group', got {cells[0]!r}")
+            species, group = cells[0].strip().lower(), cells[1]
+            if group not in SPECIES_GROUPS:
+                raise ExplainError(
+                    f"{path}:{lineno}: unknown group {group!r} (expected one of {SPECIES_GROUPS})"
+                )
+            if groups.setdefault(species, group) != group:
+                raise ExplainError(f"{path}:{lineno}: species {species!r} is listed under "
+                                   f"both {groups[species]} and {group}")
+    return groups
 
 
-def species_of_rows(matrix: FeatureMatrix) -> list[str]:
-    """Recover species names from the encoded species column."""
-    idx = matrix.column_index("species")
-    meta = matrix.columns[idx]
+def group_rows(matrix: FeatureMatrix, groups: dict[str, str]) -> dict[str, np.ndarray]:
+    """Row indices per species group, groups as load_species_groups returns
+    them. Each species code of the category map is looked up once; rows of
+    UNKNOWN species (code 0, or a code outside the map) are skipped with a
+    warning."""
+    meta = matrix.columns[matrix.column_index("species")]
     if meta.category_map is None:
         raise ExplainError("species column carries no category map")
-    reverse = {code: name for name, code in meta.category_map.items()}
-    return [reverse.get(int(code), UNKNOWN_SPECIES) for code in matrix.values[:, idx]]
-
-
-def group_rows(matrix: FeatureMatrix, groups: SpeciesGroupMap) -> dict[str, np.ndarray]:
-    """Row indices per species group; UNKNOWN species are skipped with a warning."""
-    species = species_of_rows(matrix)
-    groups.validate_covers(set(species))
-    assignment: dict[str, list[int]] = {g: [] for g in SPECIES_GROUPS}
-    unknown = 0
-    for i, name in enumerate(species):
-        if name == UNKNOWN_SPECIES:
-            unknown += 1
-            continue
-        assignment[groups.group_of(name)].append(i)
+    codes = matrix.values[:, matrix.column_index("species")]
+    present = set(np.unique(codes).tolist())
+    named = {name: code for name, code in meta.category_map.items()
+             if code in present and name != UNKNOWN_SPECIES}
+    missing = sorted(name for name in named if name.strip().lower() not in groups)
+    if missing:
+        raise ExplainError(f"species missing from the group map: {missing}")
+    by_group = {
+        g: np.flatnonzero(np.isin(codes, [code for name, code in named.items()
+                                          if groups[name.strip().lower()] == g]))
+        for g in SPECIES_GROUPS
+    }
+    unknown = len(codes) - sum(map(len, by_group.values()))
     if unknown:
         log.warning("%d rows with unknown species codes were left out of all groups", unknown)
-    return {g: np.asarray(rows, dtype=np.intp) for g, rows in assignment.items()}
+    return by_group
 
 
 # --- aggregation views -----------------------------------------------------------
@@ -289,9 +279,6 @@ class ShapRanking:
     scope: str
     group: str
     entries: list[RankingEntry]  # sorted descending by mean_signed_shap
-
-    def top_bottom(self, n: int) -> tuple[list[RankingEntry], list[RankingEntry]]:
-        return self.entries[:n], self.entries[-n:][::-1]
 
 
 def _scope_columns(matrix: FeatureMatrix, scope: str) -> list[int]:
@@ -373,75 +360,75 @@ def shap_summary(
     matrix: FeatureMatrix,
     rows: np.ndarray,
     top_k: int,
-) -> list[tuple[str, list[tuple[str, float, float]]]]:
-    """Beeswarm-style points for the top_k features by mean |phi| in a group.
-
-    Emits, per feature, (row key, phi, feature value min-max normalized within
-    the group; constant features sit at 0.5).
-    """
+) -> tuple[list[str], list[tuple[str, np.ndarray, np.ndarray]]]:
+    """Beeswarm-style points for the top_k features by mean |phi| in a
+    non-empty group of rows: the rows' keys, and per feature its name, the
+    rows' phi and its values min-max normalized within the group (a constant
+    feature sits at 0.5)."""
     rows = np.asarray(rows, dtype=np.intp)
     if len(rows) < 2:
         log.warning("summary group has fewer than 2 rows; emitting anyway")
     phi = phi[rows]
-    order = np.argsort(-np.abs(phi).mean(axis=0), kind="stable") if len(rows) else []
-    selected = list(order[: min(top_k, matrix.n_cols)])
-    out = []
-    for j in selected:
+    order = np.argsort(-np.abs(phi).mean(axis=0), kind="stable")
+    features = []
+    for j in order[:top_k]:
         column = matrix.values[rows, j]
-        low, high = (column.min(), column.max()) if len(rows) else (0.0, 0.0)
-        span = high - low
-        points = []
-        for pos, i in enumerate(rows):
-            norm = 0.5 if span == 0 else (column[pos] - low) / span
-            points.append((matrix.keys[i], float(phi[pos, j]), float(norm)))
-        out.append((matrix.columns[j].name, points))
-    return out
+        low, span = column.min(), column.max() - column.min()
+        norm = np.full(len(rows), 0.5) if span == 0 else (column - low) / span
+        features.append((matrix.columns[j].name, phi[:, j], norm))
+    return [matrix.keys[i] for i in rows], features
 
 
 # --- CSV emitters ---------------------------------------------------------------
 
 
 def shap_values_csv(phi: np.ndarray, base: float, matrix: FeatureMatrix) -> Iterator[str]:
-    """The shap_values CSV as text chunks, the header and then one chunk per
-    row, so that the whole text need not be held at once."""
-
-    def text(records) -> str:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(records)
-        return buf.getvalue()
-
-    yield text([["key", "feature", "phi", "base_value"]])
-    names = matrix.column_names()
+    """The shap_values CSV as text chunks: the header, then one line per
+    (row, feature) for a block of rows at a time, so that the whole text
+    need not be held at once."""
+    yield "key,feature,phi,base_value\r\n"
+    d = matrix.n_cols
+    keys, names = csv_cells(matrix.keys), csv_cells(matrix.column_names())
     base_text = repr(float(base))
-    for key, row in zip(matrix.keys, phi):
-        yield text([key, name, repr(value), base_text] for name, value in zip(names, row.tolist()))
+    texts = FloatText(phi.ravel())
+    step = CSV_BLOCK_ROWS // 4  # rows of 4d cells: as many cells as a matrix block
+    for start in range(0, len(keys), step):
+        block = phi[start:start + step]
+        yield "".join(csv_lines([
+            [key for key in keys[start:start + step] for _ in range(d)],
+            names * len(block),
+            texts.cells(block.ravel()),
+            [base_text] * block.size,
+        ]))
 
 
 def rankings_csv(scopes: dict[str, dict[str, ShapRanking]], top_n: int) -> str:
     """One CSV of every scope's rankings (aggregate_shap results by scope), in
     scope order and then by group."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["scope", "group", "end", "rank", "name", "mean_signed_shap", "mean_abs_shap", "support"]
-    )
+    text = ["scope,group,end,rank,name,mean_signed_shap,mean_abs_shap,support\r\n"]
     for rankings in scopes.values():
         for group in sorted(rankings):
             ranking = rankings[group]
-            top, bottom = ranking.top_bottom(top_n)
+            top, bottom = ranking.entries[:top_n], ranking.entries[-top_n:][::-1]
             for end, entries in (("top", top), ("bottom", bottom)):
-                for rank, e in enumerate(entries, start=1):
-                    writer.writerow([ranking.scope, group, end, rank, e.name,
-                                     repr(e.mean_signed_shap), repr(e.mean_abs_shap), e.support])
-    return buf.getvalue()
+                k = len(entries)
+                text += csv_lines([
+                    [ranking.scope] * k, [group] * k, [end] * k, list(map(str, range(1, k + 1))),
+                    csv_cells([e.name for e in entries]),
+                    [repr(e.mean_signed_shap) for e in entries],
+                    [repr(e.mean_abs_shap) for e in entries],
+                    [str(e.support) for e in entries],
+                ])
+    return "".join(text)
 
 
-def summary_points_csv(summaries: dict[str, list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["group", "feature", "key", "phi", "normalized_value"])
+def summary_points_csv(summaries: dict[str, tuple]) -> str:
+    """One CSV of the shap_summary points of every group, by group."""
+    text = ["group,feature,key,phi,normalized_value\r\n"]
     for group in sorted(summaries):
-        for feature, points in summaries[group]:
-            for key, phi, norm in points:
-                writer.writerow([group, feature, key, repr(phi), repr(norm)])
-    return buf.getvalue()
+        keys, features = summaries[group]
+        keys = csv_cells(keys)
+        for name, phi, norm in features:
+            text += csv_lines([[group] * len(keys), csv_cells([name]) * len(keys), keys,
+                               FloatText(phi).cells(phi), FloatText(norm).cells(norm)])
+    return "".join(text)

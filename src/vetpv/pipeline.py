@@ -436,7 +436,7 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, outputs: StageOu
     rows_in = dataset.n_rows
     if config.explain.max_rows and dataset.n_rows > config.explain.max_rows:
         dataset = dataset.take_rows(np.arange(config.explain.max_rows))
-    groups = explain.SpeciesGroupMap.load(config.species_groups)
+    groups = explain.load_species_groups(config.species_groups)
     phi = explain.tree_shap_batch(model, dataset.values)
     base = explain.base_value(model)
     worst = explain.local_accuracy_error(phi, base, explain.model_margin(model, dataset.values))

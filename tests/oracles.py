@@ -887,3 +887,85 @@ def as_records(reports):
             age_years=number("age_years", i), weight_kg=number("weight_kg", i))
         for i in range(len(reports))
     ]
+
+
+# --- the per-row explain path: one species lookup and one CSV row at a time ---
+
+
+def species_groups_per_row(matrix, path) -> dict:
+    """Row indices per species group, each row's species name recovered from
+    its code through a reverse map and looked up on its own. Rows of UNKNOWN
+    species (code 0, or a code outside the category map) are left out."""
+    groups = {}
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            if line.rstrip("\n"):
+                species, group = line.rstrip("\n").split("\t")[:2]
+                groups[species.strip().lower()] = group
+    meta = next(c for c in matrix.columns if c.name == "species")
+    reverse = {code: name for name, code in meta.category_map.items()}
+    column = [c.name for c in matrix.columns].index("species")
+    species = [reverse.get(int(code), "UNKNOWN") for code in matrix.values[:, column]]
+    missing = sorted({s for s in species if s.strip().lower() not in groups and s != "UNKNOWN"})
+    if missing:
+        raise ValueError(f"species missing from the group map: {missing}")
+    rows = {g: [] for g in ("Companion", "Livestock", "Poultry")}
+    for i, name in enumerate(species):
+        if name != "UNKNOWN":
+            rows[groups[name.strip().lower()]].append(i)
+    return {g: np.asarray(r, dtype=np.intp) for g, r in rows.items()}
+
+
+def shap_values_csv_per_row(phi, base, matrix) -> str:
+    """The shap_values CSV written one (row, feature) line at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["key", "feature", "phi", "base_value"])
+    names = [c.name for c in matrix.columns]
+    for key, row in zip(matrix.keys, phi):
+        writer.writerows([key, name, repr(value), repr(float(base))]
+                         for name, value in zip(names, row.tolist()))
+    return buf.getvalue()
+
+
+def rankings_csv_per_row(scopes, top_n: int) -> str:
+    """The rankings CSV written one entry at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["scope", "group", "end", "rank", "name", "mean_signed_shap", "mean_abs_shap", "support"])
+    for rankings in scopes.values():
+        for group in sorted(rankings):
+            ranking = rankings[group]
+            top, bottom = ranking.entries[:top_n], ranking.entries[-top_n:][::-1]
+            for end, entries in (("top", top), ("bottom", bottom)):
+                for rank, e in enumerate(entries, start=1):
+                    writer.writerow([ranking.scope, group, end, rank, e.name,
+                                     repr(e.mean_signed_shap), repr(e.mean_abs_shap), e.support])
+    return buf.getvalue()
+
+
+def summary_points_csv_per_row(phi, matrix, by_group, top_k: int) -> str:
+    """The summary_points CSV of the non-empty groups, one point at a time:
+    per group the top_k features by mean |phi|, and per feature each row's
+    key, phi and value min-max normalized within the group (0.5 for a
+    constant feature)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["group", "feature", "key", "phi", "normalized_value"])
+    for group in sorted(by_group):
+        rows = by_group[group]
+        if not len(rows):
+            continue
+        group_phi = phi[rows]
+        order = np.argsort(-np.abs(group_phi).mean(axis=0), kind="stable")
+        for j in order[:top_k]:
+            column = matrix.values[rows, j]
+            low, high = column.min(), column.max()
+            span = high - low
+            for pos, i in enumerate(rows):
+                norm = 0.5 if span == 0 else (column[pos] - low) / span
+                writer.writerow([group, matrix.columns[j].name, matrix.keys[i],
+                                 repr(float(group_phi[pos, j])), repr(float(norm))])
+    return buf.getvalue()

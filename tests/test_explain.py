@@ -12,15 +12,16 @@ from vetpv.boosting import GbdtParams, fit_gbdt
 from vetpv.explain import (
     LOCAL_ACCURACY_TOL,
     ExplainError,
-    SpeciesGroupMap,
     aggregate_shap,
     base_value,
     group_rows,
+    load_species_groups,
     local_accuracy_error,
     model_margin,
+    rankings_csv,
     shap_summary,
     shap_values_csv,
-    species_of_rows,
+    summary_points_csv,
     tree_shap_batch,
 )
 from vetpv.forest import ForestParams, fit_forest
@@ -207,7 +208,7 @@ class TestAggregation:
             [0.0, 0.0, -0.6, 0.0, 0.0, 0.1, 0.0],
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         ]
-        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        by_group = group_rows(matrix, load_species_groups())
         rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ae_term")
         companion = rankings["Companion"]
         heart = [e for e in companion.entries if e.name == "Heart disorders"][0]
@@ -221,7 +222,7 @@ class TestAggregation:
     def test_inactive_indicator_excluded(self):
         matrix = grouped_matrix()
         phis = [[0.0] * 7] * 4
-        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        by_group = group_rows(matrix, load_species_groups())
         rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ae_term")
         poultry = rankings["Poultry"]  # row d has no active AE indicators
         assert poultry.entries == []
@@ -229,7 +230,7 @@ class TestAggregation:
     def test_other_column_left_out_of_term_rankings(self):
         matrix = grouped_matrix()
         phis = [[0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]] * 4
-        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        by_group = group_rows(matrix, load_species_groups())
         rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ingredient")
         names = [e.name for e in rankings["Companion"].entries]
         assert "OTHER" not in names
@@ -237,7 +238,7 @@ class TestAggregation:
     def test_matches_group_by_oracle(self, rng):
         matrix = grouped_matrix()
         phis = rng.normal(size=(4, 7))
-        by_group = group_rows(matrix, SpeciesGroupMap.load())
+        by_group = group_rows(matrix, load_species_groups())
         rankings = aggregate_shap(np.asarray(phis, dtype=float), matrix, by_group, "ae_term")
         # independent recomputation for the Companion group (rows 0 and 1)
         rows = [0, 1]
@@ -257,7 +258,7 @@ class TestAggregation:
         with caplog.at_level("WARNING"):
             rankings = aggregate_shap(
                 np.asarray(phis, dtype=float), matrix,
-                group_rows(matrix, SpeciesGroupMap.load()), "ae_term",
+                group_rows(matrix, load_species_groups()), "ae_term",
             )
         assert "Poultry" not in rankings
         assert "no rows" in caplog.text
@@ -266,7 +267,7 @@ class TestAggregation:
         matrix = grouped_matrix()
         matrix.columns[1].category_map["Llama"] = 4
         matrix.values[3, 1] = 4
-        groups = SpeciesGroupMap.load()
+        groups = load_species_groups()
         with pytest.raises(ExplainError) as err:
             group_rows(matrix, groups)
         assert "Llama" in str(err.value)
@@ -274,10 +275,9 @@ class TestAggregation:
     def test_species_recovery_and_unknown_code(self):
         matrix = grouped_matrix()
         matrix.values[3, 1] = 0  # UNKNOWN code
-        names = species_of_rows(matrix)
-        assert names == ["Dog", "Dog", "Cattle", "UNKNOWN"]
-        by_group = group_rows(matrix, SpeciesGroupMap.load())
-        assert list(by_group["Poultry"]) == []
+        by_group = group_rows(matrix, load_species_groups())
+        assert {g: rows.tolist() for g, rows in by_group.items()} == {
+            "Companion": [0, 1], "Livestock": [2], "Poultry": []}
 
     def test_explain_stage_warns_once_about_unknown_species(self, small_corpus, tmp_path, caplog):
         from vetpv import pipeline
@@ -305,47 +305,71 @@ class TestSummary:
         matrix = grouped_matrix()
         phis = rng.normal(size=(4, 7))
         rows = np.array([0, 1, 2, 3])
-        summary = shap_summary(phis, matrix, rows, top_k=50)
+        keys, summary = shap_summary(phis, matrix, rows, top_k=50)
+        assert keys == matrix.keys
         assert len(summary) == 7  # clamped to the feature count
         means = np.abs(phis).mean(axis=0)
         expected_order = [matrix.columns[j].name for j in np.argsort(-means, kind="stable")]
-        assert [name for name, _ in summary] == expected_order
+        assert [name for name, _, _ in summary] == expected_order
 
     def test_constant_feature_normalizes_to_midpoint(self):
         matrix = grouped_matrix()
         phis = [[1.0, 0, 0, 0, 0, 0, 0]] * 4
-        summary = shap_summary(np.asarray(phis), matrix, np.array([0, 1]), top_k=1)
-        name, points = summary[0]
+        _, summary = shap_summary(np.asarray(phis), matrix, np.array([0, 1]), top_k=1)
+        name, phi, norm = summary[0]
         assert name == "age_years"
-        # phi constant across rows
-        assert {p[1] for p in points} == {1.0}
+        # phi constant across rows; age 2.0 and 4.0 span the group's range
+        assert set(phi.tolist()) == {1.0}
+        assert norm.tolist() == [0.0, 1.0]
+        # species is Dog in both rows: a constant column sits at the midpoint
+        _, summary = shap_summary(np.eye(4, 7, 1), matrix, np.array([0, 1]), top_k=1)
+        assert summary[0][0] == "species" and summary[0][2].tolist() == [0.5, 0.5]
 
     def test_small_group_warns_but_emits(self, caplog):
         matrix = grouped_matrix()
         with caplog.at_level("WARNING"):
-            summary = shap_summary(np.zeros((4, 7)), matrix, np.array([0]), top_k=2)
-        assert len(summary) == 2
+            keys, summary = shap_summary(np.zeros((4, 7)), matrix, np.array([0]), top_k=2)
+        assert keys == ["a"] and len(summary) == 2
         assert "fewer than 2 rows" in caplog.text
 
 
 class TestGroupMap:
     def test_bundled_map_loads(self):
-        groups = SpeciesGroupMap.load()
-        assert groups.group_of("dog") == "Companion"
-        assert groups.group_of("Cattle") == "Livestock"
-        assert groups.group_of("turkey") == "Poultry"
+        groups = load_species_groups()
+        assert groups["dog"] == "Companion"
+        assert groups["cattle"] == "Livestock"
+        assert groups["turkey"] == "Poultry"
 
     def test_unknown_group_name_rejected(self, tmp_path):
         bad = tmp_path / "groups.tsv"
         bad.write_text("species\tgroup\nDog\tMarsupial\n")
-        with pytest.raises(ExplainError):
-            SpeciesGroupMap.load(bad)
+        with pytest.raises(ExplainError, match=f"{bad}:2: unknown group"):
+            load_species_groups(bad)
 
     def test_validate_covers_lists_missing(self):
-        groups = SpeciesGroupMap.load()
+        matrix = grouped_matrix()
+        matrix.columns[1].category_map.update({"Llama": 4, "Alpaca": 5, "Vicuna": 6})
+        matrix.values[1:3, 1] = [4, 5]  # Vicuna has a code but no row
         with pytest.raises(ExplainError) as err:
-            groups.validate_covers(["Dog", "Llama", "Alpaca"])
-        assert "Alpaca" in str(err.value) and "Llama" in str(err.value)
+            group_rows(matrix, load_species_groups())
+        assert "['Alpaca', 'Llama']" in str(err.value)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("Dog\tCompanion\nCattle\n", ":3: expected 'species<TAB>group', got 'Cattle'"),
+        ("Dog\tCompanion\ndog \tLivestock\n", ":3: species 'dog' is listed under both "
+                                               "Companion and Livestock"),
+    ])
+    def test_ragged_or_duplicate_row_named(self, tmp_path, rows, message):
+        bad = tmp_path / "groups.tsv"
+        bad.write_text("species\tgroup\n" + rows)
+        with pytest.raises(ExplainError) as err:
+            load_species_groups(bad)
+        assert str(err.value) == f"{bad}{message}"
+
+    def test_same_group_twice_is_kept(self, tmp_path):
+        path = tmp_path / "groups.tsv"
+        path.write_text("species\tgroup\nDog\tCompanion\n\nDOG\tCompanion\n")
+        assert load_species_groups(path) == {"dog": "Companion"}
 
 
 def test_batch_explanation_aligns_keys(separable_matrix):
@@ -398,3 +422,61 @@ class TestLocalAccuracyGate:
             pipeline.stage_explain(config, store, outputs)
         with pytest.raises(pipeline.MissingArtifactError):
             store.get_text("shap_values")
+
+
+def awkward_matrix(rng):
+    """Seven rows whose keys hold a comma, a quote, CR or LF, a feature name
+    holding a comma, a constant column, a one-row Poultry group, an UNKNOWN
+    species code and a code outside the category map."""
+    matrix = grouped_matrix()
+    columns = [*matrix.columns[:2], ColumnMeta(name="dose,mg", kind="numeric"),
+               ColumnMeta(name="constant", kind="numeric"), *matrix.columns[2:],
+               ColumnMeta(name='ae_terms=Rash, "severe"', kind="multi_hot",
+                          source_field="ae_terms")]
+    n = 7
+    values = np.column_stack([
+        rng.uniform(0, 9, n), [1, 2, 1, 3, 0, 9, 2], rng.normal(size=n).round(1), np.full(n, 4.0),
+        *(rng.integers(0, 2, (5, n)) | np.eye(5, n, dtype=np.int64)), [1, 1, 0, 1, 0, 0, 1]])
+    keys = ["plain", "co,mma", 'quo"te', "cr\rkey", "lf\nkey", "", "#hash"]
+    return FeatureMatrix(values=values, columns=columns, keys=keys)
+
+
+def awkward_phi(rng, shape):
+    """Attributions holding -0.0 beside 0.0, subnormals and repeated values."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-309, 0.1, 0.1, -0.3, 1e300]
+    phi = rng.normal(size=shape)
+    mask = rng.uniform(size=shape) < 0.6
+    phi[mask] = rng.choice(specials, size=mask.sum())
+    return phi
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_emitters_match_the_per_row_oracles(seed, monkeypatch):
+    from oracles import (rankings_csv_per_row, shap_values_csv_per_row,
+                         species_groups_per_row, summary_points_csv_per_row)
+
+    rng = np.random.default_rng(seed)
+    matrix = awkward_matrix(rng)
+    phi = awkward_phi(rng, (matrix.n_rows, matrix.n_cols))
+    base = [0.0, -0.0, 5e-324, 0.25, -1.5, 0.1][seed]
+    for block_rows in (4, 8, 256):  # one row, two rows and every row per chunk
+        monkeypatch.setattr(explain, "CSV_BLOCK_ROWS", block_rows)
+        assert "".join(shap_values_csv(phi, base, matrix)) == shap_values_csv_per_row(
+            phi, base, matrix)
+
+    by_group = group_rows(matrix, load_species_groups())
+    expected = species_groups_per_row(matrix, explain._DATA_DIR / "species_groups.tsv")
+    assert {g: rows.tolist() for g, rows in by_group.items()} == {
+        g: rows.tolist() for g, rows in expected.items()}
+    assert by_group["Poultry"].tolist() == [3]
+
+    scopes = {scope: aggregate_shap(phi, matrix, by_group, scope)
+              for scope in ("ae_term", "ingredient")}
+    for top_n in (1, 2, 10):
+        assert rankings_csv(scopes, top_n) == rankings_csv_per_row(scopes, top_n)
+
+    for top_k in (1, 3, 20):
+        summaries = {group: shap_summary(phi, matrix, rows, top_k)
+                     for group, rows in by_group.items() if len(rows)}
+        assert summary_points_csv(summaries) == summary_points_csv_per_row(
+            phi, matrix, by_group, top_k)
