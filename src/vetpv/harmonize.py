@@ -57,6 +57,8 @@ class VeddraMap:
                 if not line:
                     continue
                 cells = line.split("\t")
+                if len(cells) < 2:
+                    raise OntologyError(f"{path}:{lineno}: expected 'term<TAB>hlt', got {line!r}")
                 term, hlt = cells[0].strip(), cells[1].strip()
                 if not hlt:
                     raise OntologyError(f"{path}:{lineno}: empty HLT for term {term!r}")

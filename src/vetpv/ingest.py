@@ -436,11 +436,13 @@ def descriptor_table(names, path: Path | None = None) -> dict[str, ChemDescripto
         expected = ["ingredient_name", *_DESCRIPTOR_FIELDS]
         if header != expected:
             raise ParseError(f"descriptor table {path}: header must be {expected}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             cells = line.split("\t")
+            if len(cells) != len(expected):
+                raise ParseError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(expected)}")
             fields = {
                 fname: (float(cell) if cell != "" else None)
                 for fname, cell in zip(_DESCRIPTOR_FIELDS, cells[1:])

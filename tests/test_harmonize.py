@@ -37,6 +37,13 @@ class TestVeddra:
     def test_lookup_case_insensitive(self, veddra):
         assert map_veddra("vomiting", None, None, veddra) == "Gastrointestinal signs"
 
+    def test_row_without_tab_named(self, tmp_path):
+        path = tmp_path / "veddra.tsv"
+        path.write_text("term\thlt\nVomiting\tGastrointestinal signs\n\nDiarrhoea\n")
+        with pytest.raises(OntologyError) as err:
+            VeddraMap.load(path)
+        assert str(err.value) == f"{path}:4: expected 'term<TAB>hlt', got 'Diarrhoea'"
+
 
 class TestAtcvet:
     def test_level5_truncates_to_chemical_subgroup(self):

@@ -1,12 +1,13 @@
 import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from documents import fixture_document
 from oracles import parse_per_row, table_rows
-from vetpv import pipeline
+from vetpv import ingest, pipeline
 from vetpv.config import load_config
 from vetpv.harmonize import MergeError
 from vetpv.ingest import (
@@ -318,6 +319,17 @@ class TestTableProvider:
         mentions = [r for r in caplog.records if "unobtainium" in r.getMessage().lower()]
         assert len(mentions) == 1
         assert any("other-mystery" in r.getMessage() for r in caplog.records)
+
+
+    @pytest.mark.parametrize("row, cells", [("Amoxicillin\t365.4\t6", 3),
+                                            ("Amoxicillin" + "\t1" * 8, 9)])
+    def test_ragged_row_named(self, tmp_path, row, cells):
+        bundled = (Path(ingest.__file__).parent / "data" / "descriptors.tsv").read_text()
+        path = tmp_path / "descriptors.tsv"
+        path.write_text(bundled.split("\n")[0] + "\nCarprofen" + "\t1" * 7 + "\n" + row + "\n")
+        with pytest.raises(ParseError) as err:
+            descriptor_table(["amoxicillin"], path)
+        assert str(err.value) == f"{path}:3: {cells} cells, the header has 8"
 
 
 def test_descriptor_fields_tuple_stable():
