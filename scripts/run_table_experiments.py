@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from vetpv import pipeline
 from vetpv.config import load_config
 from vetpv.metrics import evaluate, results_table
-from vetpv.models import ModelSpec, fit_model
+from vetpv.models import ModelSpec, VotingEnsemble, fit_model
 from vetpv.resample import ResamplePlan, apply_plan
 from vetpv.ssl import SslPlan, ssl_train
 
@@ -62,8 +62,14 @@ def main() -> int:
     runs = []
     for sampling_name, plan in SAMPLINGS:
         resampled = apply_plan(train, plan)
+        stack = fit_model(dict(MODELS)["stack"], resampled)
         for model_name, spec in MODELS:
-            model = fit_model(spec, resampled)
+            if model_name == "vote":  # vote and stack fit the same default_members(7)
+                model = VotingEnsemble(stack.members)
+            elif model_name == "stack":
+                model = stack
+            else:
+                model = fit_model(spec, resampled)
             report = evaluate(test.labels, model.predict(test.values))
             runs.append((model_name, sampling_name, report))
             print(f"{model_name:10s} {sampling_name:12s} F1={report.weighted_f1:.2f} "
