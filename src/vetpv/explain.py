@@ -240,19 +240,20 @@ def group_rows(matrix: FeatureMatrix, groups: dict[str, str]) -> dict[str, np.nd
     them. Each species code of the category map is looked up once; rows of
     UNKNOWN species (code 0, or a code outside the map) are skipped with a
     warning."""
-    meta = matrix.columns[matrix.column_index("species")]
-    if meta.category_map is None:
+    idx = matrix.column_index("species")
+    category_map = matrix.columns[idx].category_map
+    if category_map is None:
         raise ExplainError("species column carries no category map")
-    codes = matrix.values[:, matrix.column_index("species")]
+    codes = matrix.values[:, idx]
     present = set(np.unique(codes).tolist())
-    named = {name: code for name, code in meta.category_map.items()
-             if code in present and name != UNKNOWN_SPECIES}
-    missing = sorted(name for name in named if name.strip().lower() not in groups)
+    group_of = {name: groups.get(name.strip().lower()) for name, code in category_map.items()
+                if code in present and name != UNKNOWN_SPECIES}
+    missing = sorted(name for name, group in group_of.items() if group is None)
     if missing:
         raise ExplainError(f"species missing from the group map: {missing}")
     by_group = {
-        g: np.flatnonzero(np.isin(codes, [code for name, code in named.items()
-                                          if groups[name.strip().lower()] == g]))
+        g: np.flatnonzero(np.isin(codes, [category_map[name] for name, group in group_of.items()
+                                          if group == g]))
         for g in SPECIES_GROUPS
     }
     unknown = len(codes) - sum(map(len, by_group.values()))
