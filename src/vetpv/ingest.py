@@ -443,10 +443,13 @@ def descriptor_table(names, path: Path | None = None) -> dict[str, ChemDescripto
             cells = line.split("\t")
             if len(cells) != len(expected):
                 raise ParseError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(expected)}")
-            fields = {
-                fname: (float(cell) if cell != "" else None)
-                for fname, cell in zip(_DESCRIPTOR_FIELDS, cells[1:])
-            }
+            try:
+                fields = {
+                    fname: (float(cell) if cell != "" else None)
+                    for fname, cell in zip(_DESCRIPTOR_FIELDS, cells[1:])
+                }
+            except ValueError as err:
+                raise ParseError(f"{path}:{lineno}: {err}") from None
             table[_normalize_name(cells[0])] = ChemDescriptors(**fields)
     found = {}
     for name in sorted({_normalize_name(n) for n in names}):

@@ -1,13 +1,12 @@
 import gzip
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from documents import fixture_document
 from oracles import parse_per_row, table_rows
-from vetpv import ingest, pipeline
+from vetpv import pipeline
 from vetpv.config import load_config
 from vetpv.harmonize import MergeError
 from vetpv.ingest import (
@@ -321,15 +320,18 @@ class TestTableProvider:
         assert any("other-mystery" in r.getMessage() for r in caplog.records)
 
 
-    @pytest.mark.parametrize("row, cells", [("Amoxicillin\t365.4\t6", 3),
-                                            ("Amoxicillin" + "\t1" * 8, 9)])
-    def test_ragged_row_named(self, tmp_path, row, cells):
-        bundled = (Path(ingest.__file__).parent / "data" / "descriptors.tsv").read_text()
+    @pytest.mark.parametrize("row, message", [
+        ("Amoxicillin\t365.4\t6", "3 cells, the header has 8"),
+        ("Amoxicillin" + "\t1" * 8, "9 cells, the header has 8"),
+        ("Amoxicillin\t365.4\tsix" + "\t1" * 5, "could not convert string to float: 'six'"),
+    ])
+    def test_bad_row_named(self, tmp_path, row, message):
         path = tmp_path / "descriptors.tsv"
-        path.write_text(bundled.split("\n")[0] + "\nCarprofen" + "\t1" * 7 + "\n" + row + "\n")
+        path.write_text("\t".join(["ingredient_name", *ChemDescriptors.FIELDS])
+                        + "\nCarprofen" + "\t1" * 7 + "\n" + row + "\n")
         with pytest.raises(ParseError) as err:
             descriptor_table(["amoxicillin"], path)
-        assert str(err.value) == f"{path}:3: {cells} cells, the header has 8"
+        assert str(err.value) == f"{path}:3: {message}"
 
 
 def test_descriptor_fields_tuple_stable():
