@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_shapley, random_cover_tree
+from oracles import (brute_force_shapley, random_cover_tree, rankings_csv_per_row,
+                     shap_values_csv_per_row, species_groups_per_row, summary_points_csv_per_row)
 from vetpv import explain
 from vetpv.boosting import GbdtParams, fit_gbdt
 from vetpv.explain import (
@@ -452,9 +453,6 @@ def awkward_phi(rng, shape):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_emitters_match_the_per_row_oracles(seed, monkeypatch):
-    from oracles import (rankings_csv_per_row, shap_values_csv_per_row,
-                         species_groups_per_row, summary_points_csv_per_row)
-
     rng = np.random.default_rng(seed)
     matrix = awkward_matrix(rng)
     phi = awkward_phi(rng, (matrix.n_rows, matrix.n_cols))
