@@ -8,12 +8,12 @@ import_bulk_string reverses the encoding so the round trip is exact.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import re
 from pathlib import Path
 
 from .ingest import SCHEMA, TABLE_NAMES, RawTables, Table
+from .matrix import csv_cells, csv_lines
 
 NULL = "\\N"
 
@@ -91,11 +91,10 @@ def export_csv(tables: RawTables, directory) -> dict[str, int]:
     counts = {}
     for name in TABLE_NAMES:
         table = getattr(tables, name)
-        columns = [_encoder(kind, "", str)(table[cname]) for cname, kind in SCHEMA[name]]
+        columns = [csv_cells([cname, *_encoder(kind, "", str)(table[cname])])
+                   for cname, kind in SCHEMA[name]]
         with open(directory / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([cname for cname, _ in SCHEMA[name]])
-            writer.writerows(zip(*columns))
+            fh.writelines(csv_lines(columns))
         counts[name] = len(table)
     return counts
 
@@ -113,10 +112,14 @@ def export_bulk_string(tables: RawTables) -> dict[str, str]:
 
 def _parse_table(name: str, text: str) -> Table:
     schema = SCHEMA[name]
-    cells = [line.split("\t") for line in text.split("\n") if line != ""]
+    lines = text.split("\n")
+    cells = [line.split("\t") for line in lines if line != ""]
     for row in cells:
         if len(row) != len(schema):
-            raise ValueError(f"{name}: expected {len(schema)} fields, got {len(row)}")
+            # an equal line earlier in the text would have raised first
+            lineno = lines.index("\t".join(row)) + 1
+            raise ValueError(f"bulk table {name}, line {lineno}: "
+                             f"expected {len(schema)} fields, got {len(row)}")
     columns = zip(*cells) if cells else [()] * len(schema)
     return Table({cname: _decoder(kind)(column) for (cname, kind), column in zip(schema, columns)})
 

@@ -73,6 +73,8 @@ def _aggregate_runs(run_dirs: list[Path], out_base: Path) -> str:
     """Collect per-run metrics (test split, supervised variant) into one table."""
     rows = []
     for run_dir in run_dirs:
+        if not run_dir.is_dir():  # ArtifactStore would create it
+            raise pipeline.MissingArtifactError(f"run directory {run_dir} does not exist")
         store = pipeline.ArtifactStore(run_dir)
         text = store.get_text("metrics")
         reader = csv.DictReader(io.StringIO(text))
@@ -103,6 +105,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except pipeline.MissingArtifactError as exc:  # from report
+        print(f"missing prerequisite: {exc}", file=sys.stderr)
+        return EXIT_STAGE
 
     try:
         if args.command == "run":

@@ -22,9 +22,10 @@ is explained on its margin (`TreeEnsemble.margin`): the raw log-odds for
 boosted ensembles, the plain mean of per-tree Recovered probabilities for
 forests; base_value(model) plus a row's phi sum is its margin.
 
-Species groups are taken by code, each species of the category map looked up
-once. The three CSVs are written by column through matrix's codec (FloatText,
-csv_cells, csv_lines), so matrix.py holds the one quoting rule.
+The species-group table is read by ingest.read_table. Species groups are
+taken by code, each species of the category map looked up once. The three
+CSVs are written by column through matrix's codec (FloatText, csv_cells,
+csv_lines), so matrix.py holds the one quoting rule.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import read_table
 from .matrix import CSV_BLOCK_ROWS, FeatureMatrix, FloatText, csv_cells, csv_lines
 from .trees import FlatTree, TreeEnsemble
 
@@ -210,28 +212,17 @@ def local_accuracy_error(phi: np.ndarray, base: float, margins: np.ndarray) -> f
 
 
 def load_species_groups(path: Path | None = None) -> dict[str, str]:
-    """Lower-cased species -> group, from the species<TAB>group table at path
-    (the bundled one by default)."""
+    """Lower-cased species -> group, from the species<TAB>group reference
+    table at path (the bundled one by default); a group outside
+    SPECIES_GROUPS is an error naming file:line."""
     path = path or _DATA_DIR / "species_groups.tsv"
     groups: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:2] != ["species", "group"]:
-            raise ExplainError(f"{path}: expected header 'species<TAB>group'")
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.rstrip("\n").split("\t")
-            if cells == [""]:
-                continue
-            if len(cells) < 2:
-                raise ExplainError(f"{path}:{lineno}: expected 'species<TAB>group', got {cells[0]!r}")
-            species, group = cells[0].strip().lower(), cells[1]
-            if group not in SPECIES_GROUPS:
-                raise ExplainError(
-                    f"{path}:{lineno}: unknown group {group!r} (expected one of {SPECIES_GROUPS})"
-                )
-            if groups.setdefault(species, group) != group:
-                raise ExplainError(f"{path}:{lineno}: species {species!r} is listed under "
-                                   f"both {groups[species]} and {group}")
+    for lineno, species, (group,) in read_table(path, ("species", "group"), ExplainError):
+        if group not in SPECIES_GROUPS:
+            raise ExplainError(
+                f"{path}:{lineno}: unknown group {group!r} (expected one of {SPECIES_GROUPS})"
+            )
+        groups[species] = group
     return groups
 
 

@@ -1,10 +1,11 @@
 """Ontology harmonization and report merging.
 
 Adverse-event terms are lifted to high-level terms using a bundled snapshot
-table; drug codes are truncated to the chemical-subgroup level of the
-five-level veterinary ATC grammar; the four relational tables collapse into
-one column-oriented `Reports` table with list fields kept in source order and
-numeric descriptors summed across active ingredients.
+table, read by ingest.read_table; drug codes are truncated to the
+chemical-subgroup level of the five-level veterinary ATC grammar; the four
+relational tables collapse into one column-oriented `Reports` table with list
+fields kept in source order and numeric descriptors summed across active
+ingredients.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import AgeUnit, ChemDescriptors, Outcome, RawTables, Table, VeddraLevel, WeightUnit
+from .ingest import (AgeUnit, ChemDescriptors, Outcome, RawTables, Table, VeddraLevel, WeightUnit,
+                     read_table)
 from .matrix import FloatText, csv_cells, csv_lines
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -38,7 +40,7 @@ class MergeError(ValueError):
 @dataclass
 class VeddraMap:
     """Term-code-or-name lookup onto the HLT; names matched case-insensitively.
-    Columns of the TSV after the HLT (the SOC) are not read."""
+    Columns of the TSV after the HLT (the SOC) are checked for width only."""
 
     to_hlt: dict[str, str]
     hlt_names: set[str]
@@ -47,24 +49,11 @@ class VeddraMap:
     def load(cls, path: Path | None = None) -> "VeddraMap":
         path = path or _DATA_DIR / "veddra.tsv"
         to_hlt: dict[str, str] = {}
-        hlt_names: set[str] = set()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if len(header) < 2 or header[0] != "term":
-                raise OntologyError(f"{path}: expected header starting 'term<TAB>hlt'")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = line.split("\t")
-                if len(cells) < 2:
-                    raise OntologyError(f"{path}:{lineno}: expected 'term<TAB>hlt', got {line!r}")
-                term, hlt = cells[0].strip(), cells[1].strip()
-                if not hlt:
-                    raise OntologyError(f"{path}:{lineno}: empty HLT for term {term!r}")
-                to_hlt[term.lower()] = hlt
-                hlt_names.add(hlt.lower())
-        return cls(to_hlt=to_hlt, hlt_names=hlt_names)
+        for lineno, term, (hlt,) in read_table(path, ("term", "hlt"), OntologyError):
+            if not hlt.strip():
+                raise OntologyError(f"{path}:{lineno}: empty HLT for term {term!r}")
+            to_hlt[term] = hlt.strip()
+        return cls(to_hlt=to_hlt, hlt_names={hlt.lower() for hlt in to_hlt.values()})
 
 
 def map_veddra(term_name: str, term_code: str | None, level: VeddraLevel | None,

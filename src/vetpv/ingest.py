@@ -4,6 +4,10 @@ by column, and the physicochemical descriptor table for active ingredients.
 The accepted JSON layout is documented in data/fixture_schema.md. Every report
 carries a unique id; reports lacking one are skipped and counted rather than
 aborting the whole file.
+
+Every TSV reference table (VeDDRA, descriptors, species groups, outcome
+synonyms) is read by read_table, under one rule set; each loader checks
+only its own values.
 """
 
 from __future__ import annotations
@@ -175,20 +179,46 @@ class ParseStats:
             self.diagnostics.append(message)
 
 
+def _normalize_name(name: str) -> str:
+    return name.strip().lower()
+
+
+def read_table(path: Path, columns: tuple[str, ...], error: type[Exception]):
+    """Yield (line number, key, cells) per row of the TSV reference table at
+    path: the key is the first cell trimmed and lower-cased, the cells those
+    of the other named columns. The header must start with columns, later
+    columns are checked for width only, and every row has as many cells as
+    the header; blank lines are skipped. A key repeated with other cells is
+    an error, an identical repeat is kept. Every error names file:line and
+    is raised as error."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if header[:len(columns)] != list(columns):
+            raise error(f"{path}:1: the header must start {'<TAB>'.join(columns)!r}")
+        first: dict[str, tuple[int, list[str]]] = {}
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise error(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
+            key, cells = _normalize_name(cells[0]), cells[1:len(columns)]
+            seen, seen_cells = first.setdefault(key, (lineno, cells))
+            if seen_cells != cells:
+                raise error(f"{path}:{lineno}: {key!r} is on line {seen} with other cells")
+            yield lineno, key, cells
+
+
 def load_outcome_synonyms(path: Path | None = None) -> dict[str, Outcome]:
     """Bundled mapping of source outcome strings onto the closed outcome enum."""
     path = path or _DATA_DIR / "outcome_synonyms.tsv"
     table: dict[str, Outcome] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise ParseError(f"outcome synonym file {path} is empty")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            source, target = line.split("\t")
-            table[source.strip().lower()] = Outcome(target.strip())
+    for lineno, source, (target,) in read_table(path, ("source", "outcome"), ParseError):
+        try:
+            table[source] = Outcome(target.strip())
+        except ValueError as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
     return table
 
 
@@ -421,36 +451,18 @@ def read_quarter_file(path: Path, tables: RawTables | None = None) -> tuple[RawT
 # --- descriptors -----------------------------------------------------------------
 
 
-def _normalize_name(name: str) -> str:
-    return name.strip().lower()
-
-
 def descriptor_table(names, path: Path | None = None) -> dict[str, ChemDescriptors]:
     """The descriptors of each of names found in the TSV table at path (the
     bundled one by default), keyed by the name trimmed and lower-cased, the
     form in which the table is matched. Each name not found is logged once."""
     path = path or _DATA_DIR / "descriptors.tsv"
     table: dict[str, ChemDescriptors] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        expected = ["ingredient_name", *_DESCRIPTOR_FIELDS]
-        if header != expected:
-            raise ParseError(f"descriptor table {path}: header must be {expected}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(expected):
-                raise ParseError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(expected)}")
-            try:
-                fields = {
-                    fname: (float(cell) if cell != "" else None)
-                    for fname, cell in zip(_DESCRIPTOR_FIELDS, cells[1:])
-                }
-            except ValueError as err:
-                raise ParseError(f"{path}:{lineno}: {err}") from None
-            table[_normalize_name(cells[0])] = ChemDescriptors(**fields)
+    columns = ("ingredient_name", *_DESCRIPTOR_FIELDS)
+    for lineno, name, cells in read_table(path, columns, ParseError):
+        try:
+            table[name] = ChemDescriptors(*(float(cell) if cell != "" else None for cell in cells))
+        except ValueError as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
     found = {}
     for name in sorted({_normalize_name(n) for n in names}):
         if name in table:

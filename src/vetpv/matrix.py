@@ -173,9 +173,15 @@ def csv_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
-def csv_lines(columns) -> list[str]:
-    """The CSV lines of the rows that two or more columns of cells hold."""
-    return [",".join(row) + "\r\n" for row in zip(*columns)]
+def csv_lines(columns, end="\r\n") -> list[str]:
+    """The CSV lines of the rows that two or more columns of cells hold,
+    each ended by end."""
+    return [",".join(row) + end for row in zip(*columns)]
+
+
+def csv_rows(rows, end="\r\n") -> list[str]:
+    """The CSV lines of rows of two or more cells, quoted by column."""
+    return csv_lines([csv_cells(column) for column in zip(*rows)], end)
 
 
 class FloatText:
@@ -195,7 +201,7 @@ class FloatText:
 def to_csv(matrix: FeatureMatrix) -> str:
     """Serialize with full float precision; round-trips through from_csv."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(["key", "label"] + matrix.column_names())
+    buf.write(csv_rows([["key", "label", *matrix.column_names()]])[0])
     keys = csv_cells(matrix.keys)
     labels = [""] * matrix.n_rows if matrix.labels is None else list(map(str, matrix.labels.tolist()))
     texts = [FloatText(column) for column in matrix.values.T]

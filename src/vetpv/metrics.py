@@ -9,13 +9,11 @@ keeps full precision.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import DEATH, RECOVERED
+from .matrix import DEATH, RECOVERED, csv_rows
 
 
 class MetricsError(ValueError):
@@ -149,9 +147,7 @@ def results_table(runs: list[tuple[str, str, MetricsReport]]) -> tuple[str, str]
     for sampling in samplings:
         header += [f"{sampling}/{short}" for short, _ in TABLE_METRICS]
 
-    csv_buf = io.StringIO()
-    writer = csv.writer(csv_buf)
-    writer.writerow(header)
+    csv_table = [header]
     text_rows = []
     for model in models:
         csv_row = [model]
@@ -166,7 +162,7 @@ def results_table(runs: list[tuple[str, str, MetricsReport]]) -> tuple[str, str]
                     value = getattr(report, attr)
                     csv_row.append(repr(value))
                     text_row.append(f"{value:.2f}")
-        writer.writerow(csv_row)
+        csv_table.append(csv_row)
         text_rows.append(text_row)
 
     widths = [len(h) for h in header]
@@ -176,4 +172,4 @@ def results_table(runs: list[tuple[str, str, MetricsReport]]) -> tuple[str, str]
     lines = ["  ".join(h.ljust(widths[j]) for j, h in enumerate(header))]
     for row in text_rows:
         lines.append("  ".join(c.ljust(widths[j]) for j, c in enumerate(row)))
-    return csv_buf.getvalue(), "\n".join(lines) + "\n"
+    return "".join(csv_rows(csv_table)), "\n".join(lines) + "\n"

@@ -10,9 +10,7 @@ The run report (timings included) is the one non-hashed output.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import bulkio, explain, harmonize, ingest, matrix as matrix_mod, metrics, prepare, ssl
 from .config import PipelineConfig, config_hash, effective_config_text
-from .matrix import DEATH, RECOVERED, SPLIT_NAMES, ColumnMeta, FeatureMatrix
+from .matrix import DEATH, RECOVERED, SPLIT_NAMES, ColumnMeta, FeatureMatrix, csv_rows
 from .models import fit_model, parse_model, serialize_model
 from .resample import apply_plan
 
@@ -296,8 +294,7 @@ def stage_prepare(config: PipelineConfig, store: ArtifactStore, outputs: StageOu
     store.put_text("cleaned", harmonize.merged_to_csv(cleaned), "csv")
     for table in (reports, cleaned):  # no later stage writes report text
         table.cells.clear()
-    rejects_csv = "key,reason\n" + "".join(f"{k},{r}\n" for k, r in rejects)
-    store.put_text("rejects", rejects_csv, "csv")
+    store.put_text("rejects", csv_rows([("key", "reason"), *rejects], "\n"), "csv")
     details = {"rejected_rows": len(rejects), **removal_counts}
     store.put_text("removal_counts", json.dumps(details, indent=1, sort_keys=True), "json")
     return cleaned, len(reports), len(cleaned), details
@@ -339,11 +336,10 @@ def stage_split(config: PipelineConfig, store: ArtifactStore, outputs: StageOutp
     store.put_text("columns", _columns_to_json(pruned_train.columns), "json")
     for name, m in matrices.items():
         store.put_text(f"matrix_{name}", matrix_mod.to_csv(m), "csv")
-    dropped_csv = "name,reason,partner,r\n" + "".join(
-        f"{d.name},{d.reason},{d.partner or ''},{'' if d.r is None else repr(d.r)}\n"
-        for d in dropped
-    )
-    store.put_text("dropped_columns", dropped_csv, "csv")
+    rows = [("name", "reason", "partner", "r"), *(
+        (d.name, d.reason, d.partner or "", "" if d.r is None else repr(d.r)) for d in dropped
+    )]
+    store.put_text("dropped_columns", csv_rows(rows, "\n"), "csv")
     details = {
         "labeled": len(labeled),
         "unlabeled": len(unlabeled),
@@ -410,22 +406,18 @@ def stage_evaluate(config: PipelineConfig, store: ArtifactStore, outputs: StageO
     models = {"supervised": outputs["train"]}
     if config.ssl.enabled:
         models["ssl"] = outputs["ssl"]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["model", "variant", "sampling", "dataset", *_METRIC_COLUMNS])
+    rows = [("model", "variant", "sampling", "dataset", *_METRIC_COLUMNS)]
     details = {}
     for variant, model in models.items():
         for dataset in ("validation", "test"):
             m = matrices[dataset]
             report = metrics.evaluate(m.labels, model.predict(m.values))
-            writer.writerow(
-                [config.model.kind, variant, config.resample.strategy, dataset]
-                + [repr(getattr(report, col)) for col in _METRIC_COLUMNS]
-            )
+            rows.append((config.model.kind, variant, config.resample.strategy, dataset,
+                         *(repr(getattr(report, col)) for col in _METRIC_COLUMNS)))
             details[f"{variant}_{dataset}"] = {
                 col: round(getattr(report, col), 4) for col in _METRIC_COLUMNS
             }
-    store.put_text("metrics", buf.getvalue(), "csv")
+    store.put_text("metrics", csv_rows(rows), "csv")
     test_rows = matrices["test"].n_rows
     return None, test_rows, test_rows, details
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import CLASS_NAMES, DEATH, RECOVERED, FeatureMatrix, csv_cells
+from .matrix import CLASS_NAMES, DEATH, RECOVERED, FeatureMatrix, csv_rows
 from .models import ModelSpec, fit_model
 from .trees import TreeEnsemble
 
@@ -179,8 +179,7 @@ def ssl_train(
 
 def provenance_csv(provenance: list[tuple]) -> str:
     """The provenance as CSV, keys quoted as csv.writer quotes them."""
-    keys = csv_cells([key for key, *_ in provenance])
-    lines = ["key,aum,pseudo_label,round"]
-    for key, (_, aum, label, round_id) in zip(keys, provenance):
-        lines.append(f"{key},{aum!r},{CLASS_NAMES[label]},{round_id}")
-    return "\n".join(lines) + "\n"
+    return "".join(csv_rows([("key", "aum", "pseudo_label", "round"), *(
+        (key, repr(aum), CLASS_NAMES[label], str(round_id))
+        for key, aum, label, round_id in provenance
+    )], "\n"))

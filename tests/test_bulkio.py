@@ -33,6 +33,7 @@ from vetpv.ingest import (
     TABLE_NAMES,
     AgeUnit,
     Outcome,
+    RawTables,
     VeddraLevel,
     WeightUnit,
     parse_quarter,
@@ -214,3 +215,11 @@ def test_csv_export_is_rfc4180_parseable(tmp_path):
     assert rows[0][0] == "key"
     assert rows[1][1] == 'Do"g'
     assert rows[1][2] == "a,b"
+
+
+def test_ragged_bulk_row_named_by_table_and_line():
+    texts = export_bulk_string(RawTables())
+    texts["events"] = "K1\t830\tVomiting\tPT\n\nK2\t830\n"
+    with pytest.raises(ValueError) as err:
+        import_bulk_string(texts)
+    assert str(err.value) == "bulk table events, line 3: expected 4 fields, got 2"

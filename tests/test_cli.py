@@ -362,6 +362,32 @@ class TestSubcommands:
         assert b"-\r" in next(outs["run"].glob("matrix_train-*.csv")).read_bytes()
         assert (outs["chain"] / "manifest.tsv").read_bytes() == (outs["run"] / "manifest.tsv").read_bytes()
 
+    def test_rejects_quote_awkward_keys(self, small_corpus, tmp_path):
+        import csv
+        import io
+
+        from vetpv import pipeline
+
+        out = tmp_path / "out"
+        config = tmp_path / "stage.ini"
+        config.write_text(
+            (small_corpus / "pipeline.ini").read_text().replace(
+                "input_dir = quarters", f"input_dir = {small_corpus / 'quarters'}"
+            ).replace("output_dir = out", f"output_dir = {out}")
+        )
+        assert run_cli("ingest", "--config", str(config)) == 0
+        # ingest drops a negative age, so the reject is made in the stored bulk table
+        manifest = dict(line.split("\t") for line in (out / "manifest.tsv").read_text().splitlines())
+        key = 'AWK-1,"quoted"'
+        with open(out / manifest["bulk_main"], "a", encoding="utf-8") as fh:
+            fh.write(f"{key}\tDog\t\\N\t\\N\t-1.0\tYear\t\\N\t\\N\t\\N\n")
+        assert run_cli("prepare", "--config", str(config)) == 0
+        text = pipeline.ArtifactStore(out).get_text("rejects")
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["key", "reason"], [key, f"report {key}: negative age -1.0"]
+        ]
+        assert text.endswith("\n") and "\r" not in text
+
     def test_evaluate_scores_ssl_model_only_when_ssl_enabled(self, finished_run, tmp_path):
         import csv
         import io
@@ -694,6 +720,14 @@ class TestReport:
         run = next(r for r in metrics if (r["dataset"], r["variant"]) == ("test", "supervised"))
         table_csv = csv.DictReader(io.StringIO(base.with_suffix(".csv").read_text()))
         assert next(r for r in table_csv if r["model"] == "gbdt")["none/F1"] == run["weighted_f1"]
+
+
+    def test_missing_run_directory_exits_2_and_creates_nothing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("report", "--runs", "nope", "--out", "res") == 2
+        assert capsys.readouterr().err == "missing prerequisite: run directory nope does not exist\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBenchmarkTracer:

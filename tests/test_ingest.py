@@ -8,13 +8,15 @@ from documents import fixture_document
 from oracles import parse_per_row, table_rows
 from vetpv import pipeline
 from vetpv.config import load_config
-from vetpv.harmonize import MergeError
+from vetpv.explain import SPECIES_GROUPS, ExplainError, load_species_groups
+from vetpv.harmonize import MergeError, OntologyError, VeddraMap
 from vetpv.ingest import (
     ChemDescriptors,
     Outcome,
     ParseError,
     RawTables,
     descriptor_table,
+    load_outcome_synonyms,
     parse_quarter,
     read_quarter_file,
 )
@@ -332,6 +334,54 @@ class TestTableProvider:
         with pytest.raises(ParseError) as err:
             descriptor_table(["amoxicillin"], path)
         assert str(err.value) == f"{path}:3: {message}"
+
+
+# each reference table: its loader, the loader's error, the named columns,
+# the columns after them, a row, a row whose value the loader rejects and why
+REFERENCE_TABLES = {
+    "veddra": (VeddraMap.load, OntologyError, ["term", "hlt"], ["soc"],
+               "Vomiting\tGastrointestinal signs\tDigestive tract disorders",
+               "Emesis\t \tDigestive tract disorders", "empty HLT for term 'emesis'"),
+    "descriptors": (lambda path: descriptor_table(["carprofen"], path), ParseError,
+                    ["ingredient_name", *ChemDescriptors.FIELDS], [],
+                    "Carprofen\t273.71\t2\t3.9\t1\t0\t1\t", "Meloxicam" + "\t1" * 6 + "\tsix",
+                    "could not convert string to float: 'six'"),
+    "species_groups": (load_species_groups, ExplainError, ["species", "group"], [],
+                       "Dog\tCompanion", "Llama\tMarsupial",
+                       f"unknown group 'Marsupial' (expected one of {SPECIES_GROUPS})"),
+    "outcome_synonyms": (load_outcome_synonyms, ParseError, ["source", "outcome"], [],
+                         "Died\tDied", "Passed\tGone", "'Gone' is not a valid Outcome"),
+}
+
+
+@pytest.mark.parametrize("case", ["ragged", "short", "conflict", "header", "value", "repeat"])
+@pytest.mark.parametrize("table", sorted(REFERENCE_TABLES))
+def test_reference_table_rules(tmp_path, table, case):
+    load, error, columns, later, row, bad, why = REFERENCE_TABLES[table]
+    header = "\t".join(columns + later)
+    width = len(columns + later)
+    first, other = row.split("\t", 1)
+    short = row.rsplit("\t", 1)[0]
+    conflict = " " + first.upper() + "\t" + bad.split("\t", 1)[1]
+    swapped = "\t".join([columns[1], columns[0], *columns[2:], *later])
+    text, message = {
+        "ragged": (f"{header}\n{row}\n\n{row}\tx\n", f"4: {width + 1} cells, the header has {width}"),
+        "short": (f"{header}\n{short}\n", f"2: {width - 1} cells, the header has {width}"),
+        "conflict": (f"{header}\n{row}\n{conflict}\n", f"3: {first.lower()!r} is on line 2 with other cells"),
+        "header": (f"{swapped}\n{row}\n", f"1: the header must start {'<TAB>'.join(columns)!r}"),
+        "value": (f"{header}\n{row}\n{bad}\n", f"3: {why}"),
+        "repeat": (f"{header}\n{row}\n\n{first.upper()} \t{other}\n", None),
+    }[case]
+    path = tmp_path / f"{table}.tsv"
+    path.write_text(text)
+    if message is None:  # an identical repeat is kept: the table loads as with one row
+        once = tmp_path / "once.tsv"
+        once.write_text(f"{header}\n{row}\n")
+        assert load(path) == load(once) != {}
+        return
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value) == f"{path}:{message}"
 
 
 def test_descriptor_fields_tuple_stable():
