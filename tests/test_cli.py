@@ -721,7 +721,6 @@ class TestReport:
         table_csv = csv.DictReader(io.StringIO(base.with_suffix(".csv").read_text()))
         assert next(r for r in table_csv if r["model"] == "gbdt")["none/F1"] == run["weighted_f1"]
 
-
     def test_missing_run_directory_exits_2_and_creates_nothing(self, tmp_path, capsys,
                                                                monkeypatch):
         monkeypatch.chdir(tmp_path)

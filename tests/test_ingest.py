@@ -367,7 +367,8 @@ def test_reference_table_rules(tmp_path, table, case):
     text, message = {
         "ragged": (f"{header}\n{row}\n\n{row}\tx\n", f"4: {width + 1} cells, the header has {width}"),
         "short": (f"{header}\n{short}\n", f"2: {width - 1} cells, the header has {width}"),
-        "conflict": (f"{header}\n{row}\n{conflict}\n", f"3: {first.lower()!r} is on line 2 with other cells"),
+        "conflict": (f"{header}\n{row}\n{conflict}\n",
+                     f"3: {first.lower()!r} is on line 2 with other cells"),
         "header": (f"{swapped}\n{row}\n", f"1: the header must start {'<TAB>'.join(columns)!r}"),
         "value": (f"{header}\n{row}\n{bad}\n", f"3: {why}"),
         "repeat": (f"{header}\n{row}\n\n{first.upper()} \t{other}\n", None),
