@@ -76,8 +76,12 @@ def _aggregate_runs(run_dirs: list[Path], out_base: Path) -> str:
         if not run_dir.is_dir():  # ArtifactStore would create it
             raise pipeline.MissingArtifactError(f"run directory {run_dir} does not exist")
         store = pipeline.ArtifactStore(run_dir)
-        text = store.get_text("metrics")
-        reader = csv.DictReader(io.StringIO(text))
+        reader = csv.DictReader(io.StringIO(store.get_text("metrics")))
+        missing = [key for key in ("dataset", "model", "variant", "sampling",
+                                   *(attr for _, attr in TABLE_METRICS))
+                   if key not in (reader.fieldnames or ())]
+        if missing:
+            raise pipeline.StageError(f"{store.path('metrics')}: no column {', '.join(missing)}")
         for record in reader:
             if record["dataset"] != "test":
                 continue
@@ -107,6 +111,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except pipeline.MissingArtifactError as exc:  # from report
         print(f"missing prerequisite: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    except pipeline.StageError as exc:  # from report: a malformed run directory
+        print(f"stage failure: {exc}", file=sys.stderr)
         return EXIT_STAGE
 
     try:

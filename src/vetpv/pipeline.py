@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -121,15 +122,19 @@ class ArtifactStore:
         """Point name at the file artifact target already names."""
         self._write_manifest(name, self._manifest[target])
 
-    def get_text(self, name: str) -> str:
+    def path(self, name: str) -> Path:
+        """The file the manifest's name entry points at."""
         filename = self._manifest.get(name)
         if filename is None or not (self.out_dir / filename).exists():
             raise MissingArtifactError(
                 f"missing prerequisite artifact {name!r} (expected {self.out_dir / (filename or name + '-*')})"
             )
+        return self.out_dir / filename
+
+    def get_text(self, name: str) -> str:
         # newline="" returns the stored bytes' text: universal newlines
         # would turn a CR inside a quoted CSV field into LF
-        with open(self.out_dir / filename, encoding="utf-8", newline="") as fh:
+        with open(self.path(name), encoding="utf-8", newline="") as fh:
             return fh.read()
 
 
@@ -158,6 +163,9 @@ class RunReport:
         return json.dumps(
             {
                 "config_hash": self.config_hash,
+                # what the timings ran on: forest fits use every CPU allowed
+                "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                                "cpus": len(os.sched_getaffinity(0))},
                 "failed_stage": self.failed_stage,
                 "failure": self.failure,
                 "stages": [

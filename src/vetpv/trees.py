@@ -369,7 +369,10 @@ def grow_trees(bins: Bins, stats, score, roots: list, make_node, splittable,
     trees grow in lockstep (_grow_lockstep), so each tree's nodes and draws
     come in the order they would if it grew alone. Either way a search
     takes at most about SEARCH_ELEMENTS histogram entries and bins, and a
-    tree's arrays come out in pre-order.
+    tree's arrays come out in pre-order. A tree's nodes, draws and sums do
+    not depend on the other roots, so a forest may grow its trees in
+    shares, one call per share and process (`forest.fit_forest`), and get
+    the trees of one call.
     """
     nodes = [[] for _ in roots]  # per tree as made: [left, right, feature, threshold, value, cover]
     if draw is None:

@@ -36,6 +36,16 @@ class TestRun:
         ]
         assert len(names) == 9
 
+    def test_run_report_records_environment(self, finished_run):
+        import os
+        import platform
+
+        _, out = finished_run
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["environment"] == {"python": platform.python_version(),
+                                         "numpy": np.__version__,
+                                         "cpus": len(os.sched_getaffinity(0))}
+
     def test_artifacts_are_content_hash_named(self, finished_run):
         _, out = finished_run
         manifest = dict(
@@ -200,9 +210,14 @@ class TestValidation:
         ("model", {"members": "gbdt", "kind": "stack"}),
         ("model", {"n_rounds": "0"}),
         ("model", {"k": "0", "kind": "knn"}),
+        ("model", {"features_per_split": "0", "kind": "forest"}),
+        ("model", {"features_per_split": "-1", "kind": "forest"}),
+        ("model", {"min_leaf": "0", "kind": "forest"}),
+        ("model", {"min_leaf": "-1", "kind": "forest"}),
     ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
             "ssl.enabled", "max_checkpoints", "keep_fraction", "k_smote", "n_rounds",
-            "learning_rate", "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0"])
+            "learning_rate", "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0",
+            "features_per_split=0", "features_per_split=-1", "min_leaf=0", "min_leaf=-1"])
     def test_bad_value_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -727,6 +742,26 @@ class TestReport:
         assert run_cli("report", "--runs", "nope", "--out", "res") == 2
         assert capsys.readouterr().err == "missing prerequisite: run directory nope does not exist\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_manifest_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("badrun").mkdir()
+        Path("badrun/manifest.tsv").write_text("metrics\n")
+        assert run_cli("report", "--runs", "badrun", "--out", "res") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stage failure: badrun/manifest.tsv:1: malformed manifest line"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["badrun"]
+
+    def test_metrics_without_dataset_column_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        from vetpv import pipeline
+
+        monkeypatch.chdir(tmp_path)
+        path = pipeline.ArtifactStore(Path("run")).put_text("metrics", "model,variant\ngbdt,ssl\n",
+                                                              "csv")
+        assert run_cli("report", "--runs", "run", "--out", "res") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage failure: {path}: no column dataset, sampling, "), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
 class TestBenchmarkTracer:
