@@ -88,7 +88,11 @@ def _aggregate_runs(run_dirs: list[Path], out_base: Path) -> str:
             label = record["model"]
             if record["variant"] == "ssl":
                 label = f"{record['model']}+ssl"
-            report = SimpleNamespace(**{attr: float(record[attr]) for _, attr in TABLE_METRICS})
+            try:
+                report = SimpleNamespace(**{attr: float(record[attr]) for _, attr in TABLE_METRICS})
+            except ValueError as exc:
+                where = f"{store.path('metrics')}:{reader.line_num}"
+                raise pipeline.StageError(f"{where}: {exc}") from None
             rows.append((label, record["sampling"], report))
     if not rows:
         raise ConfigError("no test metrics found in the given run directories")

@@ -752,15 +752,21 @@ class TestReport:
         assert err.startswith("stage failure: badrun/manifest.tsv:1: malformed manifest line"), err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["badrun"]
 
-    def test_metrics_without_dataset_column_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("text, message", [
+        ("model,variant\ngbdt,ssl\n", ": no column dataset, sampling, weighted_f1, "),
+        ("dataset,model,variant,sampling,weighted_f1,weighted_precision,weighted_recall,"
+         "death_recall,recovered_recall\ntest,gbdt,ssl,none,abc,1,1,1,1\n",
+         ":2: could not convert string to float: 'abc'"),
+    ], ids=["no-dataset-column", "not-a-number"])
+    def test_malformed_metrics_exit_2_naming_the_file(self, tmp_path, capsys, monkeypatch, text,
+                                                     message):
         from vetpv import pipeline
 
         monkeypatch.chdir(tmp_path)
-        path = pipeline.ArtifactStore(Path("run")).put_text("metrics", "model,variant\ngbdt,ssl\n",
-                                                              "csv")
+        path = pipeline.ArtifactStore(Path("run")).put_text("metrics", text, "csv")
         assert run_cli("report", "--runs", "run", "--out", "res") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"stage failure: {path}: no column dataset, sampling, "), err
+        assert err.startswith(f"stage failure: {path}{message}"), err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
