@@ -54,8 +54,7 @@ def main() -> int:
     config = load_config(args.corpus / "pipeline.ini")
     with tempfile.TemporaryDirectory() as tmp:
         config.output_dir = Path(tmp)
-        store = pipeline.ArtifactStore(config.output_dir)
-        _, outputs = pipeline.run_stages(config, store, ("ingest", "harmonize", "prepare", "split"))
+        _, outputs = pipeline.run(config, ("ingest", "harmonize", "prepare", "split"))
         matrices = outputs["split"]
 
     train, test, unlabeled = matrices["train"], matrices["test"], matrices["unlabeled"]

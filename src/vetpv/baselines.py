@@ -20,7 +20,7 @@ import numpy as np
 
 from .matrix import FeatureMatrix
 from .resample import k_nearest
-from .trees import FitError, sigmoid
+from .trees import FitError, at_least, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -147,8 +147,7 @@ class KnnParams:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise FitError(f"k must be >= 1, got {self.k}")
+        at_least(self, k=1)
 
 
 class KnnModel:

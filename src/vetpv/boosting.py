@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import (FitError, FlatTree, TreeEnsemble, checked_matrix, checked_weights, grow_trees,
-                    node_square, rank_bins, sigmoid)
+from .trees import (FitError, FlatTree, TreeEnsemble, at_least, checked_matrix, checked_weights,
+                    grow_trees, node_square, rank_bins, sigmoid)
 # perfbench/spans.py wraps these names in traced runs
 from .trees import TreeEnsemble as GradientBoostedModel, apply_tree  # noqa: F401
 
@@ -31,8 +31,9 @@ class GbdtParams:
     reg_lambda: float = 1.0
 
     def __post_init__(self):
-        if self.n_rounds < 1:
-            raise FitError(f"n_rounds must be >= 1, got {self.n_rounds}")
+        at_least(self, n_rounds=1, max_depth=0, min_child_weight=0, reg_lambda=0)
+        if not self.learning_rate > 0:
+            raise FitError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def gain_score(min_child_weight: float, lam: float):

@@ -29,7 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_STAGE = 2
 
-# the stages each per-stage subcommand runs, in order
+# the stages each per-stage subcommand runs, in order; run runs every enabled stage
 COMMAND_STAGES = {
     "ingest": ("ingest",),
     "prepare": ("harmonize", "prepare", "split", "resample"),
@@ -121,12 +121,9 @@ def main(argv=None) -> int:
         return EXIT_STAGE
 
     try:
+        report, outputs = pipeline.run(config, COMMAND_STAGES.get(args.command))
         if args.command == "run":
-            report = pipeline.run(config)
             print(f"run complete: {len(report.stages)} stages, hash {report.config_hash}")
-            return EXIT_OK
-        store = pipeline.ArtifactStore(config.output_dir)
-        _, outputs = pipeline.run_stages(config, store, COMMAND_STAGES[args.command])
         if args.command == "ingest" and args.csv:
             bulkio.export_csv(outputs["ingest"], config.output_dir / "csv")
         return EXIT_OK

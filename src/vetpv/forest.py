@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import (FitError, TreeEnsemble, TreeParams, checked_matrix, checked_weights, grow_cart,
-                    rank_bins)
+from .trees import (FitError, TreeEnsemble, TreeParams, at_least, checked_matrix, checked_weights,
+                    grow_cart, rank_bins)
 # perfbench/spans.py wraps these names in traced runs
 from .trees import TreeEnsemble as RandomForestModel, apply_tree, fit_cart  # noqa: F401
 
@@ -46,12 +46,9 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise FitError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_leaf < 1:
-            raise FitError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise FitError(f"features_per_split must be >= 1, got {self.features_per_split}")
+        at_least(self, n_trees=1, max_depth=0, min_leaf=1)
+        if self.features_per_split is not None:
+            at_least(self, features_per_split=1)
 
 
 def fit_forest(

@@ -252,13 +252,19 @@ def _as_optional_float(value, what: str, key: str, stats: ParseStats) -> float |
         return None
 
 
-def _parse_date(value) -> dt.date | None:
+def _parse_date(value, key: str, stats: ParseStats) -> dt.date | None:
+    """A YYYYMMDD or YYYY-MM-DD date; other text is None, and a date the
+    calendar does not have is a counted reject, read as None."""
     text = _as_optional_str(value)
     if text is None:
         return None
     digits = text.replace("-", "")
     if len(digits) == 8 and digits.isdigit():
-        return dt.date(int(digits[:4]), int(digits[4:6]), int(digits[6:8]))
+        try:
+            return dt.date(int(digits[:4]), int(digits[4:6]), int(digits[6:8]))
+        except ValueError:
+            stats.invalid_field_rows += 1
+            stats.note(f"report {key}: impossible receive date {text!r}")
     return None
 
 
@@ -322,7 +328,7 @@ def _parse_animal(key: str, animal, received, stats: ParseStats) -> tuple:
         age_unit,
         weight_value,
         weight_unit,
-        _parse_date(received),
+        _parse_date(received, key, stats),
     )
 
 

@@ -15,7 +15,7 @@ from .baselines import KnnModel, KnnParams, LogisticModel, LogisticParams, fit_k
 from .boosting import GbdtParams, fit_gbdt
 from .forest import ForestParams, fit_forest
 from .matrix import FeatureMatrix, from_arrays
-from .trees import FitError, FlatTree, TreeEnsemble, TreeParams, fit_cart
+from .trees import FitError, FlatTree, TreeEnsemble, TreeParams, at_least, fit_cart
 
 MODEL_FORMAT_VERSION = 1
 
@@ -30,8 +30,7 @@ class EnsembleParams:
     members: tuple[ModelSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n_folds < 2:
-            raise FitError(f"n_folds must be >= 2, got {self.n_folds}")
+        at_least(self, n_folds=2)
         if len(self.members) == 1:
             raise FitError("ensembles need at least 2 members")
 

@@ -160,28 +160,10 @@ class RunReport:
         self.stages.append(record)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                # what the timings ran on: forest fits use every CPU allowed
-                "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                                "cpus": len(os.sched_getaffinity(0))},
-                "failed_stage": self.failed_stage,
-                "failure": self.failure,
-                "stages": [
-                    {
-                        "name": s.name,
-                        "seconds": round(s.seconds, 3),
-                        "rows_in": s.rows_in,
-                        "rows_out": s.rows_out,
-                        "details": s.details,
-                    }
-                    for s in self.stages
-                ],
-            },
-            indent=1,
-            sort_keys=True,
-        )
+        # what the timings ran on: forest fits use every CPU allowed
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        environment = {"python": platform.python_version(), "numpy": np.__version__, "cpus": cpus}
+        return json.dumps({**asdict(self), "environment": environment}, indent=1, sort_keys=True)
 
 
 def _columns_to_json(columns: list[ColumnMeta]) -> str:
@@ -470,40 +452,36 @@ def stage_explain(config: PipelineConfig, store: ArtifactStore, outputs: StageOu
     return None, rows_in, dataset.n_rows, details
 
 
-def run_stages(config: PipelineConfig, store: ArtifactStore, names, echo=print):
-    """Run the named stages in order and return (report, outputs).
+def run(config: PipelineConfig, names=None, echo=print):
+    """Run the named stages in order, or every enabled stage when names is
+    None, and return (report, outputs).
 
     Each stage is the module attribute stage_<name>, looked up when it runs,
     so a replaced attribute (a test's stub, a tracing wrapper) is what runs.
-    A failing stage is recorded in a partial run_report.json before the error
-    propagates.
+    run_report.json, naming the stage that raised if one did, and
+    effective_config.txt are written whether the stages succeed or fail.
     """
-    report = RunReport(config_hash=config_hash(config))
-    outputs = StageOutputs(store)
-    for name in names:
-        start = time.perf_counter()
-        try:
-            result, rows_in, rows_out, details = globals()[f"stage_{name}"](config, store, outputs)
-        except Exception as exc:
-            # persist the partial report so the failing stage is on record
-            report.failed_stage = name
-            report.failure = str(exc)
-            _replace_file(config.output_dir / "run_report.json", [report.to_json()])
-            raise
-        seconds = time.perf_counter() - start
-        echo(f"stage {name}: {seconds:.2f}s")
-        report.add(StageRecord(name, seconds, rows_in, rows_out, details))
-        outputs[name] = result
-    return report, outputs
-
-
-def run(config: PipelineConfig, echo=print) -> RunReport:
-    """Execute every enabled stage in order, persisting artifacts and the run report."""
+    if names is None:
+        enabled = {"ssl": config.ssl.enabled, "explain": config.explain.enabled}
+        names = [name for name in STAGES if enabled.get(name, True)]
+    effective = effective_config_text(config)
     echo("effective configuration:")
-    echo(effective_config_text(config))
-    enabled = {"ssl": config.ssl.enabled, "explain": config.explain.enabled}
-    names = [name for name in STAGES if enabled.get(name, True)]
-    report, _ = run_stages(config, ArtifactStore(config.output_dir), names, echo)
-    _replace_file(config.output_dir / "run_report.json", [report.to_json()])
-    _replace_file(config.output_dir / "effective_config.txt", [effective_config_text(config)])
-    return report
+    echo(effective)
+    report = RunReport(config_hash=config_hash(config))
+    store = ArtifactStore(config.output_dir)
+    outputs = StageOutputs(store)
+    try:
+        for name in names:
+            start = time.perf_counter()
+            result, rows_in, rows_out, details = globals()[f"stage_{name}"](config, store, outputs)
+            seconds = time.perf_counter() - start
+            echo(f"stage {name}: {seconds:.2f}s")
+            report.add(StageRecord(name, round(seconds, 3), rows_in, rows_out, details))
+            outputs[name] = result
+    except BaseException as exc:  # an interrupt too: the report must not read as a success
+        report.failed_stage, report.failure = name, str(exc) or type(exc).__name__
+        raise
+    finally:
+        _replace_file(config.output_dir / "run_report.json", [report.to_json()])
+        _replace_file(config.output_dir / "effective_config.txt", [effective])
+    return report, outputs

@@ -44,6 +44,14 @@ class FitError(ValueError):
     pass
 
 
+def at_least(params, **lows):
+    """Raise FitError naming the first field of params below its low; NaN is below."""
+    for name, low in lows.items():
+        value = getattr(params, name)
+        if not value >= low:
+            raise FitError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass
 class FlatTree:
     """One tree as arrays indexed by node; children_left == -1 marks a leaf.
@@ -71,6 +79,9 @@ class FlatTree:
 class TreeParams:
     max_depth: int = 6
     min_leaf: int = 1
+
+    def __post_init__(self):
+        at_least(self, max_depth=0, min_leaf=1)
 
 
 class Bins:

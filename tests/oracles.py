@@ -514,8 +514,12 @@ def parse_per_row(json_text: str):
         breed = animal.get("breed")
         breed = breed.get("breed_component") if isinstance(breed, dict) else breed
         digits = (text(record.get("original_receive_date")) or "").replace("-", "")
-        received = (dt.date(int(digits[:4]), int(digits[4:6]), int(digits[6:]))
-                    if len(digits) == 8 and digits.isdigit() else None)
+        received = None
+        if len(digits) == 8 and digits.isdigit():
+            try:
+                received = dt.date(int(digits[:4]), int(digits[4:6]), int(digits[6:]))
+            except ValueError:  # a date the calendar does not have
+                bad_fields += 1
         rows["main"].append(MainRow(key, text(animal.get("species")) or "", text(breed),
                                     text(animal.get("gender")), *age, *weight, received))
         for reaction in entries(record, "reaction"):

@@ -76,11 +76,8 @@ def prepared(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance-prep")
     config = load_config(corpus / "pipeline.ini")
     config = replace(config, output_dir=out)
-    store = pipeline.ArtifactStore(out)
-    _, outputs = pipeline.run_stages(
-        config, store, ("ingest", "harmonize", "prepare"), echo=lambda *a: None
-    )
-    return config, store, outputs["prepare"]
+    _, outputs = pipeline.run(config, ("ingest", "harmonize", "prepare"), echo=lambda *a: None)
+    return config, outputs.store, outputs["prepare"]
 
 
 def all_subset_values(flat, x, n_features):
@@ -275,7 +272,7 @@ def test_criterion_7_end_to_end_desk_run(corpus, tmp_path, caplog):
     config = replace(config, output_dir=out)
 
     start = time.perf_counter()
-    report = pipeline.run(config, echo=lambda *a: None)
+    report, _ = pipeline.run(config, echo=lambda *a: None)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"pipeline took {elapsed:.0f}s"
     assert [s.name for s in report.stages] == list(pipeline.STAGES)
@@ -292,7 +289,7 @@ def test_criterion_7_end_to_end_desk_run(corpus, tmp_path, caplog):
     # byte-identical rerun
     snapshot = tmp_path / "snapshot"
     shutil.copytree(out, snapshot)
-    rerun = pipeline.run(config, echo=lambda *a: None)
+    rerun, _ = pipeline.run(config, echo=lambda *a: None)
     assert rerun.config_hash == report.config_hash == config_hash(config)
     for path in sorted(snapshot.iterdir()):
         if path.name == "run_report.json":  # timings differ by design

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vetpv.cli import EXIT_CONFIG, main
+from vetpv.cli import COMMAND_STAGES, EXIT_CONFIG, main
 from vetpv.config import ConfigError, load_config
 
 
@@ -45,6 +45,20 @@ class TestRun:
         assert report["environment"] == {"python": platform.python_version(),
                                          "numpy": np.__version__,
                                          "cpus": len(os.sched_getaffinity(0))}
+
+    def test_run_report_without_sched_getaffinity_counts_cpu_count(self, small_corpus, tmp_path,
+                                                                    monkeypatch):
+        import os
+
+        out = tmp_path / "out"
+        config = tmp_path / "ingest.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {out}\n[run]\nseed = 1\n"
+        )
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+        assert run_cli("ingest", "--config", str(config)) == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["environment"]["cpus"] == os.cpu_count()
 
     def test_artifacts_are_content_hash_named(self, finished_run):
         _, out = finished_run
@@ -214,10 +228,22 @@ class TestValidation:
         ("model", {"features_per_split": "-1", "kind": "forest"}),
         ("model", {"min_leaf": "0", "kind": "forest"}),
         ("model", {"min_leaf": "-1", "kind": "forest"}),
+        ("model", {"max_depth": "-1", "kind": "tree"}),
+        ("model", {"max_depth": "-1", "kind": "forest"}),
+        ("model", {"max_depth": "-1", "kind": "gbdt"}),
+        ("model", {"min_leaf": "0", "kind": "tree"}),
+        ("model", {"min_leaf": "-1", "kind": "tree"}),
+        ("model", {"learning_rate": "0", "kind": "gbdt"}),
+        ("model", {"learning_rate": "-0.1", "kind": "gbdt"}),
+        ("model", {"reg_lambda": "-1", "kind": "gbdt"}),
+        ("model", {"min_child_weight": "-0.5", "kind": "gbdt"}),
     ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
             "ssl.enabled", "max_checkpoints", "keep_fraction", "k_smote", "n_rounds",
             "learning_rate", "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0",
-            "features_per_split=0", "features_per_split=-1", "min_leaf=0", "min_leaf=-1"])
+            "features_per_split=0", "features_per_split=-1", "min_leaf=0", "min_leaf=-1",
+            "tree.max_depth=-1", "forest.max_depth=-1", "gbdt.max_depth=-1", "tree.min_leaf=0",
+            "tree.min_leaf=-1", "learning_rate=0", "learning_rate=-0.1", "reg_lambda=-1",
+            "min_child_weight=-0.5"])
     def test_bad_value_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -355,6 +381,50 @@ class TestSubcommands:
         _, run_out = finished_run
         assert (out / "manifest.tsv").read_bytes() == (run_out / "manifest.tsv").read_bytes()
 
+    def test_every_command_writes_its_report_and_effective_config(self, finished_run, small_corpus,
+                                                                  tmp_path):
+        out = tmp_path / "chain"
+        config = tmp_path / "chain.ini"
+        config.write_text(
+            (small_corpus / "pipeline.ini").read_text().replace(
+                "input_dir = quarters", f"input_dir = {small_corpus / 'quarters'}"
+            ).replace("output_dir = out", f"output_dir = {out}")
+        )
+        _, run_out = finished_run
+        expected = (run_out / "effective_config.txt").read_text().replace(
+            f"paths.output_dir = {run_out}\n", f"paths.output_dir = {out}\n")
+        assert expected != (run_out / "effective_config.txt").read_text()
+        for cmd, stages in COMMAND_STAGES.items():
+            assert run_cli(cmd, "--config", str(config)) == 0, cmd
+            report = json.loads((out / "run_report.json").read_text())
+            assert report["failed_stage"] is None, cmd
+            assert [s["name"] for s in report["stages"]] == list(stages), cmd
+            assert (out / "effective_config.txt").read_text() == expected, cmd
+            for name in ("run_report.json", "effective_config.txt"):  # the next command's own
+                (out / name).unlink()
+
+    def test_rerun_after_a_failed_command_reports_only_its_own_stages(self, small_corpus, tmp_path,
+                                                                      capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "stage.ini"
+        config.write_text(
+            (small_corpus / "pipeline.ini").read_text().replace(
+                "input_dir = quarters", f"input_dir = {small_corpus / 'quarters'}"
+            ).replace("output_dir = out", f"output_dir = {out}")
+        )
+        for cmd in ("ingest", "prepare"):
+            assert run_cli(cmd, "--config", str(config)) == 0, cmd
+        assert run_cli("evaluate", "--config", str(config)) == 2  # no model yet
+        assert "missing prerequisite artifact 'model'" in capsys.readouterr().err
+        report = json.loads((out / "run_report.json").read_text())
+        assert (report["failed_stage"], report["stages"]) == ("evaluate", [])
+        assert "'model'" in report["failure"]
+        for cmd in ("train", "ssl", "evaluate"):
+            assert run_cli(cmd, "--config", str(config)) == 0, cmd
+            report = json.loads((out / "run_report.json").read_text())
+            assert (report["failed_stage"], report["failure"]) == (None, None), cmd
+            assert [s["name"] for s in report["stages"]] == [cmd]
+
     def test_stagewise_chain_matches_run_with_cr_in_report_ids(self, small_corpus, tmp_path):
         # a CR inside a quoted CSV key must survive the artifact reads of the chain
         quarters = Path(shutil.copytree(small_corpus / "quarters", tmp_path / "quarters"))
@@ -491,6 +561,21 @@ class TestStageFailure:
         assert report["failed_stage"] == "split"
         assert [s["name"] for s in report["stages"]] == ["ingest", "harmonize", "prepare"]
         assert (out / "manifest.tsv").exists()  # partial artifacts retained
+
+    def test_interrupted_stage_recorded(self, small_corpus, tmp_path, monkeypatch):
+        from vetpv import pipeline
+
+        def interrupt(*_):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "stage_train", interrupt)
+        config = tmp_path / "stop.ini"
+        config.write_text(f"[paths]\ninput_dir = {small_corpus / 'quarters'}\n"
+                          f"output_dir = {tmp_path / 'out'}\n[run]\nseed = 1\n")
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run(load_config(config), ["train"], echo=lambda *_: None)
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert (report["failed_stage"], report["failure"]) == ("train", "KeyboardInterrupt")
 
 
 class TestArtifactStore:
@@ -712,8 +797,8 @@ class TestEnvOverrides:
             (tmp_path / "pipeline.ini").write_text(
                 f"[paths]\ninput_dir = quarters\noutput_dir = {out}\n[run]\nseed = 1\n")
             config = load_config(tmp_path / "pipeline.ini")
+            pipeline.run(config, ["ingest", "harmonize"], echo=lambda *a: None)
             store = pipeline.ArtifactStore(out)
-            pipeline.run_stages(config, store, ["ingest", "harmonize"], echo=lambda *a: None)
             merged.append(store.get_text("merged"))
         assert merged[0] == merged[1]
 

@@ -1,3 +1,4 @@
+import datetime as dt
 import gzip
 import json
 
@@ -150,9 +151,12 @@ def animal(**fields):
     ({"animal": animal(weight={"min": False, "unit": "Kilogram"})}, (1, 1, 1)),
     ({"outcome": [{"medical_status": "Died", "number_of_animals_affected": True}]}, (1, 1, 1)),
     ({"outcome": [{"medical_status": "Died", "number_of_animals_affected": False}]}, (1, 1, 1)),
+    ({"original_receive_date": "20230231"}, (1, 1, 1)),
+    ({"original_receive_date": "2023-13-01"}, (1, 1, 1)),
 ], ids=["affected 1e400", "reaction entry", "reaction list", "outcome entry", "drug entry",
         "ingredient list", "animal", "age", "weight", "age NaN", "weight inf", "age true",
-        "age false", "weight true", "weight false", "affected true", "affected false"])
+        "age false", "weight true", "weight false", "affected true", "affected false",
+        "date 20230231", "date 2023-13-01"])
 def test_bad_value_is_a_counted_reject(overrides, counts):
     # json.dumps writes the float 1e400 as Infinity; an input file may spell it 1e400
     text = document(report(**overrides)).replace("Infinity", "1e400")
@@ -163,6 +167,8 @@ def test_bad_value_is_a_counted_reject(overrides, counts):
     assert len(stats.diagnostics) == 1 and stats.diagnostics[0].startswith("report R1: ")
     numbers = tables.main["age_value"] + tables.main["weight_value"]
     assert all(v is None or np.isfinite(v) for v in numbers + tables.outcomes["animals_affected"])
+    bad_date = "original_receive_date" in overrides
+    assert tables.main["received_date"] == [None if bad_date else dt.date(2023, 2, 15)]
 
 
 def test_outcome_synonyms_normalize():
@@ -183,8 +189,7 @@ def test_child_keys_are_main_keys_across_files(tmp_path):
     (tmp_path / "pipeline.ini").write_text(
         "[paths]\ninput_dir = quarters\noutput_dir = out\n[run]\nseed = 1\n", encoding="utf-8")
     config = load_config(tmp_path / "pipeline.ini")
-    store = pipeline.ArtifactStore(config.output_dir)
-    _, outputs = pipeline.run_stages(config, store, ["ingest"], echo=lambda *a: None)
+    _, outputs = pipeline.run(config, ["ingest"], echo=lambda *a: None)
     tables = outputs["ingest"]
     assert len(tables.main) == 122
     main_keys = set(tables.main["key"])
@@ -192,7 +197,7 @@ def test_child_keys_are_main_keys_across_files(tmp_path):
         assert set(getattr(tables, name)["key"]) <= main_keys, name
     assert "ONLY-Q2" in tables.drugs["key"]
     with pytest.raises(MergeError, match=repeated):
-        pipeline.run_stages(config, store, ["harmonize"], echo=lambda *a: None)
+        pipeline.run(config, ["harmonize"], echo=lambda *a: None)
 
 
 def test_parse_deterministic():
@@ -236,7 +241,8 @@ def awkward_records(seed: int, n: int = 80) -> list:
             animal[pick(["age", "weight"])] = pick([4, "heavy", ["4"]])
         if gen.random() < 0.05:
             record["animal"] = pick(["dog", 3, ["Dog"]])
-        record["original_receive_date"] = pick(["20230215", "2023-02-15", "2023", None, ""])
+        record["original_receive_date"] = pick(["20230215", "2023-02-15", "2023", None, "",
+                                                "20230231", "2023-13-01"])
         record["reaction"] = [
             {"veddra_term_name": pick(["Vomiting", " Rash ", "", None]),
              "veddra_level": pick(["PT", "hlt", "LLT", "Other", None]),
