@@ -20,7 +20,7 @@ import numpy as np
 
 from .matrix import FeatureMatrix
 from .resample import k_nearest
-from .trees import FitError, at_least, sigmoid
+from .trees import at_least, checked_rows, checked_training, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +30,9 @@ class LogisticParams:
     l2: float = 1e-4
     tol: float = 1e-6
     max_iter: int = 10_000
+
+    def __post_init__(self):
+        at_least(self, l2=0, tol=0, max_iter=1)
 
 
 def logistic_loss_grad(weights, bias, X, y, l2):
@@ -59,10 +62,7 @@ class LogisticModel:
         self.converged = converged
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != len(self.weights):
-            raise FitError(f"expected {len(self.weights)} features, got {X.shape[1]}")
-        return (X - self.mean) / self.std
+        return (checked_rows(X, len(self.weights)) - self.mean) / self.std
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p1 = sigmoid(self._standardize(X) @ self.weights + self.bias)
@@ -96,12 +96,8 @@ def _newton_step(Xs, weights, bias, l2, grad, scaled):
 
 
 def fit_logistic(matrix: FeatureMatrix, params: LogisticParams = LogisticParams()) -> LogisticModel:
-    if matrix.labels is None:
-        raise FitError("training matrix has no labels")
-    X = matrix.values
-    if np.isnan(X).any():
-        raise FitError("training matrix contains NaN; impute before fitting")
-    y = matrix.labels.astype(np.float64)
+    X, y, _ = checked_training(matrix.values, matrix.labels)
+    y = y.astype(np.float64)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std[std == 0] = 1.0
@@ -162,9 +158,7 @@ class KnnModel:
         self.feature_names = list(feature_names)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.X.shape[1]:
-            raise FitError(f"expected {self.X.shape[1]} features, got {X.shape[1]}")
+        X = checked_rows(X, self.X.shape[1])
         nearest, dist = k_nearest(self.X, X, min(self.k, len(self.X)))
         votes = 1.0 / np.maximum(dist, 1e-12)
         is_one = self.y[nearest] == 1
@@ -184,6 +178,5 @@ class KnnModel:
 
 
 def fit_knn(matrix: FeatureMatrix, params: KnnParams = KnnParams()) -> KnnModel:
-    if matrix.labels is None:
-        raise FitError("training matrix has no labels")
-    return KnnModel(matrix.values, matrix.labels, params.k, matrix.column_names())
+    X, y, _ = checked_training(matrix.values, matrix.labels)
+    return KnnModel(X, y, params.k, matrix.column_names())

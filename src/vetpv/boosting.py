@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import (FitError, FlatTree, TreeEnsemble, at_least, checked_matrix, checked_weights,
-                    grow_trees, node_square, rank_bins, sigmoid)
+from .trees import (FitError, FlatTree, TreeEnsemble, at_least, checked_training, grow_trees,
+                    node_square, rank_bins, sigmoid)
 # perfbench/spans.py wraps these names in traced runs
 from .trees import TreeEnsemble as GradientBoostedModel, apply_tree  # noqa: F401
 
@@ -73,12 +73,9 @@ def fit_gbdt(
     base_score is the log-odds of the (weighted) training prevalence, clipped
     away from 0 and 1 so degenerate inputs stay finite.
     """
-    if matrix.labels is None:
-        raise FitError("training matrix has no labels")
-    X = checked_matrix(matrix.values, 1)
-    y = matrix.labels.astype(np.float64)
+    X, y, w = checked_training(matrix.values, matrix.labels, sample_weight=sample_weight)
+    y = y.astype(np.float64)
     n = len(y)
-    w = checked_weights(sample_weight, n)
 
     prevalence = float(np.clip((w * y).sum() / w.sum(), PREVALENCE_CLIP, 1 - PREVALENCE_CLIP))
     base_score = float(np.log(prevalence / (1.0 - prevalence)))

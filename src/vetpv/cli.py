@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import bulkio, pipeline
+from . import pipeline
 from .config import ConfigError, load_config
 from .metrics import TABLE_METRICS, results_table
 
@@ -121,11 +121,12 @@ def main(argv=None) -> int:
         return EXIT_STAGE
 
     try:
-        report, outputs = pipeline.run(config, COMMAND_STAGES.get(args.command))
+        names = COMMAND_STAGES.get(args.command)
+        if args.command == "ingest" and args.csv:
+            names += ("csv",)
+        report, _ = pipeline.run(config, names)
         if args.command == "run":
             print(f"run complete: {len(report.stages)} stages, hash {report.config_hash}")
-        if args.command == "ingest" and args.csv:
-            bulkio.export_csv(outputs["ingest"], config.output_dir / "csv")
         return EXIT_OK
     except pipeline.MissingArtifactError as exc:
         print(f"missing prerequisite: {exc}", file=sys.stderr)

@@ -291,12 +291,6 @@ def _scope_columns(matrix: FeatureMatrix, scope: str) -> list[int]:
     return cols
 
 
-def _display_name(meta) -> str:
-    if meta.kind == "multi_hot" and meta.source_field:
-        return meta.name[len(meta.source_field) + 1:]
-    return meta.name
-
-
 def aggregate_shap(
     phi: np.ndarray,
     matrix: FeatureMatrix,
@@ -306,9 +300,9 @@ def aggregate_shap(
     """Support-conditioned mean attributions per species group, over the row
     indices per group that group_rows returns.
 
-    For indicator columns the signed mean runs over rows where the indicator
-    is active and such columns need support >= 1 to appear; other columns use
-    every group row. The absolute mean always runs over all group rows.
+    The scope's columns are indicators: the signed mean runs over rows where
+    the indicator is active, and a column needs support >= 1 to appear. The
+    absolute mean runs over all group rows.
     """
     if phi.shape != (matrix.n_rows, matrix.n_cols):
         raise ExplainError(
@@ -325,19 +319,14 @@ def aggregate_shap(
         group_values = matrix.values[rows]
         for j in columns:
             meta = matrix.columns[j]
-            if meta.kind == "multi_hot":
-                active = group_values[:, j] == 1.0
-                support = int(active.sum())
-                if support == 0:
-                    continue
-                mean_signed = float(group_phi[active, j].mean())
-            else:
-                support = len(rows)
-                mean_signed = float(group_phi[:, j].mean())
+            active = group_values[:, j] == 1.0
+            support = int(active.sum())
+            if support == 0:
+                continue
             entries.append(
                 RankingEntry(
-                    name=_display_name(meta),
-                    mean_signed_shap=mean_signed,
+                    name=meta.name[len(meta.source_field) + 1:],
+                    mean_signed_shap=float(group_phi[active, j].mean()),
                     mean_abs_shap=float(np.abs(group_phi[:, j]).mean()),
                     support=support,
                 )

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import FeatureMatrix
-from .trees import (FitError, TreeEnsemble, TreeParams, at_least, checked_matrix, checked_weights,
-                    grow_cart, rank_bins)
+from .trees import (FitError, TreeEnsemble, TreeParams, at_least, checked_training, grow_cart,
+                    rank_bins)
 # perfbench/spans.py wraps these names in traced runs
 from .trees import TreeEnsemble as RandomForestModel, apply_tree, fit_cart  # noqa: F401
 
@@ -56,12 +56,8 @@ def fit_forest(
     params: ForestParams = ForestParams(),
     sample_weight: np.ndarray | None = None,
 ) -> TreeEnsemble:
-    if matrix.labels is None:
-        raise FitError("training matrix has no labels")
-    X = checked_matrix(matrix.values, params.min_leaf)
-    y = matrix.labels
+    X, y, w = checked_training(matrix.values, matrix.labels, params.min_leaf, sample_weight)
     n, d = X.shape
-    w = checked_weights(sample_weight, n)
     m = params.features_per_split
     if m is None:
         m = max(1, int(round(math.sqrt(d))))

@@ -258,6 +258,15 @@ def stage_ingest(config: PipelineConfig, store: ArtifactStore, outputs: StageOut
     return tables, 0, len(tables.main), stats
 
 
+def stage_csv(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
+    """The ingested tables as RFC-4180 CSV files under output_dir/csv: a step
+    outside STAGES that only `vetpv ingest --csv` names, after ingest, so the
+    run report records the export."""
+    tables = outputs["ingest"]
+    counts = bulkio.export_csv(tables, config.output_dir / "csv")
+    return None, len(tables.main), len(tables.main), counts
+
+
 def stage_harmonize(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
     tables = outputs["ingest"]
     veddra = harmonize.VeddraMap.load(config.veddra)

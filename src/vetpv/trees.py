@@ -311,23 +311,27 @@ def gini_score(min_leaf: int):
     return score
 
 
-def checked_matrix(X, min_leaf: int) -> np.ndarray:
-    """X as float64, after the checks every CART fit makes of its input."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0:
+def checked_training(X, y, min_leaf: int = 1, sample_weight=None):
+    """(X as float64, y, weights: ones when None) after the checks every
+    learner makes of its training input: labels present, one per row; a
+    non-empty 2-D matrix with no NaN (inf stays: a descriptor sum may
+    overflow to it) and at least min_leaf rows; and the weights given."""
+    if y is None:
+        raise FitError("training matrix has no labels")
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    if X.ndim != 2:
+        raise FitError(f"training matrix must be 2-D, got shape {X.shape}")
+    n = len(X)
+    if n == 0:
         raise FitError("training set is empty")
+    if y.shape != (n,):
+        raise FitError(f"need one label per row: {n} rows, labels of shape {y.shape}")
     if np.isnan(X).any():
         raise FitError("training matrix contains NaN; impute before fitting")
-    if len(X) < min_leaf:
-        raise FitError(f"need at least min_leaf={min_leaf} rows, got {len(X)}")
-    return X
-
-
-def checked_weights(sample_weight, n: int) -> np.ndarray:
-    """Sample weights as float64 (ones when None), after the checks every fit
-    makes of weights given from outside."""
+    if n < min_leaf:
+        raise FitError(f"need at least min_leaf={min_leaf} rows, got {n}")
     if sample_weight is None:
-        return np.ones(n)
+        return X, y, np.ones(n)
     w = np.asarray(sample_weight, dtype=np.float64)
     if w.shape != (n,):
         raise FitError(f"sample_weight must have shape ({n},), got {w.shape}")
@@ -335,7 +339,16 @@ def checked_weights(sample_weight, n: int) -> np.ndarray:
         raise FitError("sample weights must be finite and non-negative")
     if not w.sum() > 0:
         raise FitError("sample weights sum to 0")
-    return w
+    return X, y, w
+
+
+def checked_rows(X, width: int) -> np.ndarray:
+    """X as float64, after the check every model makes of the rows it
+    predicts: a 2-D array of width columns."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise FitError(f"expected rows of {width} features, got an array of shape {X.shape}")
+    return X
 
 
 def grow_cart(bins: Bins, y, w, params: TreeParams, roots: list, draw=None) -> list[FlatTree]:
@@ -362,9 +375,7 @@ def fit_cart(
     sample_weight: np.ndarray | None = None,
 ) -> FlatTree:
     """Grow a classification tree over every column of X."""
-    X = checked_matrix(X, params.min_leaf)
-    y = np.asarray(y)
-    w = checked_weights(sample_weight, len(X))
+    X, y, w = checked_training(X, y, params.min_leaf, sample_weight)
     return grow_cart(rank_bins(X), y, w, params, [np.arange(len(X))])[0]
 
 
@@ -579,9 +590,7 @@ class TreeEnsemble:
 
     def staged_margins(self, X: np.ndarray, checkpoints: list[int]) -> np.ndarray:
         """Margin of each prefix of t trees, t in checkpoints, in one pass."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != len(self.feature_names):
-            raise FitError(f"expected {len(self.feature_names)} features, got {X.shape[1]}")
+        X = checked_rows(X, len(self.feature_names))
         lowest = 1 if self.kind == "forest" else 0  # a forest has no empty prefix
         bad = [t for t in checkpoints if not lowest <= t <= len(self.trees)]
         if bad:

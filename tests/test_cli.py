@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vetpv.cli import COMMAND_STAGES, EXIT_CONFIG, main
+from vetpv.cli import COMMAND_STAGES, EXIT_CONFIG, EXIT_STAGE, main
 from vetpv.config import ConfigError, load_config
 
 
@@ -237,13 +237,18 @@ class TestValidation:
         ("model", {"learning_rate": "-0.1", "kind": "gbdt"}),
         ("model", {"reg_lambda": "-1", "kind": "gbdt"}),
         ("model", {"min_child_weight": "-0.5", "kind": "gbdt"}),
+        ("model", {"l2": "-1", "kind": "logistic"}),
+        ("model", {"l2": "nan", "kind": "logistic"}),
+        ("model", {"tol": "-5", "kind": "logistic"}),
+        ("model", {"tol": "nan", "kind": "logistic"}),
+        ("model", {"max_iter": "0", "kind": "logistic"}),
     ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
             "ssl.enabled", "max_checkpoints", "keep_fraction", "k_smote", "n_rounds",
             "learning_rate", "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0",
             "features_per_split=0", "features_per_split=-1", "min_leaf=0", "min_leaf=-1",
             "tree.max_depth=-1", "forest.max_depth=-1", "gbdt.max_depth=-1", "tree.min_leaf=0",
             "tree.min_leaf=-1", "learning_rate=0", "learning_rate=-0.1", "reg_lambda=-1",
-            "min_child_weight=-0.5"])
+            "min_child_weight=-0.5", "l2=-1", "l2=nan", "tol=-5", "tol=nan", "max_iter=0"])
     def test_bad_value_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -527,6 +532,25 @@ class TestSubcommands:
         )
         assert run_cli("ingest", "--config", str(config), "--csv") == 0
         assert (out / "csv" / "main.csv").exists()
+
+    def test_ingest_csv_export_is_a_step_of_the_report(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "csvout"
+        config = tmp_path / "csv.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {out}\n[run]\nseed = 5\n"
+        )
+        assert run_cli("ingest", "--config", str(config), "--csv") == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert [s["name"] for s in report["stages"]] == ["ingest", "csv"]
+        assert report["stages"][1]["details"]["main"] == report["stages"][0]["rows_out"]
+
+        shutil.rmtree(out / "csv")
+        (out / "csv").write_text("a file where the export's directory goes")
+        assert run_cli("ingest", "--config", str(config), "--csv") == EXIT_STAGE
+        assert "stage failure" in capsys.readouterr().err
+        report = json.loads((out / "run_report.json").read_text())
+        assert [s["name"] for s in report["stages"]] == ["ingest"]
+        assert report["failed_stage"] == "csv"
 
 
 class TestStageFailure:

@@ -152,6 +152,25 @@ class TestMerge:
         flipped, _ = merge_reports(row_tables(**rows), veddra, DESCRIPTORS)
         assert as_records(merged)[0].descriptors == as_records(flipped)[0].descriptors
 
+    def test_term_code_looked_up_before_the_name(self, tmp_path):
+        path = tmp_path / "veddra.tsv"
+        path.write_text("term\thlt\nV123\tSkin disorders\nVomiting\tGastrointestinal signs\n")
+        table = VeddraMap.load(path)
+        assert map_veddra("Odd rash", "v123", VeddraLevel.PT, table) == "Skin disorders"
+        assert map_veddra("Odd rash", "V999", VeddraLevel.PT, table) == "UNMAPPED:Odd rash"
+        assert map_veddra("Vomiting", "V123", None, table) == "Skin disorders"
+        rows = rows_for_merge()
+        rows["events"] = [
+            AERow(key="A", term_name="Odd rash", term_code="V123", veddra_level=VeddraLevel.PT),
+            AERow(key="A", term_name="Odd rash", term_code="V999", veddra_level=VeddraLevel.PT),
+            AERow(key="B", term_name="Odd rash", veddra_level=VeddraLevel.PT),
+        ]
+        merged, stats = merge_reports(row_tables(**rows), table, {})
+        records = as_records(merged)
+        assert records[0].ae_terms == ["Skin disorders", "UNMAPPED:Odd rash"]
+        assert records[1].ae_terms == ["UNMAPPED:Odd rash"]
+        assert stats.unmapped_terms == {"Odd rash": 2}
+
     def test_merged_csv_roundtrip(self, veddra):
         merged, _ = merge_reports(row_tables(**rows_for_merge()), veddra, DESCRIPTORS)
         assert merged_csv_records(merged_to_csv(merged)) == as_records(merged)

@@ -77,6 +77,46 @@ def test_kinds_without_weights_reject_them(kind, separable_matrix):
         fit_model(ModelSpec(kind), separable_matrix, sample_weight=np.ones(separable_matrix.n_rows))
 
 
+SMALL_MEMBERS = (ModelSpec("gbdt", {"n_rounds": 3}), ModelSpec("knn"))
+# one small spec of each of the seven kinds
+EVERY_KIND = [
+    *TREE_SPECS,
+    ModelSpec("logistic"),
+    ModelSpec("knn", {"k": 3}),
+    ModelSpec("vote", {"members": SMALL_MEMBERS}),
+    ModelSpec("stack", {"members": SMALL_MEMBERS, "n_folds": 2}),
+]
+
+
+def with_nan(matrix):
+    values = matrix.values.copy()
+    values[7, 2] = np.nan
+    return from_arrays(values, matrix.labels)
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+@pytest.mark.parametrize("bad, message", [
+    (lambda m: from_arrays(m.values), "no labels"),
+    (lambda m: matrix_of(np.zeros((0, m.n_cols)), np.zeros(0)), "empty"),
+    (with_nan, "contains NaN"),
+], ids=["unlabeled", "empty", "nan"])
+def test_bad_training_matrix_fails_at_fit(spec, bad, message, separable_matrix):
+    with pytest.raises(FitError, match=message):
+        fit_model(spec, bad(separable_matrix))
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+def test_bad_prediction_rows_rejected(spec, separable_matrix):
+    model = fit_model(spec, separable_matrix)
+    X = separable_matrix.values
+    assert model.predict_proba(X[:2]).shape == (2, 2)
+    for rows in (X[0], X[:2, :-1], np.hstack([X[:2], X[:2]])):
+        with pytest.raises(FitError, match="expected rows of 4 features"):
+            model.predict_proba(rows)
+        with pytest.raises(FitError, match="expected rows of 4 features"):
+            model.predict(rows)
+
+
 class InputChecks:
     """The input checks of a CART-based learner; fit(X, y, min_leaf) fits it."""
 
@@ -99,6 +139,17 @@ class TestCart(InputChecks):
     @staticmethod
     def fit(X, y, min_leaf=1):
         return fit_cart(X, y, TreeParams(min_leaf=min_leaf))
+
+    @pytest.mark.parametrize("take, message", [
+        (lambda X, y: (X, y[:10]), "one label per row"),
+        (lambda X, y: (X, y[:, None]), "one label per row"),
+        (lambda X, y: (X[:, 0], y), "2-D"),
+    ], ids=["fewer labels", "2-D labels", "1-D matrix"])
+    def test_array_shapes_rejected(self, take, message, separable_matrix):
+        # a FeatureMatrix checks these itself; fit_cart takes bare arrays
+        X, y = take(separable_matrix.values, separable_matrix.labels)
+        with pytest.raises(FitError, match=message):
+            fit_cart(X, y)
 
     def test_pure_labels_yield_single_leaf(self):
         tree = fit_cart(np.array([[0.0], [1.0], [2.0]]), np.array([1, 1, 1]))
