@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vetpv import pipeline
 from vetpv.config import load_config
-from vetpv.metrics import evaluate, results_table
+from vetpv.metrics import evaluate, results_table, write_results_table
 from vetpv.models import ModelSpec, VotingEnsemble, fit_model
 from vetpv.resample import ResamplePlan, apply_plan
 from vetpv.ssl import SslPlan, ssl_train
@@ -81,13 +81,10 @@ def main() -> int:
                 print(f"{model_name + '+ssl':10s} {sampling_name:12s} "
                       f"F1={ssl_report.weighted_f1:.2f} DR={ssl_report.death_recall:.2f}")
 
-    csv_text, aligned = results_table(runs)
+    aligned = write_results_table(runs, args.out) if args.out else results_table(runs)[1]
     print()
     print(aligned)
     if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
-        args.out.with_suffix(".txt").write_text(aligned, encoding="utf-8")
         print(f"wrote {args.out.with_suffix('.csv')} and {args.out.with_suffix('.txt')}")
     return 0
 

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from . import pipeline
 from .config import ConfigError, load_config
-from .metrics import TABLE_METRICS, results_table
+from .metrics import TABLE_METRICS, write_results_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -96,11 +96,7 @@ def _aggregate_runs(run_dirs: list[Path], out_base: Path) -> str:
             rows.append((label, record["sampling"], report))
     if not rows:
         raise ConfigError("no test metrics found in the given run directories")
-    csv_text, aligned = results_table(rows)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    out_base.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
-    out_base.with_suffix(".txt").write_text(aligned, encoding="utf-8")
-    return aligned
+    return write_results_table(rows, out_base)
 
 
 def main(argv=None) -> int:

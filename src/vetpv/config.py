@@ -247,10 +247,11 @@ def effective_config_text(config: PipelineConfig, output_dir: bool = True) -> st
     items.update({f"paths.{key}": _data_path_text(getattr(config, key)) for key in _BUNDLED})
     if output_dir:
         items["paths.output_dir"] = config.output_dir
-    items.update({f"model.{key}": value for key, value in config.model.params.items()})
-    for section, cls in SECTIONS.items():
-        for key in _ini_keys(cls):
-            value = getattr(getattr(config, section), key)
+    settings = {section: getattr(config, section) for section in SECTIONS}
+    settings["model"] = PARAMS[config.model.kind](**config.model.params)
+    for section, values in settings.items():
+        for key in _ini_keys(type(values)):
+            value = getattr(values, key)
             items[f"{section}.{key}"] = ",".join(value) if isinstance(value, tuple) else value
     return "".join(f"{key} = {items[key]}\n" for key in sorted(items))
 

@@ -178,6 +178,11 @@ class ParseStats:
         if len(self.diagnostics) < self._MAX_DIAGNOSTICS:
             self.diagnostics.append(message)
 
+    def reject(self, message: str):
+        """Count one unreadable field and note why."""
+        self.invalid_field_rows += 1
+        self.note(message)
+
 
 def _normalize_name(name: str) -> str:
     return name.strip().lower()
@@ -247,8 +252,7 @@ def _as_optional_float(value, what: str, key: str, stats: ParseStats) -> float |
             raise TypeError
         return float(value)
     except (TypeError, ValueError):
-        stats.invalid_field_rows += 1
-        stats.note(f"report {key}: unreadable {what} {value!r}")
+        stats.reject(f"report {key}: unreadable {what} {value!r}")
         return None
 
 
@@ -263,8 +267,7 @@ def _parse_date(value, key: str, stats: ParseStats) -> dt.date | None:
         try:
             return dt.date(int(digits[:4]), int(digits[4:6]), int(digits[6:8]))
         except ValueError:
-            stats.invalid_field_rows += 1
-            stats.note(f"report {key}: impossible receive date {text!r}")
+            stats.reject(f"report {key}: impossible receive date {text!r}")
     return None
 
 
@@ -287,8 +290,7 @@ def _object(value, what: str, key: str, stats: ParseStats) -> dict:
     counted reject, read as {}."""
     if isinstance(value, dict) or not value:
         return value or {}
-    stats.invalid_field_rows += 1
-    stats.note(f"report {key}: {what} is not an object: {value!r}")
+    stats.reject(f"report {key}: {what} is not an object: {value!r}")
     return {}
 
 
@@ -299,14 +301,12 @@ def _measurement(value, enum_cls, what: str, key: str, stats: ParseStats):
     if value is None:
         return None, None
     if not math.isfinite(value) or value < 0 or (what == "weight" and value == 0):
-        stats.invalid_field_rows += 1
-        stats.note(f"report {key}: out-of-range {what} {value}")
+        stats.reject(f"report {key}: out-of-range {what} {value}")
         return None, None
     unit_text = _as_optional_str(entry.get("unit"))
     unit = _parse_enum(enum_cls, unit_text)
     if unit_text is not None and unit is None:
-        stats.invalid_field_rows += 1
-        stats.note(f"report {key}: unknown {what} unit {unit_text!r}")
+        stats.reject(f"report {key}: unknown {what} unit {unit_text!r}")
         return None, None
     return value, unit
 
@@ -337,16 +337,14 @@ def _entries(record: dict, name: str, key: str, stats: ParseStats) -> list[dict]
     value that is not a list, is a counted reject."""
     entries = record.get(name) or []
     if not isinstance(entries, list):
-        stats.invalid_field_rows += 1
-        stats.note(f"report {key}: {name} is not a list: {entries!r}")
+        stats.reject(f"report {key}: {name} is not a list: {entries!r}")
         return []
     kept = []
     for entry in entries:
         if isinstance(entry, dict):
             kept.append(entry)
         else:
-            stats.invalid_field_rows += 1
-            stats.note(f"report {key}: {name} entry is not an object: {entry!r}")
+            stats.reject(f"report {key}: {name} entry is not an object: {entry!r}")
     return kept
 
 
@@ -397,8 +395,7 @@ def parse_quarter(
         for reaction in _entries(record, "reaction", key, stats):
             name = _as_optional_str(reaction.get("veddra_term_name"))
             if name is None:
-                stats.invalid_field_rows += 1
-                stats.note(f"report {key}: reaction without a term name")
+                stats.reject(f"report {key}: reaction without a term name")
                 continue
             tables.events.append(
                 key,
@@ -421,8 +418,7 @@ def parse_quarter(
                 if affected is not None and affected < 0:
                     raise ValueError
             except (TypeError, ValueError, OverflowError):
-                stats.invalid_field_rows += 1
-                stats.note(f"report {key}: bad animals_affected {affected!r}")
+                stats.reject(f"report {key}: bad animals_affected {affected!r}")
                 affected = None
             tables.outcomes.append(key, status, affected)
         for drug in _entries(record, "drug", key, stats):
@@ -432,8 +428,7 @@ def parse_quarter(
             names = [_as_optional_str(i.get("name")) for i in ingredients if isinstance(i, dict)]
             names = [n for n in names if n]
             if not names:
-                stats.invalid_field_rows += 1
-                stats.note(f"report {key}: drug entry without active ingredient name")
+                stats.reject(f"report {key}: drug entry without active ingredient name")
                 continue
             # Canonical documents carry one ingredient per drug entry; extra
             # ingredients become additional rows sharing the entry's fields.

@@ -10,6 +10,7 @@ keeps full precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -173,3 +174,12 @@ def results_table(runs: list[tuple[str, str, MetricsReport]]) -> tuple[str, str]
     for row in text_rows:
         lines.append("  ".join(c.ljust(widths[j]) for j, c in enumerate(row)))
     return "".join(csv_rows(csv_table)), "\n".join(lines) + "\n"
+
+
+def write_results_table(runs: list[tuple[str, str, MetricsReport]], out_base: Path) -> str:
+    """Write results_table(runs) to out_base.csv and .txt; return the aligned text."""
+    csv_text, aligned = results_table(runs)
+    out_base.parent.mkdir(parents=True, exist_ok=True)
+    out_base.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
+    out_base.with_suffix(".txt").write_text(aligned, encoding="utf-8")
+    return aligned

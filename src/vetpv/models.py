@@ -189,41 +189,8 @@ def _write_tree(tree: FlatTree, out: list[str]):
             out.append(f"{i} split {feature} {threshold!r} {left} {right} {cover!r}")
 
 
-def _read_tree(lines: list[str], pos: int) -> tuple[FlatTree, int]:
-    header = lines[pos]
-    if not header.startswith("tree nodes="):
-        raise FitError(f"expected tree header, got {header!r}")
-    count = int(header.split("=", 1)[1])
-    tree = FlatTree(
-        children_left=np.full(count, -1, dtype=np.int32),
-        children_right=np.full(count, -1, dtype=np.int32),
-        feature=np.full(count, -1, dtype=np.int32),
-        threshold=np.zeros(count),
-        value=np.zeros(count),
-        cover=np.zeros(count),
-    )
-    for line in lines[pos + 1:pos + 1 + count]:
-        cells = line.split(" ")
-        i = int(cells[0])
-        tree.cover[i] = float(cells[-1])
-        if cells[1] == "leaf":
-            tree.value[i] = float(cells[2])
-        else:
-            tree.feature[i], tree.threshold[i] = int(cells[2]), float(cells[3])
-            tree.children_left[i], tree.children_right[i] = int(cells[4]), int(cells[5])
-    return tree, pos + 1 + count
-
-
 def _vector_line(name: str, values) -> str:
     return f"{name}=" + " ".join(repr(float(v)) for v in values)
-
-
-def _parse_vector(line: str, name: str) -> np.ndarray:
-    prefix = f"{name}="
-    if not line.startswith(prefix):
-        raise FitError(f"expected {name} line, got {line!r}")
-    body = line[len(prefix):]
-    return np.array([float(v) for v in body.split(" ")] if body else [], dtype=np.float64)
 
 
 def serialize_model(model) -> str:
@@ -250,93 +217,120 @@ def serialize_model(model) -> str:
             out.append(f"{int(label)} " + " ".join(repr(float(v)) for v in row))
     elif model.kind in ("vote", "stack"):
         out.append(f"n_members={len(model.members)}")
-        for member in model.members:
-            out.append("begin-member")
-            out.append(serialize_model(member))
-            out.append("end-member")
+        blocks = [("member", member) for member in model.members]
         if model.kind == "stack":
-            out.append("begin-meta")
-            out.append(serialize_model(model.meta))
-            out.append("end-meta")
+            blocks.append(("meta", model.meta))
+        for block, part in blocks:
+            out += [f"begin-{block}", serialize_model(part), f"end-{block}"]
     else:
         raise FitError(f"cannot serialize model kind {model.kind!r}")
     return "\n".join(out) + "\n"
 
 
-def _extract_block(lines: list[str], pos: int, begin: str, end: str) -> tuple[str, int]:
-    if lines[pos] != begin:
-        raise FitError(f"expected {begin!r}, got {lines[pos]!r}")
-    depth = 1
-    body = []
-    pos += 1
-    while pos < len(lines):
-        line = lines[pos]
-        if line == begin:
-            depth += 1
-        elif line == end:
-            depth -= 1
-            if depth == 0:
-                return "\n".join(body) + "\n", pos + 1
-        body.append(line)
-        pos += 1
-    raise FitError(f"unterminated {begin!r} block")
+class _Lines:
+    """A model file's lines, each read once and in order."""
+
+    def __init__(self, text: str):
+        self.lines = text.split("\n")
+        self.pos = 0  # lines read so far
+
+    def next(self, prefix: str = "") -> str:
+        """The rest of the next line, which must start with prefix."""
+        if self.pos == len(self.lines):
+            raise FitError("the file ends early")
+        line = self.lines[self.pos]
+        self.pos += 1
+        if not line.startswith(prefix):
+            raise FitError(f"expected a line starting {prefix!r}, got {line!r}")
+        return line[len(prefix):]
+
+    def expect(self, line: str):
+        if self.next(line):
+            raise FitError(f"expected {line!r}, got {self.lines[self.pos - 1]!r}")
+
+    def integer(self, prefix: str, low: int, high: float = float("inf")) -> int:
+        n = int(self.next(prefix))
+        if not low <= n <= high:
+            raise FitError(f"{prefix}{n} is out of range")
+        return n
+
+
+def _floats(text: str, width: int) -> np.ndarray:
+    values = np.array([float(v) for v in text.split(" ")] if text else [], dtype=np.float64)
+    if len(values) != width:
+        raise FitError(f"expected {width} values, got {len(values)}")
+    return values
+
+
+def _read_tree(lines: _Lines, width: int) -> FlatTree:
+    """A tree whose node i is its i-th node line and whose splits test one of
+    the width features and have both children after them, so descent ends."""
+    count = lines.integer("tree nodes=", 1)
+    nodes = []  # (left, right, feature, threshold, value, cover) per node
+    for i in range(count):
+        cells = lines.next(f"{i} ").split(" ")
+        if cells[0] == "leaf" and len(cells) == 3:
+            nodes.append((-1, -1, -1, 0.0, float(cells[1]), float(cells[2])))
+        elif cells[0] == "split" and len(cells) == 6:
+            feature, left, right = int(cells[1]), int(cells[3]), int(cells[4])
+            if not (0 <= feature < width and i < left < count and i < right < count):
+                raise FitError(f"node {i}: feature {feature} or child {left}, {right} out of range")
+            nodes.append((left, right, feature, float(cells[2]), 0.0, float(cells[5])))
+        else:
+            raise FitError(f"node {i} is neither a leaf nor a split")
+    dtypes = (np.int32,) * 3 + (np.float64,) * 3
+    return FlatTree(*(np.array(c, dtype=d) for c, d in zip(zip(*nodes), dtypes)))
+
+
+def _read_model(lines: _Lines):
+    """One model's lines as serialize_model writes them, through the blank line."""
+    lines.expect(f"vetpv-model {MODEL_FORMAT_VERSION}")
+    kind, features = lines.next("kind="), lines.next("features=")
+    feature_names = features.split("\t") if features else []
+    width = len(feature_names)
+    if kind in TREE_KINDS:
+        gbdt = kind == "gbdt"
+        base_score = float(lines.next("base_score=")) if gbdt else 0.0
+        learning_rate = float(lines.next("learning_rate=")) if gbdt else 1.0
+        n_trees = 1 if kind == "tree" else lines.integer("n_trees=", 1)
+        trees = [_read_tree(lines, width) for _ in range(n_trees)]
+        model = TreeEnsemble(kind, trees, feature_names, base_score, learning_rate)
+    elif kind == "logistic":
+        weights = _floats(lines.next("weights="), width)
+        bias = float(lines.next("bias="))
+        mean, std = _floats(lines.next("mean="), width), _floats(lines.next("std="), width)
+        converged = bool(lines.integer("converged=", 0, 1))
+        model = LogisticModel(weights, bias, mean, std, feature_names, converged)
+    elif kind == "knn":
+        k = lines.integer("k=", 1)
+        labels, rows = [], []
+        for _ in range(lines.integer("n_rows=", 1)):
+            label, _, row = lines.next().partition(" ")
+            if label not in ("0", "1"):
+                raise FitError(f"row label {label!r}, expected 0 or 1")
+            labels.append(int(label))
+            rows.append(_floats(row, width))
+        model = KnnModel(rows, labels, k, feature_names)
+    elif kind in ("vote", "stack"):
+        parts = []
+        for block in ["member"] * lines.integer("n_members=", 2) + ["meta"] * (kind == "stack"):
+            lines.expect(f"begin-{block}")
+            parts.append(_read_model(lines))
+            lines.expect(f"end-{block}")
+        model = VotingEnsemble(parts) if kind == "vote" else StackingEnsemble(parts[:-1], parts[-1])
+    else:
+        raise FitError(f"unknown model kind {kind!r}")
+    lines.expect("")
+    return model
 
 
 def parse_model(text: str):
-    lines = [line for line in text.split("\n") if line != ""]
-    if not lines or not lines[0].startswith("vetpv-model "):
-        raise FitError("not a model file")
-    version = int(lines[0].split(" ", 1)[1])
-    if version != MODEL_FORMAT_VERSION:
-        raise FitError(f"unsupported model format version {version}")
-    kind = lines[1].split("=", 1)[1]
-    feature_line = lines[2]
-    if not feature_line.startswith("features="):
-        raise FitError("missing features line")
-    features = feature_line[len("features="):]
-    feature_names = features.split("\t") if features else []
-    pos = 3
-    if kind in TREE_KINDS:
-        base_score, learning_rate, n_trees = 0.0, 1.0, 1
-        if kind == "gbdt":
-            base_score = float(lines[pos].split("=", 1)[1])
-            learning_rate = float(lines[pos + 1].split("=", 1)[1])
-            pos += 2
-        if kind != "tree":
-            n_trees = int(lines[pos].split("=", 1)[1])
-            pos += 1
-        trees = []
-        for _ in range(n_trees):
-            tree, pos = _read_tree(lines, pos)
-            trees.append(tree)
-        return TreeEnsemble(kind, trees, feature_names, base_score, learning_rate)
-    if kind == "logistic":
-        weights = _parse_vector(lines[pos], "weights")
-        bias = float(lines[pos + 1].split("=", 1)[1])
-        mean = _parse_vector(lines[pos + 2], "mean")
-        std = _parse_vector(lines[pos + 3], "std")
-        converged = bool(int(lines[pos + 4].split("=", 1)[1]))
-        return LogisticModel(weights, bias, mean, std, feature_names, converged)
-    if kind == "knn":
-        k = int(lines[pos].split("=", 1)[1])
-        n_rows = int(lines[pos + 1].split("=", 1)[1])
-        pos += 2
-        labels, rows = [], []
-        for i in range(n_rows):
-            cells = lines[pos + i].split(" ")
-            labels.append(int(cells[0]))
-            rows.append([float(v) for v in cells[1:]])
-        X = np.asarray(rows, dtype=np.float64).reshape(n_rows, len(feature_names))
-        return KnnModel(X, np.asarray(labels, dtype=np.int8), k, feature_names)
-    if kind in ("vote", "stack"):
-        n_members = int(lines[pos].split("=", 1)[1])
-        pos += 1
-        members = []
-        for _ in range(n_members):
-            block, pos = _extract_block(lines, pos, "begin-member", "end-member")
-            members.append(parse_model(block))
-        if kind == "vote":
-            return VotingEnsemble(members)
-        block, pos = _extract_block(lines, pos, "begin-meta", "end-meta")
-        return StackingEnsemble(members, parse_model(block))
-    raise FitError(f"unknown model kind {kind!r} in file")
+    """The model serialize_model wrote; a line out of place raises FitError naming it."""
+    lines = _Lines(text)
+    try:
+        model = _read_model(lines)
+        if lines.pos < len(lines.lines):
+            raise FitError(f"a line after the model: {lines.next()!r}")
+    except ValueError as exc:  # FitError, or a number that does not parse
+        raise FitError(f"model file line {lines.pos}: {exc}") from None
+    return model

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bulkio, explain, harmonize, ingest, matrix as matrix_mod, metrics, prepare, ssl
 from .config import PipelineConfig, config_hash, effective_config_text
-from .matrix import DEATH, RECOVERED, SPLIT_NAMES, ColumnMeta, FeatureMatrix, csv_rows
+from .matrix import SPLIT_NAMES, ColumnMeta, FeatureMatrix, csv_rows
 from .models import fit_model, parse_model, serialize_model
 from .resample import apply_plan
 
@@ -301,14 +301,13 @@ def stage_prepare(config: PipelineConfig, store: ArtifactStore, outputs: StageOu
 
 def stage_split(config: PipelineConfig, store: ArtifactStore, outputs: StageOutputs):
     cleaned = outputs["prepare"]
-    died = cleaned.outcome == harmonize.OUTCOME_CODE[ingest.Outcome.DIED]
-    definitive = died | (cleaned.outcome == harmonize.OUTCOME_CODE[ingest.Outcome.RECOVERED])
-    labeled_rows = np.flatnonzero(definitive)
+    labels = prepare.outcome_labels(cleaned.outcome)
+    labeled_rows = np.flatnonzero(labels >= 0)
     if not len(labeled_rows):
         raise StageError("no labeled (Died/Recovered) rows to split")
-    labeled, unlabeled = cleaned.take(labeled_rows), cleaned.take(np.flatnonzero(~definitive))
-    outcome_labels = np.where(died[labeled_rows], DEATH, RECOVERED).astype(np.int8)
-    assignment = prepare.stratified_assignment(outcome_labels, config.prepare.ratios, config.seed)
+    labeled, unlabeled = cleaned.take(labeled_rows), cleaned.take(np.flatnonzero(labels < 0))
+    assignment = prepare.stratified_assignment(labels[labeled_rows], config.prepare.ratios,
+                                               config.seed)
     train_reports, val_reports, test_reports = (
         labeled.take(np.flatnonzero(assignment == s)) for s in range(3)
     )

@@ -193,6 +193,12 @@ def filter_rows(reports: Reports) -> tuple[Reports, dict[str, int]]:
 
 # --- encoding -------------------------------------------------------------------
 
+def outcome_labels(outcome: np.ndarray) -> np.ndarray:
+    """int8 labels: DEATH for Died, RECOVERED for Recovered, -1 (unlabeled) otherwise."""
+    codes = (OUTCOME_CODE[Outcome.DIED], OUTCOME_CODE[Outcome.RECOVERED])
+    return np.select([outcome == code for code in codes], [DEATH, RECOVERED], -1).astype(np.int8)
+
+
 NUMERIC_FIELDS = ("age_years", "weight_kg", *ChemDescriptors.FIELDS)
 CATEGORICAL_FIELDS = ("species", "breed", "gender")
 MULTI_HOT_FIELDS = ("ae_terms", "ingredients", "atcvet_subgroups", "routes", "dosage_forms")
@@ -235,13 +241,11 @@ class FittedEncoder:
 
         labels = None
         if require_labels:
-            died = reports.outcome == OUTCOME_CODE[Outcome.DIED]
-            definitive = died | (reports.outcome == OUTCOME_CODE[Outcome.RECOVERED])
-            if not definitive.all():
-                i = int(np.argmin(definitive))
+            labels = outcome_labels(reports.outcome)
+            if (labels < 0).any():
+                i = int(np.argmax(labels < 0))
                 raise PrepareError(f"report {reports.key[i]} has non-definitive outcome "
                                    f"{OUTCOMES[reports.outcome[i]].value}")
-            labels = np.where(died, DEATH, RECOVERED).astype(np.int8)
         return FeatureMatrix(values=values, columns=self.columns, keys=list(reports.key),
                              labels=labels)
 

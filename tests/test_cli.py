@@ -85,6 +85,15 @@ class TestRun:
                 continue
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_run_models_round_trip_byte_for_byte(self, finished_run):
+        from vetpv import pipeline
+        from vetpv.models import parse_model, serialize_model
+
+        store = pipeline.ArtifactStore(finished_run[1])
+        for name in ("model", "model_ssl"):
+            text = store.get_text(name)
+            assert serialize_model(parse_model(text)) == text, name
+
     def test_aliased_resampled_matrix_loads(self, finished_run):
         from vetpv import pipeline
 
@@ -700,7 +709,9 @@ explain.top_n = 10
 model.kind = gbdt
 model.learning_rate = 0.1
 model.max_depth = 4
+model.min_child_weight = 1.0
 model.n_rounds = 120
+model.reg_lambda = 1.0
 paths.descriptors = bundled:descriptors.tsv
 paths.input_dir = {root}/quarters
 paths.output_dir = {root}/out
@@ -768,6 +779,18 @@ class TestEffectiveConfig:
         text = effective_config_text(parsed)
         assert "model.n_folds = 3\n" in text and "model.seed = 7\n" in text
         assert config_hash(parsed) == "01204169fa73bfae"  # as before [model] was typed for stack
+
+    def test_written_out_model_default_does_not_change_the_hash(self, tmp_path):
+        from vetpv.config import config_hash, effective_config_text
+
+        config = tmp_path / "gbdt.ini"
+        configs = []
+        for extra in ("", "min_child_weight = 1.0\n"):
+            config.write_text("[paths]\ninput_dir = /\noutput_dir = out\n[run]\nseed = 1\n"
+                              f"[model]\nkind = gbdt\n{extra}")
+            configs.append(load_config(config))
+        assert config_hash(configs[0]) == config_hash(configs[1])
+        assert "model.min_child_weight = 1.0\n" in effective_config_text(configs[0])
 
     def test_output_dir_does_not_change_the_hash(self, tmp_path):
         from vetpv.config import config_hash, effective_config_text
@@ -844,6 +867,17 @@ class TestReport:
         run = next(r for r in metrics if (r["dataset"], r["variant"]) == ("test", "supervised"))
         table_csv = csv.DictReader(io.StringIO(base.with_suffix(".csv").read_text()))
         assert next(r for r in table_csv if r["model"] == "gbdt")["none/F1"] == run["weighted_f1"]
+
+    @pytest.mark.parametrize("script", ["make_synthetic_corpus.py", "run_table_experiments.py"])
+    def test_script_imports_and_prints_help(self, script):
+        import subprocess
+        import sys
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / script
+        done = subprocess.run([sys.executable, str(path), "--help"], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: ")
 
     def test_missing_run_directory_exits_2_and_creates_nothing(self, tmp_path, capsys,
                                                                monkeypatch):

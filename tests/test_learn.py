@@ -530,26 +530,66 @@ class TestEnsembles:
         assert stack.meta.converged
 
 
+# one small fitted model of each kind
+SERIALIZED_SPECS = {spec.kind: spec for spec in [
+    ModelSpec("tree", {"max_depth": 3}),
+    ModelSpec("forest", {"n_trees": 4, "max_depth": 3, "seed": 5}),
+    ModelSpec("gbdt", {"n_rounds": 6, "max_depth": 2}),
+    ModelSpec("logistic"),
+    ModelSpec("knn", {"k": 3}),
+    ModelSpec("vote", {"seed": 1, "members": (
+        ModelSpec("gbdt", {"n_rounds": 3}),
+        ModelSpec("tree", {"max_depth": 2}),
+    )}),
+    ModelSpec("stack", {"seed": 1, "members": (
+        ModelSpec("gbdt", {"n_rounds": 3}),
+        ModelSpec("tree", {"max_depth": 2}),
+    )}),
+]}
+
+
+def edit_line(prefix, edit):
+    """A change to a model file: edit applied to its first line starting with prefix."""
+    def apply(text):
+        lines = text.split("\n")
+        i = next(j for j, line in enumerate(lines) if line.startswith(prefix))
+        lines[i] = edit(lines[i])
+        return "\n".join(lines)
+    return apply
+
+
+def set_cell(position, value):
+    """An edit setting one space-separated cell of a line."""
+    return lambda line: " ".join(str(value) if j == position else cell
+                                 for j, cell in enumerate(line.split(" ")))
+
+
+def node_count(text):
+    return int(text.split("tree nodes=")[1].split("\n")[0])
+
+
+# node line cells: id, "split", feature, threshold, left, right, cover
+DAMAGED_FILES = {
+    "child at its node": ("tree", edit_line("0 split ", set_cell(4, 0))),
+    "child before its node": ("tree", edit_line("1 split ", set_cell(4, 0))),
+    "child past the last node": ("tree", lambda text: edit_line(
+        "1 split ", set_cell(5, node_count(text)))(text)),
+    "feature -1": ("tree", edit_line("1 split ", set_cell(2, -1))),
+    "feature at the width": ("tree", edit_line("1 split ", set_cell(2, 4))),  # 4 features
+    "weights too wide": ("logistic", edit_line("weights=", lambda line: line + " 1.0")),
+    "one mean": ("logistic", edit_line("mean=", lambda line: line.split(" ")[0])),
+    "std too narrow": ("logistic", edit_line("std=", lambda line: line.rsplit(" ", 1)[0])),
+    "knn row too narrow": ("knn", edit_line("1 ", lambda line: line.rsplit(" ", 1)[0])),
+    "knn row too wide": ("knn", edit_line("0 ", lambda line: line + " 1.0")),
+    "unterminated member": ("vote", lambda text: "".join(text.rsplit("end-member\n", 1))),
+    "unterminated meta": ("stack", lambda text: text.replace("end-meta\n", "")),
+    "a line after the model": ("logistic", lambda text: text + "converged=1\n"),
+    "a second model": ("tree", lambda text: text + text),
+}
+
+
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ModelSpec("tree", {"max_depth": 3}),
-            ModelSpec("forest", {"n_trees": 4, "max_depth": 3, "seed": 5}),
-            ModelSpec("gbdt", {"n_rounds": 6, "max_depth": 2}),
-            ModelSpec("logistic"),
-            ModelSpec("knn", {"k": 3}),
-            ModelSpec("vote", {"seed": 1, "members": (
-                ModelSpec("gbdt", {"n_rounds": 3}),
-                ModelSpec("tree", {"max_depth": 2}),
-            )}),
-            ModelSpec("stack", {"seed": 1, "members": (
-                ModelSpec("gbdt", {"n_rounds": 3}),
-                ModelSpec("tree", {"max_depth": 2}),
-            )}),
-        ],
-        ids=lambda s: s.kind,
-    )
+    @pytest.mark.parametrize("spec", SERIALIZED_SPECS.values(), ids=lambda s: s.kind)
     def test_roundtrip_preserves_text_and_predictions(self, spec, separable_matrix):
         model = fit_model(spec, separable_matrix)
         text = serialize_model(model)
@@ -559,6 +599,29 @@ class TestSerialization:
             model.predict_proba(separable_matrix.values[:10]),
             clone.predict_proba(separable_matrix.values[:10]),
         )
+
+    @pytest.mark.parametrize("spec", SERIALIZED_SPECS.values(), ids=lambda s: s.kind)
+    def test_any_deleted_or_duplicated_line_is_refused(self, spec, separable_matrix):
+        lines = serialize_model(fit_model(spec, separable_matrix)).splitlines(keepends=True)
+        accepted = []
+        for i, line in enumerate(lines):
+            for how, edited in [("deleted", lines[:i] + lines[i + 1:]),
+                                ("duplicated", lines[:i + 1] + lines[i:])]:
+                try:
+                    parse_model("".join(edited))
+                except FitError:
+                    continue
+                accepted.append((how, i, line))
+        assert accepted == []
+
+    @pytest.mark.parametrize("kind, damage", DAMAGED_FILES.values(), ids=list(DAMAGED_FILES))
+    def test_damaged_file_is_refused(self, kind, damage, separable_matrix):
+        text = serialize_model(fit_model(SERIALIZED_SPECS[kind], separable_matrix))
+        damaged = damage(text)
+        assert damaged != text
+        # parse only: a child that points back makes predict loop for ever
+        with pytest.raises(FitError, match="model file line"):
+            parse_model(damaged)
 
     @pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.kind)
     def test_roundtrip_preserves_tree_arrays(self, spec, separable_matrix):
