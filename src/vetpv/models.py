@@ -333,4 +333,6 @@ def parse_model(text: str):
             raise FitError(f"a line after the model: {lines.next()!r}")
     except ValueError as exc:  # FitError, or a number that does not parse
         raise FitError(f"model file line {lines.pos}: {exc}") from None
+    except RecursionError:
+        raise FitError(f"model file line {lines.pos}: members nest too deeply") from None
     return model

@@ -476,9 +476,11 @@ def run(config: PipelineConfig, names=None, echo=print):
     echo("effective configuration:")
     echo(effective)
     report = RunReport(config_hash=config_hash(config))
-    store = ArtifactStore(config.output_dir)
-    outputs = StageOutputs(store)
+    config.output_dir.mkdir(parents=True, exist_ok=True)  # where the report goes, whatever fails
+    name = names[0]  # a manifest that does not load fails the first stage
     try:
+        store = ArtifactStore(config.output_dir)
+        outputs = StageOutputs(store)
         for name in names:
             start = time.perf_counter()
             result, rows_in, rows_out, details = globals()[f"stage_{name}"](config, store, outputs)

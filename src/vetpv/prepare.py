@@ -314,7 +314,8 @@ def prune_correlated(
     dropped: list[DroppedColumn] = []
     names = matrix.column_names()
     values = matrix.values
-    variances = {i: float(np.var(values[:, i])) for i in numeric}
+    with np.errstate(invalid="ignore"):  # a column holding inf has NaN variance
+        variances = {i: float(np.var(values[:, i])) for i in numeric}
     alive = []
     for i in numeric:
         if variances[i] == 0.0:
@@ -334,10 +335,9 @@ def prune_correlated(
                 break
             if j in removed:
                 continue
-            xi = values[:, i]
-            xj = values[:, j]
-            r = float(np.corrcoef(xi, xj)[0, 1])
-            if abs(r) < threshold:
+            with np.errstate(invalid="ignore"):
+                r = float(np.corrcoef(values[:, i], values[:, j])[0, 1])
+            if not abs(r) >= threshold:  # a NaN r, from a column holding inf, keeps the pair
                 continue
             i_priority = names[i] in priority_set
             j_priority = names[j] in priority_set

@@ -13,7 +13,9 @@ node's total minus its upper bin (XGBoost's sparsity-aware search, Chen &
 Guestrin 2016). `best_splits` scans the histograms of many nodes ("jobs") at
 once. The candidates are exactly the exact-greedy midpoints between
 neighbouring distinct values; where a midpoint rounds onto the lower value
-(adjacent floats) the upper value is used, so no child is empty.
+(adjacent floats) the upper value is used, so no child is empty. Each
+candidate's left sums are an exact running sum over its own column's
+occupied bins, so they do not depend on the columns or jobs searched with it.
 
 `grow_trees` grows trees that search every column level by level, all of a
 level's nodes in one search, and takes the larger child's histogram as its
@@ -144,11 +146,10 @@ class Layout:
 
     Segment i is column feature[i] of job job[i], jobs in order: it owns
     compact bins seg_start[i] to seg_start[i + 1] - 1, its column's bins in
-    order, so compact bin b is bin b - shift[i] of bins. Job j owns
-    job_start[j] to job_start[j + 1] - 1. features is a (jobs, k) array of
-    each job's ascending candidate columns, or None for every column with a
-    split: then job j owns split_bins bins from j * split_bins, numbered as
-    bins.compact numbers them.
+    order, so compact bin b is bin b - shift[i] of bins. features is a
+    (jobs, k) array of each job's ascending candidate columns, or None for
+    every column with a split: then job j owns split_bins bins from
+    j * split_bins, numbered as bins.compact numbers them.
     """
 
     def __init__(self, bins: Bins, n_jobs: int, features=None):
@@ -159,7 +160,6 @@ class Layout:
         self.job = np.repeat(np.arange(n_jobs), features.shape[1])
         self.seg_start = np.concatenate(([0], np.cumsum(bins.width[self.feature])))
         self.shift = self.seg_start[:-1] - bins.start[self.feature]
-        self.job_start = self.seg_start[np.arange(n_jobs + 1) * features.shape[1]]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -236,25 +236,18 @@ def best_splits(bins: Bins, layout: Layout, hist: np.ndarray, total: np.ndarray,
     # Every segment holds each row of its job once, so none is empty;
     # ends[s] is one past its last occupied bin, and the others are candidates.
     ends = np.searchsorted(occupied, layout.seg_start[1:])
-    last = ends - 1
-    per_seg = last - np.concatenate(([0], ends[:-1]))
+    starts = np.concatenate(([0], ends[:-1]))
+    per_seg = ends - starts - 1
     cand_seg = np.repeat(np.arange(len(ends)), per_seg)
     cand = np.arange(len(cand_seg)) + cand_seg  # skips one last bin per earlier segment
     if not len(cand):
         return [None] * n_jobs
-    # Subtracting its job's total at each segment's last bin restarts the
-    # running sum at (about) zero, so one cumsum over a job's segments keeps
-    # per-segment precision; sums of integer weights stay exact. Each job's
-    # running sum starts at zero.
-    sums[:, last] -= total[:, job]
-    running = np.empty_like(sums)
-    edges = np.searchsorted(occupied, layout.job_start).tolist()
-    for a, b in zip(edges[:-1], edges[1:]):
-        np.cumsum(sums[:, a:b], axis=1, out=running[:, a:b])
-    opens = np.concatenate(([True], job[1:] != job[:-1]))  # a job's first segment
-    restart = np.where(opens, 0.0, np.take(running, np.concatenate(([0], last[:-1])), axis=1))
-    # np.take: a column gather that runs about 3x faster than [:, index]
-    left = np.take(running, cand, axis=1) - np.take(restart, cand_seg, axis=1)
+    # A candidate's left sums run over its own segment's occupied bins only.
+    # A two-bin segment's one candidate, its first bin, is its own running sum.
+    wide = per_seg > 1
+    for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
+        np.cumsum(sums[:, a:b], axis=1, out=sums[:, a:b])
+    left = np.take(sums, cand, axis=1)  # np.take: about 3x faster than [:, cand]
     cand_job = job[cand_seg]
     gains = score(left, np.take(total, cand_job, axis=1) - left, total, cand_job)
     bounds = np.searchsorted(cand_job, np.arange(n_jobs + 1))  # job j: bounds[j] to bounds[j + 1]

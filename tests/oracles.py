@@ -70,6 +70,34 @@ def dense_histogram(X: np.ndarray, rows: np.ndarray, stats: np.ndarray) -> list:
     return out
 
 
+def segment_left_sums(bins, rows: list, features, stats: np.ndarray) -> np.ndarray:
+    """(s + 1, m) left sums of every candidate split, job by job and column
+    by column: a row count, then each row of stats.
+
+    features is a (jobs, k) array of each job's candidate columns, or None
+    for every column of bins with more than one value. A column's per-bin
+    sums are one np.bincount per statistic over the job's rows in row order;
+    a two-valued column's lower bin is the job's total, summed as
+    stats[:, rows].sum(axis=1), minus its upper bin. Over the occupied bins
+    in order, each statistic's np.cumsum without its last entry are the
+    column's candidates.
+    """
+    width = np.diff(bins.start)
+    out = [np.empty((len(stats) + 1, 0))]
+    for j, r in enumerate(rows):
+        total = np.concatenate(([len(r)], stats[:, r].sum(axis=1)))
+        for f in np.flatnonzero(width > 1) if features is None else features[j]:
+            which = bins.codes[r, f] - bins.start[f]
+            per_bin = np.array([np.bincount(which, minlength=width[f])]
+                               + [np.bincount(which, stat[r], width[f]) for stat in stats],
+                               dtype=np.float64)
+            if width[f] == 2:
+                per_bin[:, 0] = total - per_bin[:, 1]
+            occupied = per_bin[:, per_bin[0] > 0]
+            out.append(np.array([np.cumsum(sums)[:-1] for sums in occupied]))
+    return np.concatenate(out, axis=1)
+
+
 def grow_node_by_node(search, route, make_node, splittable, rows):
     """One tree grown depth-first, one node per search: the reference for
     level-wise growth.

@@ -439,6 +439,19 @@ class TestSubcommands:
             assert (report["failed_stage"], report["failure"]) == (None, None), cmd
             assert [s["name"] for s in report["stages"]] == [cmd]
 
+    def test_malformed_manifest_fails_the_first_stage_in_the_report(self, finished_run,
+                                                                    small_corpus, tmp_path):
+        config, finished = finished_run
+        out = Path(shutil.copytree(finished, tmp_path / "out"))
+        bad = small_corpus / "bad-manifest.ini"  # beside the corpus its paths are relative to
+        bad.write_text(config.read_text().replace(str(finished), str(out)))
+        with open(out / "manifest.tsv", "a", encoding="utf-8") as fh:
+            fh.write("bad line\n")
+        assert run_cli("train", "--config", str(bad)) == 2
+        report = json.loads((out / "run_report.json").read_text())
+        assert (report["failed_stage"], report["stages"]) == ("train", [])
+        assert "malformed manifest line 'bad line'" in report["failure"]
+
     def test_stagewise_chain_matches_run_with_cr_in_report_ids(self, small_corpus, tmp_path):
         # a CR inside a quoted CSV key must survive the artifact reads of the chain
         quarters = Path(shutil.copytree(small_corpus / "quarters", tmp_path / "quarters"))

@@ -142,7 +142,8 @@ class TestHistograms:
         for j, rows in enumerate(jobs):
             one = Layout(bins, 1, None if features is None else features[j:j + 1])
             alone = histograms(bins, [rows], one, stats, node_totals(stats, [rows]))
-            assert np.array_equal(together[:, layout.job_start[j]:layout.job_start[j + 1]], alone)
+            a, b = layout.seg_start[np.searchsorted(layout.job, [j, j + 1])]
+            assert np.array_equal(together[:, a:b], alone)
 
 
     @given(engine_cases(), st.data(), st.booleans())

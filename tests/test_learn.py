@@ -583,6 +583,8 @@ DAMAGED_FILES = {
     "knn row too wide": ("knn", edit_line("0 ", lambda line: line + " 1.0")),
     "unterminated member": ("vote", lambda text: "".join(text.rsplit("end-member\n", 1))),
     "unterminated meta": ("stack", lambda text: text.replace("end-meta\n", "")),
+    "members nested 2000 deep": (
+        "vote", lambda text: "".join(text.partition("begin-member\n")[:2]) * 2000),
     "a line after the model": ("logistic", lambda text: text + "converged=1\n"),
     "a second model": ("tree", lambda text: text + text),
 }

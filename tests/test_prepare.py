@@ -274,6 +274,13 @@ class TestPrune:
         with pytest.raises(PrepareError):
             prune_correlated(matrix, threshold=1.5, priority=())
 
+    def test_column_holding_inf_is_not_called_correlated(self, rng):
+        X = rng.normal(size=(50, 3))
+        X[7, 1] = np.inf  # a descriptor sum may overflow
+        pruned, dropped = prune_correlated(numeric_matrix(X, ["f0", "f1", "f2"]), 0.95, ())
+        assert pruned.column_names() == ["f0", "f1", "f2"]
+        assert dropped == []
+
     def test_never_drops_priority_when_partner_can_go(self):
         x = np.arange(20.0)
         matrix = numeric_matrix(

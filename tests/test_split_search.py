@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_best_gain_split, brute_force_best_split
+from oracles import brute_force_best_gain_split, brute_force_best_split, segment_left_sums
 from vetpv import trees
 from vetpv.boosting import GbdtParams, fit_gbdt, gain_score
 from vetpv.explain import tree_shap_batch
@@ -292,6 +292,44 @@ class TestBatchedSearch:
         score = gain_score(0.0, 1.0)
         alone = [batched(bins, [job], stats[2:], score)[0] for job in jobs]
         assert batched(bins, jobs, stats[2:], score) == alone
+
+
+def spread_values(draw, n, signed):
+    """n values drawn from a few magnitudes between 1e-3 and 1e3 and the
+    next float above each, so ties and adjacent floats both occur."""
+    pool = 10.0 ** np.asarray(draw(st.lists(st.floats(-3, 3), min_size=1, max_size=5)))
+    if signed:
+        pool *= draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pool), max_size=len(pool)))
+    pool = np.concatenate([pool, np.nextafter(pool, np.inf)])
+    return pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_left_sums_are_each_columns_own_running_sum(data, drawn):
+    """The left sums a search scores equal, bit for bit, a plain cumsum over
+    each (job, column)'s occupied bins, whatever columns and jobs precede it."""
+    X = data.draw(matrices())
+    X = np.column_stack([X, adjacent_float_column(data.draw, len(X))])
+    n, d = X.shape
+    bins = rank_bins(X)
+    stats = np.array([spread_values(data.draw, n, True), spread_values(data.draw, n, False)])
+    jobs = [np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    features = None
+    if drawn:
+        k = data.draw(st.integers(1, d))
+        features = np.array([sorted(data.draw(st.permutations(range(d)))[:k]) for _ in jobs])
+    scored = [np.empty((3, 0))]
+
+    def score(left, right, total, job):
+        scored.append(left.copy())
+        return gain_score(0.0, 1.0)(left, right, total, job)
+
+    find_splits(bins, jobs, features, stats, score)
+    want = segment_left_sums(bins, jobs, features, stats)
+    assert scored[-1].shape == want.shape
+    assert np.array_equal(scored[-1].view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("bootstrap", [True, False])
