@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from vetpv import pipeline
 from vetpv.config import load_config
 from vetpv.metrics import evaluate, results_table, write_results_table
-from vetpv.models import ModelSpec, VotingEnsemble, fit_model
+from vetpv.models import Ensemble, ModelSpec, fit_model
 from vetpv.resample import ResamplePlan, apply_plan
 from vetpv.ssl import SslPlan, ssl_train
 
@@ -64,7 +64,7 @@ def main() -> int:
         stack = fit_model(dict(MODELS)["stack"], resampled)
         for model_name, spec in MODELS:
             if model_name == "vote":  # vote and stack fit the same default_members(7)
-                model = VotingEnsemble(stack.members)
+                model = Ensemble(stack.members)
             elif model_name == "stack":
                 model = stack
             else:

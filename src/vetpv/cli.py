@@ -70,8 +70,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _aggregate_runs(run_dirs: list[Path], out_base: Path) -> str:
-    """Collect per-run metrics (test split, supervised variant) into one table."""
+    """Collect the test metrics of each run into one table, which has one cell
+    per model and sampling, so a pair met twice is refused."""
     rows = []
+    seen = {}  # (label, sampling) -> the run directory it came from
     for run_dir in run_dirs:
         if not run_dir.is_dir():  # ArtifactStore would create it
             raise pipeline.MissingArtifactError(f"run directory {run_dir} does not exist")
@@ -93,7 +95,12 @@ def _aggregate_runs(run_dirs: list[Path], out_base: Path) -> str:
             except ValueError as exc:
                 where = f"{store.path('metrics')}:{reader.line_num}"
                 raise pipeline.StageError(f"{where}: {exc}") from None
-            rows.append((label, record["sampling"], report))
+            key = (label, record["sampling"])
+            if key in seen:
+                raise pipeline.StageError(f"{seen[key]} and {run_dir} both hold test metrics of "
+                                          f"model {label}, sampling {key[1]}")
+            seen[key] = run_dir
+            rows.append((*key, report))
     if not rows:
         raise ConfigError("no test metrics found in the given run directories")
     return write_results_table(rows, out_base)
@@ -106,17 +113,6 @@ def main(argv=None) -> int:
             print(_aggregate_runs(args.runs, args.out))
             return EXIT_OK
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except pipeline.MissingArtifactError as exc:  # from report
-        print(f"missing prerequisite: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except pipeline.StageError as exc:  # from report: a malformed run directory
-        print(f"stage failure: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-
-    try:
         names = COMMAND_STAGES.get(args.command)
         if args.command == "ingest" and args.csv:
             names += ("csv",)
@@ -124,6 +120,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             print(f"run complete: {len(report.stages)} stages, hash {report.config_hash}")
         return EXIT_OK
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except pipeline.MissingArtifactError as exc:
         print(f"missing prerequisite: {exc}", file=sys.stderr)
         return EXIT_STAGE

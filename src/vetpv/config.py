@@ -157,7 +157,10 @@ def load_config(path: Path) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
     def required(section, key):
         if not parser.has_option(section, key):
@@ -175,6 +178,8 @@ def load_config(path: Path) -> PipelineConfig:
         seed = int(seed_raw)
     except ValueError:
         raise ConfigError(f"seed must be an integer, got {seed_raw!r}") from None
+    if seed < 0:
+        raise ConfigError(f"invalid [run] section: seed must be >= 0, got {seed}")
 
     paths = {"input_dir": path_option("input_dir")}
     paths.update({key: path_option(key, _DATA_DIR / f"{key}.tsv") for key in _BUNDLED})

@@ -46,7 +46,7 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        at_least(self, n_trees=1, max_depth=0, min_leaf=1)
+        at_least(self, n_trees=1, max_depth=0, min_leaf=1, seed=0)
         if self.features_per_split is not None:
             at_least(self, features_per_split=1)
 

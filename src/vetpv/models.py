@@ -1,5 +1,5 @@
-"""Model registry: spec-driven fitting, soft-voting and stacking ensembles,
-the shared predict_proba surface, and versioned text serialization.
+"""Model registry: spec-driven fitting, one Ensemble for soft voting and
+stacking, the shared predict_proba surface, and versioned text serialization.
 
 Every fitted model exposes predict_proba(X) -> (n, 2) with columns
 [P(Death), P(Recovered)] summing to 1, and predict(X) -> labels.
@@ -21,18 +21,28 @@ MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class EnsembleParams:
-    """The params of vote and stack. members are ModelSpecs, and none means
-    default_members(seed); stack fits its meta-learner on n_folds folds."""
+class VoteParams:
+    """The params of vote. members are ModelSpecs, and none means
+    default_members(seed)."""
 
     seed: int = 0
-    n_folds: int = 5
     members: tuple[ModelSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        at_least(self, n_folds=2)
+        at_least(self, seed=0)
         if len(self.members) == 1:
             raise FitError("ensembles need at least 2 members")
+
+
+@dataclass(frozen=True)
+class StackParams(VoteParams):
+    """The params of stack, which fits its meta-learner on n_folds folds."""
+
+    n_folds: int = 5
+
+    def __post_init__(self):
+        super().__post_init__()
+        at_least(self, n_folds=2)
 
 
 # the params dataclass of each model kind
@@ -42,8 +52,8 @@ PARAMS = {
     "gbdt": GbdtParams,
     "logistic": LogisticParams,
     "knn": KnnParams,
-    "vote": EnsembleParams,
-    "stack": EnsembleParams,
+    "vote": VoteParams,
+    "stack": StackParams,
 }
 MODEL_KINDS = tuple(PARAMS)
 TREE_KINDS = ("tree", "forest", "gbdt")  # the kinds fitted as a TreeEnsemble
@@ -96,50 +106,29 @@ def fit_model(spec: ModelSpec, matrix: FeatureMatrix, sample_weight=None):
     member_specs = list(params.members) or default_members(params.seed)
     members = [fit_model(member, matrix) for member in member_specs]
     if spec.kind == "vote":
-        return VotingEnsemble(members)
+        return Ensemble(members)
     meta_X = oof_meta_features(member_specs, matrix, params.n_folds, params.seed)
     names = [f"member{m}" for m in range(len(member_specs))]
-    return StackingEnsemble(members, fit_logistic(from_arrays(meta_X, matrix.labels, names=names)))
+    return Ensemble(members, fit_logistic(from_arrays(meta_X, matrix.labels, names=names)))
 
 
-class VotingEnsemble:
-    """Soft vote: the mean of member probability vectors."""
+class Ensemble:
+    """A soft vote, the mean of the members' probability vectors, or, given a
+    logistic meta-learner, a stack that reads the members' class-1 probabilities."""
 
-    kind = "vote"
-
-    def __init__(self, members: list):
-        if len(members) < 2:
-            raise FitError("ensembles need at least 2 members")
-        self.members = members
-        self.feature_names = list(members[0].feature_names)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        total = np.zeros((len(X), 2))
-        for member in self.members:
-            total += member.predict_proba(X)
-        return total / len(self.members)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] > 0.5).astype(np.int8)
-
-
-class StackingEnsemble:
-    """Members feed class-1 probabilities to a logistic meta-learner."""
-
-    kind = "stack"
-
-    def __init__(self, members: list, meta: LogisticModel):
+    def __init__(self, members: list, meta: LogisticModel | None = None):
         if len(members) < 2:
             raise FitError("ensembles need at least 2 members")
         self.members = members
         self.meta = meta
+        self.kind = "vote" if meta is None else "stack"
         self.feature_names = list(members[0].feature_names)
 
-    def member_probs(self, X: np.ndarray) -> np.ndarray:
-        return np.column_stack([m.predict_proba(X)[:, 1] for m in self.members])
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.meta.predict_proba(self.member_probs(X))
+        probs = [member.predict_proba(X) for member in self.members]
+        if self.meta is not None:
+            return self.meta.predict_proba(np.column_stack([p[:, 1] for p in probs]))
+        return sum(probs, np.zeros((len(X), 2))) / len(probs)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] > 0.5).astype(np.int8)
@@ -218,7 +207,7 @@ def serialize_model(model) -> str:
     elif model.kind in ("vote", "stack"):
         out.append(f"n_members={len(model.members)}")
         blocks = [("member", member) for member in model.members]
-        if model.kind == "stack":
+        if model.meta is not None:
             blocks.append(("meta", model.meta))
         for block, part in blocks:
             out += [f"begin-{block}", serialize_model(part), f"end-{block}"]
@@ -317,7 +306,7 @@ def _read_model(lines: _Lines):
             lines.expect(f"begin-{block}")
             parts.append(_read_model(lines))
             lines.expect(f"end-{block}")
-        model = VotingEnsemble(parts) if kind == "vote" else StackingEnsemble(parts[:-1], parts[-1])
+        model = Ensemble(parts) if kind == "vote" else Ensemble(parts[:-1], parts[-1])
     else:
         raise FitError(f"unknown model kind {kind!r}")
     lines.expect("")

@@ -55,6 +55,8 @@ class ResamplePlan:
             )
         if self.enn_mode not in ("majority_only", "all"):
             raise ResampleError(f"unknown enn_mode {self.enn_mode!r}")
+        if self.seed < 0:
+            raise ResampleError(f"seed must be >= 0, got {self.seed}")
 
 
 def _class_split(matrix: FeatureMatrix) -> tuple[int, int, np.ndarray, np.ndarray]:

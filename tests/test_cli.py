@@ -230,6 +230,7 @@ class TestValidation:
         ("model", {"n_folds": "0", "kind": "stack"}),
         ("model", {"n_folds": "1", "kind": "stack"}),
         ("model", {"seed": "1.5", "kind": "vote"}),
+        ("model", {"n_folds": "3", "kind": "vote"}),
         ("model", {"members": "gbdt", "kind": "stack"}),
         ("model", {"n_rounds": "0"}),
         ("model", {"k": "0", "kind": "knn"}),
@@ -253,7 +254,8 @@ class TestValidation:
         ("model", {"max_iter": "0", "kind": "logistic"}),
     ], ids=["top_k", "ratios", "max_rows", "top_n", "explain.enabled", "dataset",
             "ssl.enabled", "max_checkpoints", "keep_fraction", "k_smote", "n_rounds",
-            "learning_rate", "n_folds=0", "n_folds=1", "vote.seed", "members", "n_rounds=0", "k=0",
+            "learning_rate", "n_folds=0", "n_folds=1", "vote.seed", "vote.n_folds", "members",
+            "n_rounds=0", "k=0",
             "features_per_split=0", "features_per_split=-1", "min_leaf=0", "min_leaf=-1",
             "tree.max_depth=-1", "forest.max_depth=-1", "gbdt.max_depth=-1", "tree.min_leaf=0",
             "tree.min_leaf=-1", "learning_rate=0", "learning_rate=-0.1", "reg_lambda=-1",
@@ -268,6 +270,40 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"invalid [{section}]" in err and next(iter(options)) in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, options", [
+        ("run", {"seed": "-1"}),
+        ("resample", {"seed": "-1"}),
+        ("model", {"kind": "forest", "seed": "-1"}),
+        ("model", {"kind": "vote", "seed": "-1"}),
+        ("model", {"kind": "stack", "seed": "-1"}),
+    ], ids=["run", "resample", "forest", "vote", "stack"])
+    def test_negative_seed_fails_at_load(self, small_corpus, tmp_path, capsys, section, options):
+        sections = {"run": {"seed": "1"}, section: options}
+        config = tmp_path / "bad.ini"
+        config.write_text(
+            f"[paths]\ninput_dir = {small_corpus / 'quarters'}\noutput_dir = {tmp_path / 'out'}\n"
+            + "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                      for name, keys in sections.items())
+        )
+        assert run_cli("run", "--config", str(config)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"invalid [{section}] section: seed must be >= 0, got -1" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        b"seed = 1\n[run]\nseed = 2\n",
+        b"[run]\nseed = 1\nseed = 2\n",
+        b"[run]\nseed = 1\n[run]\nseed = 2\n",
+        b"[run]\nseed = 1\n# \xff\n",
+    ], ids=["no-section-header", "repeated-key", "repeated-section", "not-utf-8"])
+    def test_malformed_file_is_a_config_error(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(text)
+        assert run_cli("run", "--config", str(config)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read {config}: "), err
+        assert "Traceback" not in err
 
 
 def quickstart_ini(directory: Path, seed: int) -> Path:
@@ -924,6 +960,33 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"stage failure: {path}{message}"), err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    def test_repeated_model_and_sampling_exits_2_naming_both_runs(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for run, f1 in (("a", "0.9327"), ("b", "0.9271")):
+            write_metrics(Path(run), f"test,gbdt,supervised,none,{f1},1,1,1,1\n")
+        assert run_cli("report", "--runs", "a", "b", "--out", "res") == 2
+        err = capsys.readouterr().err
+        assert err == "stage failure: a and b both hold test metrics of model gbdt, sampling none\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_out_that_cannot_be_made_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_metrics(Path("a"), "test,gbdt,supervised,none,0.9,1,1,1,1\n")
+        Path("file").write_text("")
+        assert run_cli("report", "--runs", "a", "--out", "file/res") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stage failure: ") and "Traceback" not in err, err
+
+
+def write_metrics(run_dir: Path, rows: str):
+    """A run directory whose metrics artifact holds the given csv rows."""
+    from vetpv import pipeline
+
+    header = ("dataset,model,variant,sampling,weighted_f1,weighted_precision,weighted_recall,"
+              "death_recall,recovered_recall\n")
+    pipeline.ArtifactStore(run_dir).put_text("metrics", header + rows, "csv")
 
 
 class TestBenchmarkTracer:

@@ -15,11 +15,13 @@ from vetpv.baselines import (
     logistic_loss_grad,
 )
 from vetpv.boosting import GbdtParams, fit_gbdt, sigmoid
+from vetpv.config import _ini_keys
 from vetpv.forest import ForestParams, fit_forest
 from vetpv.matrix import DEATH, RECOVERED, from_arrays
 from vetpv.models import (
+    PARAMS,
+    Ensemble,
     ModelSpec,
-    VotingEnsemble,
     fit_model,
     oof_fold_assignment,
     parse_model,
@@ -474,19 +476,19 @@ def stub_member(death_prob):
 class TestEnsembles:
     def test_soft_vote_is_mean_of_member_probabilities(self):
         members = [stub_member(p) for p in (0.6, 0.8, 0.7)]
-        vote = VotingEnsemble(members)
+        vote = Ensemble(members)
         proba = vote.predict_proba(np.array([[0.0]]))
         assert proba[0, 0] == pytest.approx(0.7)
 
     def test_identical_members_equal_single_member(self):
         members = [stub_member(0.3)] * 3
-        vote = VotingEnsemble(members)
+        vote = Ensemble(members)
         proba = vote.predict_proba(np.array([[0.0]]))
         assert np.allclose(proba, members[0].predict_proba(np.array([[0.0]])))
 
     def test_fewer_than_two_members_rejected(self):
         with pytest.raises(FitError):
-            VotingEnsemble([stub_member(0.5)])
+            Ensemble([stub_member(0.5)])
 
     @pytest.mark.parametrize("params", [
         {"n_folds": 0},
@@ -528,6 +530,55 @@ class TestEnsembles:
         accuracy = np.mean(stack.predict(separable_matrix.values) == separable_matrix.labels)
         assert accuracy > 0.8
         assert stack.meta.converged
+
+
+# small params of each kind, so that a fit per [model] key stays fast
+SMALL_PARAMS = {
+    "tree": {"max_depth": 3},
+    "forest": {"n_trees": 3, "max_depth": 3},
+    "gbdt": {"n_rounds": 4, "max_depth": 2},
+    "logistic": {},
+    "knn": {},
+    "vote": {"members": SMALL_MEMBERS},
+    "stack": {"members": SMALL_MEMBERS},
+}
+
+# a value other than its default for every [model] key of every kind
+OTHER_VALUES = {
+    ("tree", "max_depth"): 1,
+    ("tree", "min_leaf"): 30,
+    ("forest", "n_trees"): 2,
+    ("forest", "max_depth"): 1,
+    ("forest", "min_leaf"): 30,
+    ("forest", "features_per_split"): 1,
+    ("forest", "seed"): 1,
+    ("forest", "bootstrap"): False,
+    ("gbdt", "n_rounds"): 2,
+    ("gbdt", "learning_rate"): 0.5,
+    ("gbdt", "max_depth"): 1,
+    ("gbdt", "min_child_weight"): 5.0,
+    ("gbdt", "reg_lambda"): 10.0,
+    ("logistic", "l2"): 1.0,
+    ("logistic", "tol"): 1e-2,
+    ("logistic", "max_iter"): 1,
+    ("knn", "k"): 3,
+    ("vote", "seed"): 1,
+    ("stack", "seed"): 1,
+    ("stack", "n_folds"): 3,
+}
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, cls in PARAMS.items()
+                                       for key in _ini_keys(cls)])
+def test_every_model_key_changes_the_fitted_model(kind, key, separable_matrix):
+    """A [model] key that no fit reads would change the config hash and nothing else."""
+    assert (kind, key) in OTHER_VALUES, f"no other value listed for {kind}.{key}"
+    matrix = separable_matrix.take_rows(np.arange(80))
+    # only the default members read vote's seed
+    params = {} if (kind, key) == ("vote", "seed") else SMALL_PARAMS[kind]
+    texts = [serialize_model(fit_model(ModelSpec(kind, {**params, key: value}), matrix))
+             for value in (_ini_keys(PARAMS[kind])[key], OTHER_VALUES[kind, key])]
+    assert texts[0] != texts[1]
 
 
 # one small fitted model of each kind
